@@ -8,6 +8,7 @@ traces against them, and reports compactness and duplication metrics.
 
 from .automaton import (
     Nfa,
+    StateLimitError,
     TypestateAutomaton,
     Verdict,
     VerdictKind,
@@ -15,6 +16,7 @@ from .automaton import (
     build_nfa,
     compile_order,
     inline_aggregates,
+    lazy_automaton,
     to_dot,
 )
 from .diagnostics import Diagnostic, Loc, Severity, has_errors

@@ -1,21 +1,26 @@
 """Compilation of ORDER expressions into finite automata.
 
-Aggregates are inlined as alternations, the expression is compiled into an
-epsilon-NFA (Thompson construction) and then determinized by the subset
-construction. The resulting DFA keeps an implicit error sink: a missing
-transition means the protocol is broken at that event. No minimization is
-performed; state numbering is breadth-first from the initial state, which
-keeps DOT output stable and explainable.
+Aggregates are inlined as alternations and the expression is compiled into
+an epsilon-NFA (Thompson construction). The DFA over it is determinized on
+demand, as in RE2: a subset state is built the first time a word reaches it,
+so checking a trace costs at most one NFA subset step per event, however
+large the full DFA would be. ``compile_order`` explores the whole DFA with
+that same step, breadth-first over the sorted alphabet, for ``fsm`` and DOT
+output; it stops at ``MAX_DFA_STATES``. The DFA keeps an implicit error sink:
+a missing transition means the protocol is broken at that event. No
+minimization is performed; in an explored DFA, state numbering is
+breadth-first from the initial state, which keeps DOT output stable and
+explainable.
 
-Every Thompson NFA state can reach the final state, so every subset state of
-the DFA can still reach acceptance. ``accepts`` relies on this: the first
-missing transition is exactly the first point at which no accepted word is
-reachable anymore.
+Every Thompson NFA state can reach the final state, so every subset state,
+whenever it is built, can still reach acceptance. ``accepts`` relies on
+this: the first missing transition is exactly the first point at which no
+accepted word is reachable anymore.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -130,22 +135,61 @@ def build_nfa(expr: OrderExpr) -> Nfa:
     return Nfa(start, accept, eps, moves)
 
 
-@dataclass
-class TypestateAutomaton:
-    """Deterministic typestate automaton over event labels.
+# Largest DFA that ``compile_order`` explores before giving up.
+MAX_DFA_STATES = 10_000
 
-    ``transitions`` is total through an implicit sink: a missing key is the
-    error state. Treat instances as immutable after compilation.
+
+class StateLimitError(Exception):
+    """The explored DFA would have more than ``MAX_DFA_STATES`` states."""
+
+
+class TypestateAutomaton:
+    """Deterministic typestate automaton over event labels, built on demand.
+
+    A state is the index of an NFA subset in ``subsets``; ``initial`` is 0,
+    the closure of the NFA's start. ``step`` builds a missing transition the
+    first time it is asked for and caches it, the error sink (``None``)
+    included. The automaton is therefore not immutable: ``subsets``,
+    ``accepting`` and the cache grow with every new transition taken, also
+    while a ``RuleSet`` is reused across checks.
     """
 
-    alphabet: frozenset[str]
-    state_count: int
-    initial: int
-    accepting: frozenset[int]
-    transitions: dict[tuple[int, str], int] = field(repr=False)
+    initial = 0
+
+    def __init__(self, nfa: Nfa, alphabet: frozenset[str]):
+        self.nfa = nfa
+        self.alphabet = alphabet
+        start = nfa.closure({nfa.start})
+        self.subsets: list[frozenset[int]] = [start]
+        self.accepting: set[int] = {0} if nfa.accept in start else set()
+        self._ids = {start: 0}
+        self._moves: dict[tuple[int, str], int | None] = {}
+
+    @property
+    def state_count(self) -> int:
+        return len(self.subsets)
+
+    @property
+    def transitions(self) -> dict[tuple[int, str], int]:
+        """Every transition built so far; a missing key is the error sink."""
+        return {key: dst for key, dst in self._moves.items() if dst is not None}
 
     def step(self, state: int, label: str) -> int | None:
-        return self.transitions.get((state, label))
+        try:
+            return self._moves[state, label]
+        except KeyError:
+            pass
+        target = self.nfa.step(self.subsets[state], label)
+        dst = None
+        if target:
+            dst = self._ids.get(target)
+            if dst is None:
+                dst = self._ids[target] = len(self.subsets)
+                self.subsets.append(target)
+                if self.nfa.accept in target:
+                    self.accepting.add(dst)
+        self._moves[state, label] = dst
+        return dst
 
 
 def order_alphabet(expr: OrderExpr) -> frozenset[str]:
@@ -159,40 +203,32 @@ def order_alphabet(expr: OrderExpr) -> frozenset[str]:
     return order_alphabet(expr.child)
 
 
+def lazy_automaton(
+    order: OrderExpr, aggregates: Iterable[AggregateDecl] = ()
+) -> TypestateAutomaton:
+    """The DFA of an ORDER expression with only its initial state built."""
+    expr = inline_aggregates(order, aggregates)
+    return TypestateAutomaton(build_nfa(expr), order_alphabet(expr))
+
+
 def compile_order(
     order: OrderExpr, aggregates: Iterable[AggregateDecl] = ()
 ) -> TypestateAutomaton:
-    """Compile an ORDER expression (aggregates expanded away) into a DFA."""
-    expr = inline_aggregates(order, aggregates)
-    nfa = build_nfa(expr)
-    alphabet = sorted(order_alphabet(expr))
+    """Compile an ORDER expression (aggregates expanded away) into a full DFA.
 
-    initial = nfa.closure({nfa.start})
-    ids: dict[frozenset[int], int] = {initial: 0}
-    queue = [initial]
-    transitions: dict[tuple[int, str], int] = {}
-    accepting: set[int] = set()
-    while queue:
-        subset = queue.pop(0)
-        state_id = ids[subset]
-        if nfa.accept in subset:
-            accepting.add(state_id)
+    Raises :class:`StateLimitError` once more than ``MAX_DFA_STATES`` states
+    have been built.
+    """
+    automaton = lazy_automaton(order, aggregates)
+    alphabet = sorted(automaton.alphabet)
+    state = 0
+    while state < automaton.state_count:
         for label in alphabet:
-            target = nfa.step(subset, label)
-            if not target:
-                continue
-            if target not in ids:
-                ids[target] = len(ids)
-                queue.append(target)
-            transitions[(state_id, label)] = ids[target]
-
-    return TypestateAutomaton(
-        alphabet=frozenset(alphabet),
-        state_count=len(ids),
-        initial=0,
-        accepting=frozenset(accepting),
-        transitions=transitions,
-    )
+            automaton.step(state, label)
+        if automaton.state_count > MAX_DFA_STATES:
+            raise StateLimitError(f"the DFA has more than {MAX_DFA_STATES} states")
+        state += 1
+    return automaton
 
 
 class VerdictKind(Enum):

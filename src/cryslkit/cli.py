@@ -17,8 +17,8 @@ import json
 import sys
 from pathlib import Path
 
-from .automaton import compile_order, to_dot
-from .diagnostics import Diagnostic, Severity, has_errors
+from .automaton import StateLimitError, compile_order, to_dot
+from .diagnostics import Diagnostic, Severity, error_at, has_errors
 from .emitter import emit
 from .metrics import BuildFailure, curve_as_csv, report_as_dict, savings
 from .model import validate_rule_set, validate_spec
@@ -213,7 +213,11 @@ def _cmd_fsm(args: argparse.Namespace) -> int:
     _print_diagnostics(diags)
     if has_errors(diags):
         return 1
-    automaton = compile_order(spec.order, spec.aggregates)
+    try:
+        automaton = compile_order(spec.order, spec.aggregates)
+    except StateLimitError as exc:
+        _print_diagnostics([error_at(str(path), spec.loc, f"ORDER of {spec.class_name}: {exc}")])
+        return 1
     if args.dot:
         sys.stdout.write(to_dot(automaton))
     else:

@@ -364,9 +364,17 @@ def _event_decl(sc: _Scanner, abstract: bool, type_params: tuple[str, ...] = ())
 # ---------------------------------------------------------------------------
 
 
-def _order_primary(sc: _Scanner) -> OrderExpr:
+# Deepest parenthesis nesting accepted in an ORDER expression; deeper input
+# would exhaust the recursion of this parser and of the walks over its tree.
+MAX_ORDER_DEPTH = 100
+
+
+def _order_primary(sc: _Scanner, depth: int) -> OrderExpr:
     if sc.try_punct("("):
-        inner = _order_expr(sc)
+        if depth == MAX_ORDER_DEPTH:
+            sc.error(f"ORDER nests parentheses deeper than {MAX_ORDER_DEPTH} levels",
+                     Loc(sc.line, sc.col - 1))
+        inner = _order_expr(sc, depth + 1)
         sc.expect_punct(")")
         return inner
     word = sc.peek_word()
@@ -376,8 +384,8 @@ def _order_primary(sc: _Scanner) -> OrderExpr:
     return Atom(label, loc=loc)
 
 
-def _order_postfix(sc: _Scanner) -> OrderExpr:
-    expr = _order_primary(sc)
+def _order_postfix(sc: _Scanner, depth: int) -> OrderExpr:
+    expr = _order_primary(sc, depth)
     while True:
         if sc.try_punct("?"):
             expr = Opt(expr)
@@ -389,17 +397,17 @@ def _order_postfix(sc: _Scanner) -> OrderExpr:
             return expr
 
 
-def _order_seq(sc: _Scanner) -> OrderExpr:
-    parts = [_order_postfix(sc)]
+def _order_seq(sc: _Scanner, depth: int) -> OrderExpr:
+    parts = [_order_postfix(sc, depth)]
     while sc.try_punct(","):
-        parts.append(_order_postfix(sc))
+        parts.append(_order_postfix(sc, depth))
     return parts[0] if len(parts) == 1 else Seq(tuple(parts))
 
 
-def _order_expr(sc: _Scanner) -> OrderExpr:
-    parts = [_order_seq(sc)]
+def _order_expr(sc: _Scanner, depth: int = 0) -> OrderExpr:
+    parts = [_order_seq(sc, depth)]
     while sc.try_punct("|"):
-        parts.append(_order_seq(sc))
+        parts.append(_order_seq(sc, depth))
     return parts[0] if len(parts) == 1 else Alt(tuple(parts))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
 
-from .automaton import TypestateAutomaton, compile_order
+from .automaton import TypestateAutomaton, lazy_automaton
 from .diagnostics import Diagnostic, Loc, error_at
 from .emitter import render_constraint, render_literal
 from .model import (
@@ -99,6 +99,16 @@ def _parse_arg(raw) -> ArgValue:
     raise ValueError(f"unsupported argument value {raw!r}")
 
 
+_JSON_TYPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    list: "an array", dict: "an object", type(None): "null",
+}
+
+
+def _wrong_type(field_name: str, expected: str, value) -> ValueError:
+    return ValueError(f"'{field_name}' must be {expected}, not {_JSON_TYPE_NAMES[type(value)]}")
+
+
 def parse_trace_lines(
     lines: Iterable[str], path: str = "<trace>"
 ) -> tuple[list[TraceEvent], list[Diagnostic]]:
@@ -114,13 +124,32 @@ def parse_trace_lines(
             record = json.loads(text)
             if not isinstance(record, dict):
                 raise ValueError("trace line must be a JSON object")
+            # Exact type tests: JSON true is a bool, which int() would accept.
+            seq = record["seq"]
+            if type(seq) is not int:
+                raise _wrong_type("seq", "an integer", seq)
+            object_id = record["object_id"]
+            if type(object_id) is not str:
+                raise _wrong_type("object_id", "a string", object_id)
+            class_name = record["class_name"]
+            if type(class_name) is not str:
+                raise _wrong_type("class_name", "a string", class_name)
+            method_name = record["method_name"]
+            if type(method_name) is not str:
+                raise _wrong_type("method_name", "a string", method_name)
+            args = record.get("args", [])
+            if type(args) is not list:
+                raise _wrong_type("args", "an array", args)
+            return_id = record.get("return_id")
+            if return_id is not None and type(return_id) is not str:
+                raise _wrong_type("return_id", "a string or null", return_id)
             event = TraceEvent(
-                seq=int(record["seq"]),
-                object_id=str(record["object_id"]),
-                class_name=str(record["class_name"]),
-                method_name=str(record["method_name"]),
-                args=tuple(_parse_arg(a) for a in record.get("args", [])),
-                return_id=record.get("return_id"),
+                seq=seq,
+                object_id=object_id,
+                class_name=class_name,
+                method_name=method_name,
+                args=tuple(_parse_arg(a) for a in args),
+                return_id=return_id,
                 line=line_no,
             )
         except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
@@ -151,7 +180,6 @@ def load_trace(path: str | Path) -> tuple[list[TraceEvent], list[Diagnostic]]:
 class CompiledRule:
     spec: CrySLSpec
     automaton: TypestateAutomaton
-    label_of_event: dict[str, str]  # event label -> label used in ORDER alphabet
 
 
 @dataclass
@@ -160,13 +188,16 @@ class RuleSet:
 
 
 def compile_rules(specs: Iterable[CrySLSpec]) -> RuleSet:
-    """Compile validated rules for checking. Duplicate classes are rejected."""
+    """Compile validated rules for checking. Duplicate classes are rejected.
+
+    Each rule's automaton starts with its initial state only; checking builds
+    the states its traces reach.
+    """
     rules: dict[str, CompiledRule] = {}
     for spec in specs:
         if spec.class_name in rules:
             raise ValueError(f"duplicate rule for class '{spec.class_name}'")
-        automaton = compile_order(spec.order, spec.aggregates)
-        rules[spec.class_name] = CompiledRule(spec, automaton, {})
+        rules[spec.class_name] = CompiledRule(spec, lazy_automaton(spec.order, spec.aggregates))
     return RuleSet(rules)
 
 

@@ -106,6 +106,21 @@ SPEC SHA512t REFINES
 """
 
 
+def wide_rule_text(k: int) -> str:
+    """A rule whose ORDER ``(e | f)*, e, (e | f)^k`` has 2^(k+1) + 1 DFA states."""
+    order = ", ".join(["(e | f)*", "e"] + ["(e | f)"] * k)
+    return (
+        f"SPEC org.example.Wide{k}\n"
+        "OBJECTS\n"
+        "    int n;\n"
+        "EVENTS\n"
+        "    e : push(n);\n"
+        "    f : skip();\n"
+        "ORDER\n"
+        f"    {order}\n"
+    )
+
+
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return REPO_ROOT / "corpus"

@@ -4,12 +4,24 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cryslkit import SourceFile, accepts, build_nfa, compile_order, parse_crysl, to_dot
-from cryslkit.automaton import VerdictKind, inline_aggregates
+from cryslkit import (
+    SourceFile,
+    accepts,
+    build_nfa,
+    check_trace,
+    compile_order,
+    compile_rules,
+    lazy_automaton,
+    parse_crysl,
+    to_dot,
+)
+from cryslkit.automaton import MAX_DFA_STATES, StateLimitError, VerdictKind, inline_aggregates
 from cryslkit.model import Alt, Atom, Opt, Plus, Seq, Star
+from cryslkit.tracecheck import TraceEvent
 
-from conftest import MESSAGEDIGEST_RULE
+from conftest import MESSAGEDIGEST_RULE, wide_rule_text
 from oracles import (
     all_words,
     derivative_verdict,
@@ -117,6 +129,92 @@ def test_three_way_verdict_matches_derivative_oracle():
             assert verdict.kind.value == kind, (expr, word)
             if kind == "rejected":
                 assert verdict.reject_index == index, (expr, word)
+
+
+# ---------------------------------------------------------------------------
+# On-demand determinization
+# ---------------------------------------------------------------------------
+
+_LABELS = ("a", "b", "c")
+
+order_trees = st.recursive(
+    st.sampled_from(_LABELS).map(Atom),
+    lambda child: st.one_of(
+        st.lists(child, min_size=2, max_size=3).map(lambda parts: Seq(tuple(parts))),
+        st.lists(child, min_size=2, max_size=3).map(lambda parts: Alt(tuple(parts))),
+        child.map(Opt),
+        child.map(Star),
+        child.map(Plus),
+    ),
+    max_leaves=8,
+)
+# "z" lies outside every tree's alphabet.
+words = st.lists(st.sampled_from(_LABELS + ("z",)), max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_trees, st.lists(words, min_size=1, max_size=5))
+def test_on_demand_steps_agree_with_explored_dfa_and_oracle(expr, word_list):
+    # One lazy automaton serves every word, as one rule serves every object
+    # of a trace, so later words run through a partly built cache.
+    lazy = lazy_automaton(expr)
+    explored = compile_order(expr)
+    for word in word_list:
+        kind, index = derivative_verdict(expr, word)
+        for verdict in (accepts(lazy, word), accepts(explored, word)):
+            assert verdict.kind.value == kind, (expr, word)
+            assert verdict.reject_index == index, (expr, word)
+    # State numbers follow the order of discovery; the subsets themselves agree.
+    assert set(lazy.subsets) <= set(explored.subsets)
+
+
+def test_lazy_automaton_builds_only_the_initial_state():
+    automaton = lazy_automaton(Seq((Star(Alt((Atom("e"), Atom("f")))), Atom("e"))))
+    assert automaton.state_count == 1
+    assert automaton.transitions == {}
+    assert automaton.alphabet == frozenset({"e", "f"})
+
+
+def test_missing_transition_is_cached():
+    automaton = lazy_automaton(Atom("c"))
+    assert automaton.step(0, "d") is None
+    automaton.nfa = None  # a second NFA step would now fail
+    assert automaton.step(0, "d") is None
+    assert automaton.state_count == 1
+
+
+def test_checking_a_wide_rule_builds_one_state_per_event_at_most():
+    spec = parse_crysl(SourceFile.for_text(wide_rule_text(16), "crysl"))  # 131,073 DFA states
+    rules = compile_rules([spec])
+    rng = random.Random(16)
+    words = {}
+    for object_id, pivot in (("w1", "e"), ("w2", "f")):
+        word = [rng.choice("ef") for _ in range(20)]
+        word[-17] = pivot  # the 17th label from the end decides acceptance
+        words[object_id] = word
+    trace = [
+        TraceEvent(seq, object_id, spec.class_name, *(("push", ("1",)) if label == "e" else ("skip", ())))
+        for seq, (object_id, label) in enumerate(
+            ((object_id, label) for object_id, word in words.items() for label in word), start=1
+        )
+    ]
+    found = [(v.kind, v.object_id) for v in check_trace(rules, trace).violations]
+    assert rules.rules[spec.class_name].automaton.state_count <= len(trace) + 1
+    expected = [
+        ("incomplete", object_id)
+        for object_id, word in words.items()
+        if derivative_verdict(spec.order, word)[0] == "incomplete"
+    ]
+    assert found == expected == [("incomplete", "w2")]
+
+
+def test_exploration_stops_past_the_state_limit():
+    def wide_order(k):
+        return parse_crysl(SourceFile.for_text(wide_rule_text(k), "crysl")).order
+
+    assert compile_order(wide_order(12)).state_count == 2 ** 13 + 1 <= MAX_DFA_STATES
+    with pytest.raises(StateLimitError):
+        compile_order(wide_order(13))
 
 
 # ---------------------------------------------------------------------------

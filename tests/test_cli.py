@@ -8,7 +8,7 @@ import pytest
 
 from cryslkit.cli import main
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, wide_rule_text
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +200,31 @@ def test_fsm_summary_without_dot(fips_rules_dir, capsys):
     code, out, err = run_cli(capsys, "fsm", "--rule", str(rule))
     assert code == 0
     assert "states:" in out
+
+
+def test_fsm_stops_at_the_state_limit(tmp_path, capsys):
+    rule = tmp_path / "Wide13.crysl"  # 16,385 DFA states
+    rule.write_text(wide_rule_text(13), encoding="utf-8")
+    code, out, err = run_cli(capsys, "fsm", "--rule", str(rule))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{rule}:1:1: error: ORDER of org.example.Wide13: ")
+    assert "more than 10000 states" in err
+    assert "Traceback" not in err
+
+
+def test_fsm_reports_deep_order_nesting(tmp_path, capsys):
+    rule = tmp_path / "Deep.crysl"
+    rule.write_text(
+        "SPEC org.example.Deep\nOBJECTS\n    int n;\nEVENTS\n    e : push(n);\nORDER\n"
+        f"    {'(' * 400}e{')' * 400}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "fsm", "--rule", str(rule))
+    assert code == 1
+    assert out == ""
+    # The 101st parenthesis, after four spaces of indentation.
+    assert err == f"{rule}:7:105: error: ORDER nests parentheses deeper than 100 levels\n"
 
 
 # ---------------------------------------------------------------------------

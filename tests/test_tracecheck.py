@@ -299,6 +299,34 @@ def test_malformed_line_is_reported_and_skipped():
     assert "malformed trace line" in diags[0].message
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seq", 1.9, "'seq' must be an integer, not a number"),
+        ("seq", True, "'seq' must be an integer, not a boolean"),
+        ("object_id", 5, "'object_id' must be a string, not an integer"),
+        ("class_name", None, "'class_name' must be a string, not null"),
+        ("method_name", ["digest"], "'method_name' must be a string, not an array"),
+        ("args", "SHA", "'args' must be an array, not a string"),
+        ("return_id", 5, "'return_id' must be a string or null, not an integer"),
+    ],
+)
+def test_wrong_field_type_is_reported_and_skipped(field, value, message):
+    record = {"seq": 1, "object_id": "o", "class_name": MD, "method_name": "digest", "args": []}
+    record[field] = value
+    events, diags = parse_trace_lines([json.dumps(record)], "t.jsonl")
+    assert events == []
+    assert [d.render() for d in diags] == [f"t.jsonl:1:1: error: malformed trace line: {message}"]
+
+
+def test_null_return_id_and_missing_args_are_accepted():
+    line = json.dumps({"seq": 1, "object_id": "o", "class_name": MD, "method_name": "digest",
+                       "return_id": None})
+    events, diags = parse_trace_lines([line])
+    assert not diags
+    assert events[0].args == () and events[0].return_id is None
+
+
 def test_non_increasing_seq_is_reported():
     mk = lambda seq: json.dumps({
         "seq": seq, "object_id": "o", "class_name": MD, "method_name": "update", "args": ["?"],
