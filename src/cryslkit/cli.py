@@ -216,7 +216,9 @@ def _cmd_fsm(args: argparse.Namespace) -> int:
     try:
         automaton = compile_order(spec.order, spec.aggregates)
     except StateLimitError as exc:
-        _print_diagnostics([error_at(str(path), spec.loc, f"ORDER of {spec.class_name}: {exc}")])
+        _print_diagnostics(
+            [error_at(str(path), spec.order_loc, f"ORDER of {spec.class_name}: {exc}")]
+        )
         return 1
     if args.dot:
         sys.stdout.write(to_dot(automaton))

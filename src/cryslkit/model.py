@@ -196,6 +196,7 @@ class CrySLSpec:
     ensures: tuple[PredicateRef, ...] = ()
     source_path: str | None = field(default=None, compare=False, repr=False)
     loc: Loc | None = field(default=None, compare=False, repr=False)
+    order_loc: Loc | None = field(default=None, compare=False, repr=False)  # ORDER keyword
 
     @property
     def name(self) -> str:

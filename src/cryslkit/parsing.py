@@ -364,28 +364,32 @@ def _event_decl(sc: _Scanner, abstract: bool, type_params: tuple[str, ...] = ())
 # ---------------------------------------------------------------------------
 
 
-# Deepest parenthesis nesting accepted in an ORDER expression; deeper input
-# would exhaust the recursion of this parser and of the walks over its tree.
+# Deepest nesting accepted in an ORDER expression, counting parentheses and
+# the ?, * and + operators on the way to each atom; deeper input would exhaust
+# the recursion of this parser and of the walks over its tree.
 MAX_ORDER_DEPTH = 100
 
+# Each function below returns the expression it parsed and the deepest
+# nesting level inside it, the enclosing ``depth`` included.
 
-def _order_primary(sc: _Scanner, depth: int) -> OrderExpr:
+
+def _order_primary(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
     if sc.try_punct("("):
         if depth == MAX_ORDER_DEPTH:
             sc.error(f"ORDER nests parentheses deeper than {MAX_ORDER_DEPTH} levels",
                      Loc(sc.line, sc.col - 1))
-        inner = _order_expr(sc, depth + 1)
+        inner = _order_alt(sc, depth + 1)
         sc.expect_punct(")")
         return inner
     word = sc.peek_word()
     if word is None or word in RESERVED_WORDS:
         sc.error("expected event label or aggregate name")
     label, loc = sc.take_word()
-    return Atom(label, loc=loc)
+    return Atom(label, loc=loc), depth
 
 
-def _order_postfix(sc: _Scanner, depth: int) -> OrderExpr:
-    expr = _order_primary(sc, depth)
+def _order_postfix(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
+    expr, level = _order_primary(sc, depth)
     while True:
         if sc.try_punct("?"):
             expr = Opt(expr)
@@ -394,21 +398,31 @@ def _order_postfix(sc: _Scanner, depth: int) -> OrderExpr:
         elif sc.try_punct("+"):
             expr = Plus(expr)
         else:
-            return expr
+            return expr, level
+        level += 1
+        if level > MAX_ORDER_DEPTH:
+            sc.error(f"ORDER nests ?, * and + operators and parentheses deeper than "
+                     f"{MAX_ORDER_DEPTH} levels", Loc(sc.line, sc.col - 1))
 
 
-def _order_seq(sc: _Scanner, depth: int) -> OrderExpr:
-    parts = [_order_postfix(sc, depth)]
+def _order_seq(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
+    parsed = [_order_postfix(sc, depth)]
     while sc.try_punct(","):
-        parts.append(_order_postfix(sc, depth))
-    return parts[0] if len(parts) == 1 else Seq(tuple(parts))
+        parsed.append(_order_postfix(sc, depth))
+    parts, levels = zip(*parsed)
+    return (parts[0] if len(parts) == 1 else Seq(parts)), max(levels)
 
 
-def _order_expr(sc: _Scanner, depth: int = 0) -> OrderExpr:
-    parts = [_order_seq(sc, depth)]
+def _order_alt(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
+    parsed = [_order_seq(sc, depth)]
     while sc.try_punct("|"):
-        parts.append(_order_seq(sc, depth))
-    return parts[0] if len(parts) == 1 else Alt(tuple(parts))
+        parsed.append(_order_seq(sc, depth))
+    parts, levels = zip(*parsed)
+    return (parts[0] if len(parts) == 1 else Alt(parts)), max(levels)
+
+
+def _order_expr(sc: _Scanner) -> OrderExpr:
+    return _order_alt(sc, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +482,7 @@ def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
             sc.expect_punct(";")
             events.append(event)
 
-    sc.expect_word("ORDER")
+    order_loc = sc.expect_word("ORDER")
     order = _order_expr(sc)
 
     constraints: list[ConstraintExpr] = []
@@ -505,6 +519,7 @@ def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
             type_params=tuple(type_params),
             source_path=source.path,
             loc=spec_loc,
+            order_loc=order_loc,
         )
     return CrySLSpec(
         class_name=class_name,
@@ -517,6 +532,7 @@ def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
         ensures=tuple(ensures),
         source_path=source.path,
         loc=spec_loc,
+        order_loc=order_loc,
     )
 
 

@@ -164,6 +164,7 @@ def _as_abstract(spec: CrySLSpec) -> AbstractSpec:
         type_params=(),
         source_path=spec.source_path,
         loc=spec.loc,
+        order_loc=spec.order_loc,
     )
 
 
@@ -272,6 +273,7 @@ def _with(spec: AbstractSpec, **changes) -> AbstractSpec:
         type_params=spec.type_params,
         source_path=spec.source_path,
         loc=spec.loc,
+        order_loc=spec.order_loc,
     )
     values.update(changes)
     return AbstractSpec(**values)

@@ -12,14 +12,23 @@ Unknown argument values never produce violations, only warnings: a recorded
 trace can be as indefinite as a static analysis, and the checker must not
 fabricate certainty. Predicates are tracked by value identity (reference id
 or literal value); there is no aliasing analysis.
+
+What a check costs: :func:`compile_rules` works out, once per rule, which
+declaration each ``(method, arity)`` pair matches, each constraint's sorted
+variables and rendered text, and which constraints each declaration's
+bindings reach. Checking then costs one dict lookup per event to find its
+declaration, one automaton step, and a re-judgement of only the constraints
+the event binds; the others cannot have changed since the object's previous
+event.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .automaton import TypestateAutomaton, lazy_automaton
 from .diagnostics import Diagnostic, Loc, error_at
@@ -148,11 +157,13 @@ def parse_trace_lines(
                 object_id=object_id,
                 class_name=class_name,
                 method_name=method_name,
-                args=tuple(_parse_arg(a) for a in args),
+                args=tuple([_parse_arg(a) for a in args]),
                 return_id=return_id,
                 line=line_no,
             )
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        # RecursionError: the JSON decoder's answer to arrays or objects nested
+        # too deeply.
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             diags.append(error_at(path, Loc(line_no, 1), f"malformed trace line: {exc}"))
             continue
         if last_seq is not None and event.seq <= last_seq:
@@ -176,10 +187,54 @@ def load_trace(path: str | Path) -> tuple[list[TraceEvent], list[Diagnostic]]:
 # ---------------------------------------------------------------------------
 
 
+class _EventPlan(NamedTuple):
+    """What a matched event does to its object's run, worked out once."""
+
+    decl: EventDecl
+    params: tuple[tuple[int, str], ...]  # (argument position, variable) per VarRef
+    constraints: tuple[int, ...]  # indices of constraints on a parameter variable
+    constraints_with_return: tuple[int, ...]  # ... or on the return binding
+
+
 @dataclass
 class CompiledRule:
     spec: CrySLSpec
     automaton: TypestateAutomaton
+    # (method name, arity) -> plan of the first declaration with that key
+    dispatch: dict[tuple[str, int], _EventPlan]
+    constraint_vars: tuple[tuple[str, ...], ...]  # sorted, per constraint
+    constraint_texts: tuple[str, ...]
+
+
+def _compile_rule(spec: CrySLSpec) -> CompiledRule:
+    constraint_vars = tuple(
+        tuple(sorted({m.var for m in constraint_memberships(c)})) for c in spec.constraints
+    )
+
+    def reached(names: set[str]) -> tuple[int, ...]:
+        return tuple(i for i, used in enumerate(constraint_vars) if names.intersection(used))
+
+    dispatch: dict[tuple[str, int], _EventPlan] = {}
+    for decl in spec.events:
+        key = (decl.method_name, len(decl.params))
+        if key in dispatch:
+            continue  # an earlier declaration already matches these events
+        params = tuple(
+            (position, param.name)
+            for position, param in enumerate(decl.params)
+            if isinstance(param, VarRef)
+        )
+        bound = {name for _, name in params}
+        dispatch[key] = _EventPlan(
+            decl, params, reached(bound), reached(bound | {decl.return_binding})
+        )
+    return CompiledRule(
+        spec,
+        lazy_automaton(spec.order, spec.aggregates),
+        dispatch,
+        constraint_vars,
+        tuple(render_constraint(c) for c in spec.constraints),
+    )
 
 
 @dataclass
@@ -197,7 +252,7 @@ def compile_rules(specs: Iterable[CrySLSpec]) -> RuleSet:
     for spec in specs:
         if spec.class_name in rules:
             raise ValueError(f"duplicate rule for class '{spec.class_name}'")
-        rules[spec.class_name] = CompiledRule(spec, lazy_automaton(spec.order, spec.aggregates))
+        rules[spec.class_name] = _compile_rule(spec)
     return RuleSet(rules)
 
 
@@ -208,15 +263,14 @@ def match_event(rules: RuleSet, event: TraceEvent) -> tuple[CompiledRule | None,
     ``(rule, None)`` for an undeclared method on a ruled class (which breaks
     the protocol via the automaton sink), and ``(rule, label)`` on a match.
     Matching is by class name, then method name and arity; wildcard
-    parameters match anything.
+    parameters match anything. When declarations share a method name and
+    arity, the first one declared matches.
     """
     rule = rules.rules.get(event.class_name)
     if rule is None:
         return None, None
-    for decl in rule.spec.events:
-        if decl.method_name == event.method_name and len(decl.params) == len(event.args):
-            return rule, decl.label
-    return rule, None
+    plan = rule.dispatch.get((event.method_name, len(event.args)))
+    return rule, None if plan is None else plan.decl.label
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +294,6 @@ class _ObjectRun:
     evaluated: dict[int, tuple] = field(default_factory=dict)
     constraint_ok: bool = True
     requires_checked: bool = False
-
-
-def _bind_event(run: _ObjectRun, decl: EventDecl, event: TraceEvent) -> None:
-    """Bind declared parameter variables (and the return binding, if any)
-    to the event's recorded values."""
-    for param, value in zip(decl.params, event.args):
-        if isinstance(param, VarRef):
-            run.env[param.name] = value
-    if decl.return_binding is not None and event.return_id is not None:
-        run.env[decl.return_binding] = Ref(event.return_id)
 
 
 def _membership_holds(membership: Membership, env: dict[str, ArgValue]):
@@ -288,7 +332,8 @@ def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
     Events are evaluated in ``seq`` order. Per object the rule's automaton
     tracks call order (the first break is reported, the object then stays in
     the sink); a constraint is judged whenever all its variables are bound
-    to a combination of values not seen before. ENSURES predicates enter the
+    to a combination of values not seen before; only the constraints on a
+    variable the event binds can meet that test. ENSURES predicates enter the
     store when a rule completes with all constraints satisfied. REQUIRES
     argument identities are fixed at the rule's first completion and tested
     against the store once the whole trace has been seen, so events of
@@ -304,26 +349,21 @@ def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
     # the outcome.
     pending_requires: list[tuple[_ObjectRun, str, tuple, tuple, int]] = []
 
-    def run_for(event: TraceEvent, rule: CompiledRule) -> _ObjectRun:
-        key = (event.object_id, rule.spec.class_name)
-        if key not in runs:
-            runs[key] = _ObjectRun(rule, event.object_id, rule.automaton.initial)
-        return runs[key]
-
-    def check_constraints(run: _ObjectRun, event: TraceEvent) -> None:
-        spec = run.rule.spec
-        for index, constraint in enumerate(spec.constraints):
-            names = {m.var for m in constraint_memberships(constraint)}
-            if not names <= set(run.env):
-                continue
-            signature = tuple(run.env[name] for name in sorted(names))
+    def check_constraints(run: _ObjectRun, event: TraceEvent, indices: tuple[int, ...]) -> None:
+        rule = run.rule
+        env = run.env
+        for index in indices:
+            names = rule.constraint_vars[index]
+            signature = tuple(map(env.get, names))
+            if None in signature:
+                continue  # a variable is still unbound; no bound value is None
             if run.evaluated.get(index) == signature:
                 continue  # same bindings were already judged at an earlier event
             run.evaluated[index] = signature
-            outcome = _eval_constraint(constraint, run.env)
+            outcome = _eval_constraint(rule.spec.constraints[index], env)
             if outcome is True:
                 continue
-            rendered = render_constraint(constraint)
+            rendered = rule.constraint_texts[index]
             if outcome is UNKNOWN:
                 warnings.append(
                     f"seq {event.seq}: {run.object_id}: cannot decide '{rendered}' "
@@ -332,14 +372,14 @@ def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
                 continue
             run.constraint_ok = False
             bindings = ", ".join(
-                f"{name} = {_render_value(run.env[name])}" for name in sorted(names)
+                f"{name} = {_render_value(value)}" for name, value in zip(names, signature)
             )
             violations.append(
                 Violation(
                     kind="constraint",
                     object_id=run.object_id,
                     seq=event.seq,
-                    rule_class=spec.class_name,
+                    rule_class=rule.spec.class_name,
                     message=f"{bindings} violates '{rendered}'",
                 )
             )
@@ -363,12 +403,17 @@ def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
                     continue
                 pending_requires.append((run, pred.name, pred.args, tuple(keys), event.seq))
 
-    for event in sorted(trace, key=lambda e: e.seq):
-        rule, label = match_event(rules, event)
+    for event in sorted(trace, key=attrgetter("seq")):
+        rule = rules.rules.get(event.class_name)
         if rule is None:
             continue
-        run = run_for(event, rule)
-        if label is None:
+        key = (event.object_id, event.class_name)
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = _ObjectRun(rule, event.object_id, rule.automaton.initial)
+        args = event.args
+        plan = rule.dispatch.get((event.method_name, len(args)))
+        if plan is None:
             if not run.broken:
                 run.broken = True
                 violations.append(
@@ -381,13 +426,16 @@ def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
                     )
                 )
             continue
-        decl = next(
-            d
-            for d in rule.spec.events
-            if d.method_name == event.method_name and len(d.params) == len(event.args)
-        )
-        _bind_event(run, decl, event)
-        check_constraints(run, event)
+        env = run.env
+        for position, name in plan.params:
+            env[name] = args[position]
+        indices = plan.constraints
+        decl = plan.decl
+        if decl.return_binding is not None and event.return_id is not None:
+            env[decl.return_binding] = Ref(event.return_id)
+            indices = plan.constraints_with_return
+        if indices:
+            check_constraints(run, event, indices)
         if run.broken:
             continue
         next_state = rule.automaton.step(run.state, decl.label)

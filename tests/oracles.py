@@ -4,6 +4,10 @@ The language oracle enumerates the set of words an order expression denotes
 (up to a length bound) directly from the expression tree; the derivative
 matcher decides membership and prefix viability structurally. Neither goes
 anywhere near the NFA/DFA construction they are used to check.
+
+The reference checker re-judges every constraint of a rule at every matched
+event and matches events by a linear scan over the declarations; the
+checker in ``cryslkit.tracecheck`` must report exactly what it reports.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import random
 import string
 
+from cryslkit.emitter import render_constraint
 from cryslkit.model import (
     AggregateDecl,
     Alt,
@@ -30,6 +35,18 @@ from cryslkit.model import (
     Star,
     VarRef,
     Wildcard,
+    constraint_memberships,
+)
+from cryslkit.tracecheck import (
+    UNKNOWN,
+    CheckResult,
+    Ref,
+    RuleSet,
+    TraceEvent,
+    Violation,
+    _eval_constraint,
+    _render_value,
+    _value_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -284,3 +301,131 @@ def random_spec(rng: random.Random) -> CrySLSpec:
 def random_label_alphabet(rng: random.Random, max_size: int = 4) -> list[str]:
     size = rng.randint(1, max_size)
     return list(string.ascii_lowercase[:size])
+
+
+# ---------------------------------------------------------------------------
+# Reference trace checker: every constraint at every event, linear matching
+# ---------------------------------------------------------------------------
+
+
+class _Run:
+    # A plain class: the benchmark loads this file by path, without the
+    # sys.modules entry a dataclass needs.
+    def __init__(self, rule, object_id: str, state: int):
+        self.rule = rule
+        self.object_id = object_id
+        self.state = state
+        self.broken = False
+        self.env: dict = {}
+        self.evaluated: dict = {}
+        self.constraint_ok = True
+        self.requires_checked = False
+
+
+def reference_check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
+    """``check_trace`` as it was before the per-rule dispatch and constraint
+    index: the findings and warnings of both must be identical."""
+    violations: list[Violation] = []
+    warnings: list[str] = []
+    predicates: set = set()
+    runs: dict = {}
+    pending_requires: list = []
+
+    def check_constraints(run: _Run, event: TraceEvent) -> None:
+        spec = run.rule.spec
+        for index, constraint in enumerate(spec.constraints):
+            names = {m.var for m in constraint_memberships(constraint)}
+            if not names <= set(run.env):
+                continue
+            signature = tuple(run.env[name] for name in sorted(names))
+            if run.evaluated.get(index) == signature:
+                continue
+            run.evaluated[index] = signature
+            outcome = _eval_constraint(constraint, run.env)
+            if outcome is True:
+                continue
+            rendered = render_constraint(constraint)
+            if outcome is UNKNOWN:
+                warnings.append(
+                    f"seq {event.seq}: {run.object_id}: cannot decide '{rendered}' "
+                    "(unknown value)"
+                )
+                continue
+            run.constraint_ok = False
+            bindings = ", ".join(
+                f"{name} = {_render_value(run.env[name])}" for name in sorted(names)
+            )
+            violations.append(Violation("constraint", run.object_id, event.seq,
+                                        spec.class_name, f"{bindings} violates '{rendered}'"))
+
+    def complete(run: _Run, event: TraceEvent) -> None:
+        spec = run.rule.spec
+        if run.constraint_ok:
+            for pred in spec.ensures:
+                keys = [_value_key(run.env.get(arg, UNKNOWN)) for arg in pred.args]
+                if all(k is not None for k in keys):
+                    predicates.add((pred.name, tuple(keys)))
+        if not run.requires_checked:
+            run.requires_checked = True
+            for pred in spec.requires:
+                keys = [_value_key(run.env.get(arg, UNKNOWN)) for arg in pred.args]
+                if any(k is None for k in keys):
+                    warnings.append(
+                        f"seq {event.seq}: {run.object_id}: cannot check requires "
+                        f"{pred.name}[{', '.join(pred.args)}] (unknown value)"
+                    )
+                    continue
+                pending_requires.append((run, pred.name, pred.args, tuple(keys), event.seq))
+
+    for event in sorted(trace, key=lambda e: e.seq):
+        rule = rules.rules.get(event.class_name)
+        if rule is None:
+            continue
+        key = (event.object_id, rule.spec.class_name)
+        if key not in runs:
+            runs[key] = _Run(rule, event.object_id, rule.automaton.initial)
+        run = runs[key]
+        decl = next(
+            (d for d in rule.spec.events
+             if d.method_name == event.method_name and len(d.params) == len(event.args)),
+            None,
+        )
+        if decl is None:
+            if not run.broken:
+                run.broken = True
+                violations.append(Violation("order", run.object_id, event.seq, rule.spec.class_name,
+                                            f"{event.method_name}() is not a declared event"))
+            continue
+        for param, value in zip(decl.params, event.args):
+            if isinstance(param, VarRef):
+                run.env[param.name] = value
+        if decl.return_binding is not None and event.return_id is not None:
+            run.env[decl.return_binding] = Ref(event.return_id)
+        check_constraints(run, event)
+        if run.broken:
+            continue
+        next_state = rule.automaton.step(run.state, decl.label)
+        if next_state is None:
+            run.broken = True
+            violations.append(Violation("order", run.object_id, event.seq, rule.spec.class_name,
+                                        f"{event.method_name}() breaks the declared call order"))
+            continue
+        run.state = next_state
+        if run.state in rule.automaton.accepting:
+            complete(run, event)
+
+    for run, name, args, keys, seq in pending_requires:
+        if (name, keys) not in predicates:
+            violations.append(Violation(
+                "missing-predicate", run.object_id, seq, run.rule.spec.class_name,
+                f"requires {name}[{', '.join(args)}] but no rule established it"))
+
+    for key in sorted(runs):
+        run = runs[key]
+        if run.broken or run.state in run.rule.automaton.accepting:
+            continue
+        violations.append(Violation("incomplete", run.object_id, None, run.rule.spec.class_name,
+                                    "object discarded before completing the declared protocol"))
+
+    violations.sort(key=lambda v: (v.seq is None, v.seq or 0, v.object_id, v.kind))
+    return CheckResult(violations=violations, warnings=warnings)

@@ -208,7 +208,7 @@ def test_fsm_stops_at_the_state_limit(tmp_path, capsys):
     code, out, err = run_cli(capsys, "fsm", "--rule", str(rule))
     assert code == 1
     assert out == ""
-    assert err.startswith(f"{rule}:1:1: error: ORDER of org.example.Wide13: ")
+    assert err.startswith(f"{rule}:7:1: error: ORDER of org.example.Wide13: ")
     assert "more than 10000 states" in err
     assert "Traceback" not in err
 
@@ -225,6 +225,23 @@ def test_fsm_reports_deep_order_nesting(tmp_path, capsys):
     assert out == ""
     # The 101st parenthesis, after four spaces of indentation.
     assert err == f"{rule}:7:105: error: ORDER nests parentheses deeper than 100 levels\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "fsm"])
+def test_long_postfix_chain_is_a_located_parse_error(tmp_path, capsys, command):
+    rule = tmp_path / "Chain.crysl"
+    rule.write_text(
+        "SPEC org.example.Chain\nOBJECTS\n    int n;\nEVENTS\n    e : push(n);\nORDER\n"
+        f"    e{'*' * 2000}\n",
+        encoding="utf-8",
+    )
+    argv = ["fsm", "--rule", str(rule)] if command == "fsm" else ["validate", str(rule)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    # The 101st operator, after four spaces of indentation and the atom.
+    assert err.splitlines()[0] == (f"{rule}:7:106: error: ORDER nests ?, * and + operators "
+                                   "and parentheses deeper than 100 levels")
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,19 @@ def test_parse_error_location_is_inside_input():
     assert diag.column >= 1
 
 
+def test_order_depth_counts_parentheses_and_postfix_operators_together():
+    # 60 parentheses and 30 operators inside them stay within the 100 levels;
+    # the operators after the closing parentheses add to the same path.
+    order = f"{'(' * 60}e{'*' * 30}{')' * 60}"
+    text = "SPEC X\nOBJECTS\n    int n;\nEVENTS\n    e : push(n);\nORDER\n    {}\n"
+    crysl(text.format(order + "*" * 10))
+    with pytest.raises(ParseError) as err:
+        crysl(text.format(order + "*" * 11))
+    diag = err.value.diagnostic
+    assert (diag.line, diag.column) == (7, 5 + len(order) + 10)
+    assert "deeper than 100 levels" in diag.message
+
+
 def test_parsing_is_deterministic():
     assert crysl(MESSAGEDIGEST_RULE) == crysl(MESSAGEDIGEST_RULE)
 

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cryslkit import (
     SourceFile,
@@ -21,6 +22,7 @@ from cryslkit import (
 from cryslkit.model import Membership
 from cryslkit.tracecheck import Ref, UNKNOWN
 
+import oracles
 from conftest import MESSAGEDIGEST_RULE
 
 MD = "java.security.MessageDigest"
@@ -271,6 +273,44 @@ def test_removing_algorithm_never_decreases_violations(digest_rules):
     assert len(fewer.violations) >= len(full.violations)
 
 
+# Argument values the random rules' literal sets and implications draw on,
+# plus references and the unknown marker.
+_TRACE_VALUES = ("AES", "DES", "SHA-256", "x", 0, 7, 128, 192, 256, UNKNOWN,
+                 Ref("o1"), Ref("r1"))
+
+
+def random_rules_and_trace(rng: random.Random):
+    specs = {}
+    for _ in range(rng.randint(1, 3)):
+        spec = oracles.random_spec(rng)
+        specs.setdefault(spec.class_name, spec)
+    specs = list(specs.values())
+    declared = [(spec.class_name, decl) for spec in specs for decl in spec.events]
+    methods = sorted({decl.method_name for _, decl in declared}) + ["undeclared"]
+    classes = [spec.class_name for spec in specs] + ["java.util.List"]
+    trace = []
+    for seq in range(rng.randint(0, 40)):
+        if rng.random() < 0.8:  # mostly declared events, so values bind and rebind
+            cls, decl = rng.choice(declared)
+            method, arity = decl.method_name, len(decl.params)
+        else:
+            cls, method, arity = rng.choice(classes), rng.choice(methods), rng.randint(0, 3)
+        args = [rng.choice(_TRACE_VALUES) for _ in range(arity)]
+        ret = rng.choice((None, "o1", "r1", "r2"))
+        trace.append(ev(seq, rng.choice(("o1", "o2", "o3")), cls, method, args, ret=ret))
+    return specs, trace
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_checker_agrees_with_the_reference_checker(seed):
+    specs, trace = random_rules_and_trace(random.Random(seed))
+    result = check_trace(compile_rules(specs), trace)
+    expected = oracles.reference_check_trace(compile_rules(specs), trace)
+    assert result.violations == expected.violations
+    assert result.warnings == expected.warnings
+
+
 # ---------------------------------------------------------------------------
 # Trace parsing
 # ---------------------------------------------------------------------------
@@ -334,6 +374,44 @@ def test_non_increasing_seq_is_reported():
     events, diags = parse_trace_lines([mk(2), mk(2)])
     assert len(events) == 1
     assert any("does not increase" in d.message for d in diags)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_field = st.one_of(_json_values, st.integers(), st.text(max_size=8),
+                   st.lists(st.one_of(st.integers(), st.text(max_size=3),
+                                      st.fixed_dictionaries({"ref": _json_values})), max_size=3))
+_records = st.fixed_dictionaries({}, optional={
+    name: _field for name in ("seq", "object_id", "class_name", "method_name", "args", "return_id")
+})
+# Records with the required fields well typed, so the argument checks are reached.
+_typed_records = st.fixed_dictionaries(
+    {"seq": st.integers(), "object_id": st.text(), "class_name": st.text(),
+     "method_name": st.text()},
+    optional={"args": st.lists(st.one_of(st.integers(), st.text(max_size=3), _json_values,
+                                         st.fixed_dictionaries({"ref": _json_values}))),
+              "return_id": st.none() | st.text()},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _json_values.map(json.dumps), _records.map(json.dumps),
+                 _typed_records.map(json.dumps)))
+@example("[" * 100_000)
+@example('{"seq": ' * 100_000)
+def test_any_trace_line_gives_an_event_or_a_located_diagnostic(line):
+    events, diags = parse_trace_lines([line], "t.jsonl")
+    if not line.strip():
+        assert events == [] and diags == []
+        return
+    assert len(events) + len(diags) == 1
+    for diag in diags:
+        assert (diag.path, diag.line, diag.column) == ("t.jsonl", 1, 1)
+        assert diag.message.startswith("malformed trace line: ")
 
 
 # ---------------------------------------------------------------------------
