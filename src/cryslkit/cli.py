@@ -22,11 +22,9 @@ from .diagnostics import Diagnostic, Severity, error_at, has_errors
 from .emitter import emit
 from .metrics import BuildFailure, curve_as_csv, report_as_dict, savings
 from .model import validate_rule_set, validate_spec
-from .parsing import ParseError, SourceFile, parse_abstract, parse_config, parse_crysl
+from .parsing import RULE_SUFFIXES, ParseError, SourceFile, parse_config, read_rule, rule_files
 from .preprocessor import run_build
 from .tracecheck import compile_rules, load_trace, report, check_trace
-
-_RULE_SUFFIXES = (".crysl", ".mcsl")
 
 
 def _print_diagnostics(diags: list[Diagnostic]) -> None:
@@ -34,18 +32,20 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
         print(diag.render(), file=sys.stderr)
 
 
-def _collect_rule_files(path: Path, suffixes) -> list[Path]:
-    if path.is_file():
-        return [path]
-    direct = [p for p in path.iterdir() if p.is_file() and p.suffix in suffixes]
-    nested = [
-        p
-        for sub in sorted(path.iterdir())
-        if sub.is_dir()
-        for p in sub.iterdir()
-        if p.is_file() and p.suffix in suffixes
-    ]
-    return sorted(direct + nested, key=lambda p: p.as_posix())
+def _read_rules(files: list[Path], concrete: bool = False) -> tuple[list, list[Diagnostic]]:
+    """Parse and validate each rule file; a file that fails to parse is
+    reported and left out."""
+    specs = []
+    diags: list[Diagnostic] = []
+    for path in files:
+        try:
+            spec = read_rule(path, concrete)
+        except ParseError as exc:
+            diags.append(exc.diagnostic)
+            continue
+        diags.extend(validate_spec(spec))
+        specs.append(spec)
+    return specs, diags
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -85,25 +85,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    diags: list[Diagnostic] = []
-    specs = []
     files: list[Path] = []
     for raw in args.paths:
         path = Path(raw)
         if not path.exists():
             print(f"{path}: no such file or directory", file=sys.stderr)
             return 2
-        files.extend(_collect_rule_files(path, _RULE_SUFFIXES))
-
-    for path in files:
-        try:
-            source = SourceFile.from_path(path)
-            spec = parse_crysl(source) if source.language == "crysl" else parse_abstract(source)
-        except ParseError as exc:
-            diags.append(exc.diagnostic)
-            continue
-        diags.extend(validate_spec(spec))
-        specs.append(spec)
+        files.extend(rule_files(path, RULE_SUFFIXES))
+    specs, diags = _read_rules(files)
     diags.extend(validate_rule_set(specs))
 
     _print_diagnostics(diags)
@@ -121,16 +110,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not rules_dir.is_dir():
         print(f"{rules_dir}: not a directory", file=sys.stderr)
         return 2
-    specs = []
-    diags: list[Diagnostic] = []
-    for path in _collect_rule_files(rules_dir, (".crysl",)):
-        try:
-            spec = parse_crysl(SourceFile.from_path(path))
-        except ParseError as exc:
-            diags.append(exc.diagnostic)
-            continue
-        diags.extend(validate_spec(spec))
-        specs.append(spec)
+    specs, diags = _read_rules(rule_files(rules_dir, (".crysl",)))
     diags.extend(validate_rule_set(specs))
     _print_diagnostics(diags)
     if has_errors(diags):
@@ -204,15 +184,11 @@ def _cmd_fsm(args: argparse.Namespace) -> int:
     if not path.is_file():
         print(f"{path}: no such file", file=sys.stderr)
         return 2
-    try:
-        spec = parse_crysl(SourceFile.from_path(path))
-    except ParseError as exc:
-        _print_diagnostics([exc.diagnostic])
-        return 1
-    diags = validate_spec(spec)
+    specs, diags = _read_rules([path], concrete=True)
     _print_diagnostics(diags)
     if has_errors(diags):
         return 1
+    spec = specs[0]
     try:
         automaton = compile_order(spec.order, spec.aggregates)
     except StateLimitError as exc:

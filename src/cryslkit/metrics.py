@@ -58,23 +58,18 @@ def normalize_lines(text: str) -> list[str]:
     return kept
 
 
-def _stats_from_counter(files: int, counts: Counter) -> LineStats:
-    total = sum(counts.values())
-    duplicated = {line: n for line, n in counts.items() if n >= 2}
-    return LineStats(
-        files=files,
-        total_lines=total,
-        duplicate_lines=sum(n - 1 for n in duplicated.values()),
-        unique_duplicated=len(duplicated),
-    )
-
-
 def count_text_lines(texts: Sequence[str]) -> LineStats:
     """Line statistics over in-memory documents (one counter for the set)."""
     counts: Counter = Counter()
     for text in texts:
         counts.update(normalize_lines(text))
-    return _stats_from_counter(len(texts), counts)
+    duplicated = [n for n in counts.values() if n >= 2]
+    return LineStats(
+        files=len(texts),
+        total_lines=sum(counts.values()),
+        duplicate_lines=sum(n - 1 for n in duplicated),
+        unique_duplicated=len(duplicated),
+    )
 
 
 def count_lines(
@@ -83,19 +78,14 @@ def count_lines(
 ) -> LineStats:
     """Line statistics over files; unreadable files are reported via
     ``on_error`` and the remaining files are still counted."""
-    counts: Counter = Counter()
-    files = 0
-    for path in paths:
-        path = Path(path)
+    texts = []
+    for path in map(Path, paths):
         try:
-            text = path.read_text(encoding="utf-8")
+            texts.append(path.read_text(encoding="utf-8"))
         except OSError as exc:
             if on_error is not None:
                 on_error(path, exc)
-            continue
-        files += 1
-        counts.update(normalize_lines(text))
-    return _stats_from_counter(files, counts)
+    return count_text_lines(texts)
 
 
 def savings_ratio(meta_total: int, generated_total: int) -> float:

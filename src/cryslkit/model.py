@@ -264,28 +264,38 @@ def placeholder_names(spec: CrySLSpec) -> list[str]:
     return seen
 
 
+def variation_points(spec: CrySLSpec) -> list[str]:
+    """Unresolved variation points as written, each once: meta-variables
+    (``$Name``), then placeholders and type parameters (``<T>``)."""
+    points = [f"${name}" for name in meta_var_names(spec)]
+    points += [f"<{name}>" for name in placeholder_names(spec)]
+    if isinstance(spec, AbstractSpec):
+        points += [f"<{name}>" for name in spec.type_params]
+    return list(dict.fromkeys(points))
+
+
 def has_variation_points(spec: CrySLSpec) -> bool:
-    if isinstance(spec, AbstractSpec) and spec.type_params:
-        return True
-    return bool(meta_var_names(spec)) or bool(placeholder_names(spec))
+    return bool(variation_points(spec))
+
+
+def spec_as(spec_type: type[CrySLSpec], spec: CrySLSpec) -> CrySLSpec:
+    """``spec`` itself if it is a ``spec_type``, else a ``spec_type`` with its
+    :class:`CrySLSpec` fields (an :class:`AbstractSpec` gets no type parameters)."""
+    if type(spec) is spec_type:
+        return spec
+    return spec_type(**{f.name: getattr(spec, f.name) for f in fields(CrySLSpec)})
 
 
 def to_concrete(spec: CrySLSpec) -> CrySLSpec:
     """Strip an abstract rule with no remaining variation points down to a
     plain :class:`CrySLSpec`. Raises ``ValueError`` if variation points remain.
     """
-    if has_variation_points(spec):
-        leftovers = [f"${n}" for n in meta_var_names(spec)]
-        leftovers += [f"<{n}>" for n in placeholder_names(spec)]
-        if isinstance(spec, AbstractSpec):
-            leftovers += [f"<{n}>" for n in spec.type_params if f"<{n}>" not in leftovers]
+    leftovers = variation_points(spec)
+    if leftovers:
         raise ValueError(
             f"rule {spec.name} still has variation points: {', '.join(leftovers)}"
         )
-    if type(spec) is CrySLSpec:
-        return spec
-    names = [f.name for f in fields(CrySLSpec)]
-    return CrySLSpec(**{name: getattr(spec, name) for name in names})
+    return spec_as(CrySLSpec, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +307,6 @@ def to_concrete(spec: CrySLSpec) -> CrySLSpec:
 class DefineLiteralSet:
     name: str
     values: LiteralSet
-    loc: Loc | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class DefineQualifiedType:
-    """Binds a type parameter to a fully qualified class name.
-
-    Surface syntax is the type-argument list on the REFINES clause; the
-    preprocessor synthesizes one of these per argument at application time.
-    """
-
-    param: str
-    fqn: str
     loc: Loc | None = field(default=None, compare=False, repr=False)
 
 
@@ -367,7 +364,6 @@ class RemovePredicate:
 
 RefinementOp = Union[
     DefineLiteralSet,
-    DefineQualifiedType,
     AddEvent,
     RemoveEvent,
     AddConstraint,

@@ -18,6 +18,7 @@ pointing into the input.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -68,12 +69,20 @@ LANGUAGE_BY_EXTENSION = {
     ".conf": "config",
 }
 
+RULE_SUFFIXES = (".crysl", ".mcsl")
 SECTION_KEYWORDS = ("OBJECTS", "EVENTS", "ORDER", "CONSTRAINTS", "REQUIRES", "ENSURES")
 RESERVED_WORDS = frozenset(SECTION_KEYWORDS) | {"SPEC", "ABSTRACT"}
 
+_TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
 _PATH_RE = re.compile(r"[^\s;{}]+")
+# An element is one character other than a quote, backslash or newline, or a
+# backslash and the character after it. Elements are one character wide and
+# start differently, so a failed match takes linear time and cannot backtrack
+# an escaped quote into a closing one.
+_STRING_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 class ParseError(Exception):
@@ -108,134 +117,114 @@ class SourceFile:
         return cls(path, text, language)
 
 
-class _Scanner:
-    """Character-level cursor with 1-based line/column tracking.
+def rule_files(path: Path, suffixes: tuple[str, ...]) -> list[Path]:
+    """A file itself, or the files with one of ``suffixes`` in a directory and
+    its direct subdirectories, sorted by path."""
+    if path.is_file():
+        return [path]
+    files = [p for p in path.iterdir() if p.is_file() and p.suffix in suffixes]
+    files += [p for sub in path.iterdir() if sub.is_dir()
+              for p in sub.iterdir() if p.is_file() and p.suffix in suffixes]
+    return sorted(files, key=lambda p: p.as_posix())
 
-    All ``take_*`` helpers skip whitespace and ``//`` comments first.
+
+def read_rule(path: str | Path, concrete: bool = False) -> CrySLSpec:
+    """Parse a rule file by its language: ``.crysl`` as a concrete rule, any
+    other extension as ``.mcsl`` (only ``.crysl`` when ``concrete``); an
+    extension of the wrong language is a ``ValueError``."""
+    source = SourceFile.from_path(path)
+    if concrete or source.language == "crysl":
+        return parse_crysl(source)
+    return parse_abstract(source)
+
+
+class _Scanner:
+    """Cursor over one file's text.
+
+    All ``take_*`` helpers skip whitespace and ``//`` comments first. A
+    location is computed only when asked for, from the newline offsets.
     """
 
     def __init__(self, text: str, path: str):
         self.text = text
         self.path = path
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        self._newlines = [m.start() for m in re.finditer("\n", text)]
 
     def error(self, message: str, loc: Loc | None = None) -> NoReturn:
         raise ParseError(self.path, loc or self.loc(), message)
 
-    def _advance(self, count: int) -> None:
-        for _ in range(count):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+    def loc(self, at: int | None = None) -> Loc:
+        """1-based line and column of offset ``at``, by default of the next token."""
+        if at is None:
+            at = self.skip_trivia()
+        line = bisect_left(self._newlines, at)
+        return Loc(line + 1, at - self._newlines[line - 1] if line else at + 1)
 
-    def skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif self.text.startswith("//", self.pos):
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.text)) - self.pos)
-            else:
-                return
+    def skip_trivia(self) -> int:
+        self.pos = _TRIVIA_RE.match(self.text, self.pos).end()
+        return self.pos
 
     def eof(self) -> bool:
-        self.skip_trivia()
-        return self.pos >= len(self.text)
-
-    def loc(self) -> Loc:
-        self.skip_trivia()
-        return Loc(self.line, self.col)
+        return self.skip_trivia() >= len(self.text)
 
     def peek_char(self) -> str | None:
-        self.skip_trivia()
-        return self.text[self.pos] if self.pos < len(self.text) else None
+        pos = self.skip_trivia()
+        return self.text[pos] if pos < len(self.text) else None
 
     def peek_word(self) -> str | None:
-        self.skip_trivia()
-        match = _WORD_RE.match(self.text, self.pos)
-        return match.group(0) if match else None
+        match = _WORD_RE.match(self.text, self.skip_trivia())
+        return match.group() if match else None
 
-    def take_word(self, what: str = "identifier") -> tuple[str, Loc]:
-        loc = self.loc()
-        match = _WORD_RE.match(self.text, self.pos)
+    def take(self, pattern: re.Pattern, what: str) -> str:
+        match = pattern.match(self.text, self.skip_trivia())
         if not match:
-            self.error(f"expected {what}", loc)
-        self._advance(len(match.group(0)))
-        return match.group(0), loc
+            self.error(f"expected {what}")
+        self.pos = match.end()
+        return match.group()
+
+    def take_word(self, what: str = "identifier") -> str:
+        return self.take(_WORD_RE, what)
 
     def try_word(self, word: str) -> bool:
         if self.peek_word() == word:
-            self._advance(len(word))
+            self.pos += len(word)
             return True
         return False
 
-    def expect_word(self, word: str) -> Loc:
-        loc = self.loc()
+    def expect_word(self, word: str) -> None:
         if not self.try_word(word):
-            found = self.peek_word() or self._describe_next()
-            self.error(f"expected '{word}', found {found}", loc)
-        return loc
+            self.error(f"expected '{word}', found {self.peek_word() or self._describe_next()}")
 
     def try_punct(self, punct: str) -> bool:
-        self.skip_trivia()
-        if self.text.startswith(punct, self.pos):
-            self._advance(len(punct))
+        if self.text.startswith(punct, self.skip_trivia()):
+            self.pos += len(punct)
             return True
         return False
 
-    def expect_punct(self, punct: str) -> Loc:
-        loc = self.loc()
+    def expect_punct(self, punct: str) -> None:
         if not self.try_punct(punct):
-            self.error(f"expected '{punct}', found {self._describe_next()}", loc)
-        return loc
+            self.error(f"expected '{punct}', found {self._describe_next()}")
 
-    def take_int(self) -> tuple[int, Loc]:
-        loc = self.loc()
-        match = _INT_RE.match(self.text, self.pos)
+    def take_int(self) -> int:
+        digits = self.take(_INT_RE, "integer literal")
+        try:
+            return int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits(), 4300 by default
+            self.error(f"integer literal of {len(digits)} digits is too long",
+                       self.loc(self.pos - len(digits)))
+
+    def take_string(self) -> str:
+        """The string literal that starts at the next token's quote."""
+        match = _STRING_RE.match(self.text, self.skip_trivia())
         if not match:
-            self.error("expected integer literal", loc)
-        self._advance(len(match.group(0)))
-        return int(match.group(0)), loc
-
-    def take_string(self) -> tuple[str, Loc]:
-        loc = self.loc()
-        if self.peek_char() != '"':
-            self.error("expected string literal", loc)
-        self._advance(1)
-        chars: list[str] = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == '"':
-                self._advance(1)
-                return "".join(chars), loc
-            if ch == "\n":
-                break
-            if ch == "\\" and self.pos + 1 < len(self.text) and self.text[self.pos + 1] in '\\"':
-                self._advance(1)
-                ch = self.text[self.pos]
-            chars.append(ch)
-            self._advance(1)
-        self.error("unterminated string literal", loc)
-
-    def take_path(self) -> tuple[str, Loc]:
-        loc = self.loc()
-        match = _PATH_RE.match(self.text, self.pos)
-        if not match:
-            self.error("expected path", loc)
-        self._advance(len(match.group(0)))
-        return match.group(0), loc
+            self.error("unterminated string literal")
+        self.pos = match.end()
+        return _ESCAPE_RE.sub(r"\1", match.group(1))
 
     def _describe_next(self) -> str:
-        self.skip_trivia()
-        if self.pos >= len(self.text):
-            return "end of file"
-        return f"'{self.text[self.pos]}'"
+        ch = self.peek_char()
+        return "end of file" if ch is None else f"'{ch}'"
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +232,28 @@ class _Scanner:
 # ---------------------------------------------------------------------------
 
 
-def _qualified_ident(sc: _Scanner, what: str = "name") -> tuple[str, Loc]:
-    word, loc = sc.take_word(what)
-    parts = [word]
+def _separated(sc: _Scanner, item, separator: str = ",") -> tuple:
+    """One or more ``item()`` results with ``separator`` between them."""
+    items = [item()]
+    while sc.try_punct(separator):
+        items.append(item())
+    return tuple(items)
+
+
+def _qualified_ident(sc: _Scanner, what: str = "name") -> str:
+    parts = [sc.take_word(what)]
     while sc.try_punct("."):
-        parts.append(sc.take_word("name segment")[0])
-    return ".".join(parts), loc
+        parts.append(sc.take_word("name segment"))
+    return ".".join(parts)
 
 
 def _placeholder(sc: _Scanner, type_params: tuple[str, ...]) -> str:
-    loc = sc.expect_punct("<")
-    param, _ = sc.take_word("type parameter")
+    at = sc.skip_trivia()
+    sc.expect_punct("<")
+    param = sc.take_word("type parameter")
     sc.expect_punct(">")
     if param not in type_params:
-        sc.error(f"type parameter '{param}' is not declared", loc)
+        sc.error(f"type parameter '{param}' is not declared", sc.loc(at))
     return f"<{param}>"
 
 
@@ -264,7 +261,7 @@ def _type_ref(sc: _Scanner, abstract: bool, type_params: tuple[str, ...] = ()) -
     if abstract and sc.peek_char() == "<":
         base = _placeholder(sc, type_params)
     else:
-        base, _ = _qualified_ident(sc, "type name")
+        base = _qualified_ident(sc, "type name")
     while sc.try_punct("[]"):
         base += "[]"
     return base
@@ -273,34 +270,31 @@ def _type_ref(sc: _Scanner, abstract: bool, type_params: tuple[str, ...] = ()) -
 def _literal(sc: _Scanner):
     ch = sc.peek_char()
     if ch == '"':
-        return sc.take_string()[0]
+        return sc.take_string()
     if ch is not None and ch.isdigit():
-        return sc.take_int()[0]
+        return sc.take_int()
     sc.error("expected string or integer literal")
 
 
 def _literal_set(sc: _Scanner) -> LiteralSet:
     sc.expect_punct("{")
-    values = [_literal(sc)]
-    while sc.try_punct(","):
-        values.append(_literal(sc))
+    values = _separated(sc, lambda: _literal(sc))
     sc.expect_punct("}")
     return LiteralSet(frozenset(values))
 
 
 def _set_expr(sc: _Scanner, abstract: bool):
     if sc.peek_char() == "$":
-        loc = sc.loc()
         if not abstract:
-            sc.error("meta-variables are only allowed in abstract rules", loc)
+            sc.error("meta-variables are only allowed in abstract rules")
         sc.expect_punct("$")
-        name, _ = sc.take_word("meta-variable name")
-        return MetaVarRef(name)
+        return MetaVarRef(sc.take_word("meta-variable name"))
     return _literal_set(sc)
 
 
 def _membership(sc: _Scanner, abstract: bool) -> Membership:
-    var, loc = sc.take_word("variable")
+    loc = sc.loc()
+    var = sc.take_word("variable")
     sc.expect_word("in")
     return Membership(var, _set_expr(sc, abstract), loc=loc)
 
@@ -314,49 +308,47 @@ def _constraint(sc: _Scanner, abstract: bool) -> ConstraintExpr:
 
 
 def _predicate(sc: _Scanner) -> PredicateRef:
-    name, loc = sc.take_word("predicate name")
+    loc = sc.loc()
+    name = sc.take_word("predicate name")
     sc.expect_punct("[")
-    args = [sc.take_word("predicate argument")[0]]
-    while sc.try_punct(","):
-        args.append(sc.take_word("predicate argument")[0])
+    args = _separated(sc, lambda: sc.take_word("predicate argument"))
     sc.expect_punct("]")
-    return PredicateRef(name, tuple(args), loc=loc)
+    return PredicateRef(name, args, loc=loc)
 
 
 def _param(sc: _Scanner) -> ParamRef:
     ch = sc.peek_char()
     if ch == '"' or (ch is not None and ch.isdigit()):
         return LiteralArg(_literal(sc))
-    word, _ = sc.take_word("parameter")
+    word = sc.take_word("parameter")
     if word == "_":
         return Wildcard()
     return VarRef(word)
 
 
 def _event_decl(sc: _Scanner, abstract: bool, type_params: tuple[str, ...] = ()) -> EventDecl:
-    label, loc = sc.take_word("event label")
+    loc = sc.loc()
+    label = sc.take_word("event label")
     sc.expect_punct(":")
     return_binding = None
     if abstract and sc.peek_char() == "<":
         method = _placeholder(sc, type_params)
     else:
-        word, _ = sc.take_word("method name")
+        word = sc.take_word("method name")
         if sc.try_punct("="):
             return_binding = word
             if abstract and sc.peek_char() == "<":
                 method = _placeholder(sc, type_params)
             else:
-                method = sc.take_word("method name")[0]
+                method = sc.take_word("method name")
         else:
             method = word
     sc.expect_punct("(")
-    params: list[ParamRef] = []
+    params: tuple[ParamRef, ...] = ()
     if sc.peek_char() != ")":
-        params.append(_param(sc))
-        while sc.try_punct(","):
-            params.append(_param(sc))
+        params = _separated(sc, lambda: _param(sc))
     sc.expect_punct(")")
-    return EventDecl(label, return_binding, method, tuple(params), loc=loc)
+    return EventDecl(label, return_binding, method, params, loc=loc)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +369,15 @@ def _order_primary(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
     if sc.try_punct("("):
         if depth == MAX_ORDER_DEPTH:
             sc.error(f"ORDER nests parentheses deeper than {MAX_ORDER_DEPTH} levels",
-                     Loc(sc.line, sc.col - 1))
+                     sc.loc(sc.pos - 1))
         inner = _order_alt(sc, depth + 1)
         sc.expect_punct(")")
         return inner
     word = sc.peek_word()
     if word is None or word in RESERVED_WORDS:
         sc.error("expected event label or aggregate name")
-    label, loc = sc.take_word()
-    return Atom(label, loc=loc), depth
+    loc = sc.loc()
+    return Atom(sc.take_word(), loc=loc), depth
 
 
 def _order_postfix(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
@@ -402,22 +394,16 @@ def _order_postfix(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
         level += 1
         if level > MAX_ORDER_DEPTH:
             sc.error(f"ORDER nests ?, * and + operators and parentheses deeper than "
-                     f"{MAX_ORDER_DEPTH} levels", Loc(sc.line, sc.col - 1))
+                     f"{MAX_ORDER_DEPTH} levels", sc.loc(sc.pos - 1))
 
 
 def _order_seq(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
-    parsed = [_order_postfix(sc, depth)]
-    while sc.try_punct(","):
-        parsed.append(_order_postfix(sc, depth))
-    parts, levels = zip(*parsed)
+    parts, levels = zip(*_separated(sc, lambda: _order_postfix(sc, depth)))
     return (parts[0] if len(parts) == 1 else Seq(parts)), max(levels)
 
 
 def _order_alt(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
-    parsed = [_order_seq(sc, depth)]
-    while sc.try_punct("|"):
-        parsed.append(_order_seq(sc, depth))
-    parts, levels = zip(*parsed)
+    parts, levels = zip(*_separated(sc, lambda: _order_seq(sc, depth), "|"))
     return (parts[0] if len(parts) == 1 else Alt(parts)), max(levels)
 
 
@@ -434,6 +420,16 @@ def _at_section(sc: _Scanner) -> bool:
     return sc.peek_word() in RESERVED_WORDS
 
 
+def _section(sc: _Scanner, keyword: str, item) -> tuple:
+    """The items of an optional trailing section, each ended by ';'."""
+    items = []
+    if sc.try_word(keyword):
+        while not sc.eof() and not _at_section(sc):
+            items.append(item())
+            sc.expect_punct(";")
+    return tuple(items)
+
+
 def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
     sc = _Scanner(source.text, source.path)
 
@@ -441,23 +437,19 @@ def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
     if abstract:
         sc.try_word("ABSTRACT")  # optional marker, not recorded in the AST
     if not sc.try_word("SPEC"):
-        sc.error("missing SPEC header", spec_loc if sc.eof() else sc.loc())
-    class_name, _ = _qualified_ident(sc, "class name")
-    type_params: list[str] = []
-    if abstract and sc.peek_char() == "<":
-        sc.expect_punct("<")
-        type_params.append(sc.take_word("type parameter")[0])
-        while sc.try_punct(","):
-            type_params.append(sc.take_word("type parameter")[0])
+        sc.error("missing SPEC header", spec_loc if sc.eof() else None)
+    class_name = _qualified_ident(sc, "class name")
+    params: tuple[str, ...] = ()
+    if abstract and sc.try_punct("<"):
+        params = _separated(sc, lambda: sc.take_word("type parameter"))
         sc.expect_punct(">")
 
-    params = tuple(type_params)
     sc.expect_word("OBJECTS")
     objects: list[ObjectDecl] = []
     while not sc.eof() and not _at_section(sc):
         loc = sc.loc()
         type_name = _type_ref(sc, abstract, params)
-        var_name, _ = sc.take_word("object name")
+        var_name = sc.take_word("object name")
         sc.expect_punct(";")
         objects.append(ObjectDecl(type_name, var_name, loc=loc))
 
@@ -468,71 +460,39 @@ def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
         if sc.peek_word() is None:
             sc.error("expected event or aggregate declaration")
         # Lookahead past the name decides between 'label :' and 'name :='.
-        checkpoint = (sc.pos, sc.line, sc.col)
-        name, loc = sc.take_word("declaration name")
+        loc, start = sc.loc(), sc.pos
+        name = sc.take_word("declaration name")
         if sc.try_punct(":="):
-            alts = [sc.take_word("event label")[0]]
-            while sc.try_punct("|"):
-                alts.append(sc.take_word("event label")[0])
-            sc.expect_punct(";")
-            aggregates.append(AggregateDecl(name, tuple(alts), loc=loc))
+            alternatives = _separated(sc, lambda: sc.take_word("event label"), "|")
+            aggregates.append(AggregateDecl(name, alternatives, loc=loc))
         else:
-            sc.pos, sc.line, sc.col = checkpoint
-            event = _event_decl(sc, abstract, params)
-            sc.expect_punct(";")
-            events.append(event)
+            sc.pos = start
+            events.append(_event_decl(sc, abstract, params))
+        sc.expect_punct(";")
 
-    order_loc = sc.expect_word("ORDER")
+    order_loc = sc.loc()
+    sc.expect_word("ORDER")
     order = _order_expr(sc)
-
-    constraints: list[ConstraintExpr] = []
-    if sc.try_word("CONSTRAINTS"):
-        while not sc.eof() and not _at_section(sc):
-            constraints.append(_constraint(sc, abstract))
-            sc.expect_punct(";")
-
-    requires: list[PredicateRef] = []
-    if sc.try_word("REQUIRES"):
-        while not sc.eof() and not _at_section(sc):
-            requires.append(_predicate(sc))
-            sc.expect_punct(";")
-
-    ensures: list[PredicateRef] = []
-    if sc.try_word("ENSURES"):
-        while not sc.eof() and not _at_section(sc):
-            ensures.append(_predicate(sc))
-            sc.expect_punct(";")
-
+    constraints = _section(sc, "CONSTRAINTS", lambda: _constraint(sc, abstract))
+    requires = _section(sc, "REQUIRES", lambda: _predicate(sc))
+    ensures = _section(sc, "ENSURES", lambda: _predicate(sc))
     if not sc.eof():
         sc.error(f"unexpected text after rule: {sc._describe_next()}")
 
-    if abstract:
-        return AbstractSpec(
-            class_name=class_name,
-            objects=tuple(objects),
-            events=tuple(events),
-            aggregates=tuple(aggregates),
-            order=order,
-            constraints=tuple(constraints),
-            requires=tuple(requires),
-            ensures=tuple(ensures),
-            type_params=tuple(type_params),
-            source_path=source.path,
-            loc=spec_loc,
-            order_loc=order_loc,
-        )
-    return CrySLSpec(
+    spec_type, extra = (AbstractSpec, {"type_params": params}) if abstract else (CrySLSpec, {})
+    return spec_type(
         class_name=class_name,
         objects=tuple(objects),
         events=tuple(events),
         aggregates=tuple(aggregates),
         order=order,
-        constraints=tuple(constraints),
-        requires=tuple(requires),
-        ensures=tuple(ensures),
+        constraints=constraints,
+        requires=requires,
+        ensures=ensures,
         source_path=source.path,
         loc=spec_loc,
         order_loc=order_loc,
+        **extra,
     )
 
 
@@ -558,65 +518,45 @@ def parse_abstract(source: SourceFile) -> AbstractSpec:
 
 
 def _refinement_op(sc: _Scanner) -> RefinementOp:
-    word, loc = sc.take_word("refinement operation")
+    """One operation of a refinement body, without its closing ';'."""
+    loc = sc.loc()
+    word = sc.take_word("refinement operation")
     if word == "define":
         sc.try_punct("$")  # the sigil is optional on the defining side
-        name, _ = sc.take_word("meta-variable name")
+        name = sc.take_word("meta-variable name")
         sc.expect_punct("=")
-        values = _literal_set(sc)
-        sc.expect_punct(";")
-        return DefineLiteralSet(name, values, loc=loc)
+        return DefineLiteralSet(name, _literal_set(sc), loc=loc)
     if word == "add":
         kind = sc.peek_word()
         if kind == "event":
             sc.take_word()
             event = _event_decl(sc, abstract=False)
-            aggregate = None
-            if sc.try_word("to"):
-                aggregate, _ = sc.take_word("aggregate name")
-            sc.expect_punct(";")
+            aggregate = sc.take_word("aggregate name") if sc.try_word("to") else None
             return AddEvent(event, aggregate, loc=loc)
         if kind == "constraint":
             sc.take_word()
-            constraint = _constraint(sc, abstract=True)
-            sc.expect_punct(";")
-            return AddConstraint(constraint, loc=loc)
-        if kind == "ensures":
+            return AddConstraint(_constraint(sc, abstract=True), loc=loc)
+        if kind in ("ensures", "requires"):
             sc.take_word()
-            pred = _predicate(sc)
-            sc.expect_punct(";")
-            return AddEnsures(pred, loc=loc)
-        if kind == "requires":
-            sc.take_word()
-            pred = _predicate(sc)
-            sc.expect_punct(";")
-            return AddRequires(pred, loc=loc)
+            return (AddEnsures if kind == "ensures" else AddRequires)(_predicate(sc), loc=loc)
         sc.error(f"unknown op keyword 'add {kind}'", loc)
     if word == "remove":
         kind = sc.peek_word()
         if kind == "event":
             sc.take_word()
-            label, _ = sc.take_word("event label")
-            sc.expect_punct(";")
-            return RemoveEvent(label, loc=loc)
+            return RemoveEvent(sc.take_word("event label"), loc=loc)
         if kind == "constraint":
             sc.take_word()
-            constraint = _constraint(sc, abstract=True)
-            sc.expect_punct(";")
-            return RemoveConstraint(constraint, loc=loc)
+            return RemoveConstraint(_constraint(sc, abstract=True), loc=loc)
         if kind in ("ensures", "requires"):
             sc.take_word()
-            name, _ = sc.take_word("predicate name")
-            sc.expect_punct(";")
-            return RemovePredicate(kind, name, loc=loc)
+            return RemovePredicate(kind, sc.take_word("predicate name"), loc=loc)
         sc.error(f"unknown op keyword 'remove {kind}'", loc)
     if word == "replace":
         if sc.peek_word() != "order":
             sc.error(f"unknown op keyword 'replace {sc.peek_word()}'", loc)
         sc.take_word()
-        order = _order_expr(sc)
-        sc.expect_punct(";")
-        return ReplaceOrder(order, loc=loc)
+        return ReplaceOrder(_order_expr(sc), loc=loc)
     sc.error(f"unknown op keyword '{word}'", loc)
 
 
@@ -627,16 +567,14 @@ def parse_refinement(source: SourceFile) -> list[RefinementSpec]:
     sc = _Scanner(source.text, source.path)
     refinements: list[RefinementSpec] = []
     while not sc.eof():
-        loc = sc.expect_word("SPEC")
-        name, _ = sc.take_word("refinement name")
+        loc = sc.loc()
+        sc.expect_word("SPEC")
+        name = sc.take_word("refinement name")
         sc.expect_word("REFINES")
-        base_name, _ = _qualified_ident(sc, "base rule name")
-        type_args: list[str] = []
-        if sc.peek_char() == "<":
-            sc.expect_punct("<")
-            type_args.append(_qualified_ident(sc, "type argument")[0])
-            while sc.try_punct(","):
-                type_args.append(_qualified_ident(sc, "type argument")[0])
+        base_name = _qualified_ident(sc, "base rule name")
+        type_args: tuple[str, ...] = ()
+        if sc.try_punct("<"):
+            type_args = _separated(sc, lambda: _qualified_ident(sc, "type argument"))
             sc.expect_punct(">")
         ops: list[RefinementOp] = []
         if not sc.try_punct(";"):
@@ -645,11 +583,12 @@ def parse_refinement(source: SourceFile) -> list[RefinementSpec]:
                 if sc.eof():
                     sc.error("unterminated refinement body")
                 ops.append(_refinement_op(sc))
+                sc.expect_punct(";")
         refinements.append(
             RefinementSpec(
                 name=name,
                 base_name=base_name,
-                type_args=tuple(type_args),
+                type_args=type_args,
                 ops=tuple(ops),
                 source_path=source.path,
                 loc=loc,
@@ -663,11 +602,10 @@ def parse_refinement(source: SourceFile) -> list[RefinementSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _check_config_path(sc: _Scanner, raw: str, loc: Loc) -> str:
-    ref = Path(raw)
-    if ref.is_absolute():
-        return raw
-    if ".." in ref.parts:
+def _config_path(sc: _Scanner) -> str:
+    loc = sc.loc()
+    raw = sc.take(_PATH_RE, "path")
+    if ".." in Path(raw).parts and not Path(raw).is_absolute():
         sc.error(f"parent-directory escape in path '{raw}'", loc)
     return raw
 
@@ -682,60 +620,51 @@ def parse_config(source: SourceFile) -> BuildConfig:
     if source.language != "config":
         raise ValueError(f"{source.path}: expected a .conf source, got {source.language}")
     sc = _Scanner(source.text, source.path)
-    config_loc = sc.expect_word("config")
-    name, _ = sc.take_word("configuration name")
+    config_loc = sc.loc()
+    sc.expect_word("config")
+    name = sc.take_word("configuration name")
     sc.expect_punct("{")
 
-    src: str | None = None
-    out: str | None = None
+    paths: dict[str, str] = {}  # the 'src' and 'out' fields
     loads: list[LoadDirective] = []
     while not sc.try_punct("}"):
         if sc.eof():
             sc.error("unterminated configuration block")
-        word, loc = sc.take_word("configuration entry")
+        loc = sc.loc()
+        word = sc.take_word("configuration entry")
         if word in ("src", "out"):
             sc.expect_punct("=")
-            raw, ploc = sc.take_path()
-            value = _check_config_path(sc, raw, ploc)
-            if word == "src":
-                if src is not None:
-                    sc.error("duplicate field 'src'", loc)
-                src = value
-            else:
-                if out is not None:
-                    sc.error("duplicate field 'out'", loc)
-                out = value
-            sc.expect_punct(";")
+            value = _config_path(sc)
+            if word in paths:
+                sc.error(f"duplicate field '{word}'", loc)
+            paths[word] = value
         elif word == "load":
-            kind, _ = sc.take_word("load kind")
+            kind = sc.take_word("load kind")
             if kind not in ("spec", "refinement"):
                 sc.error(f"expected 'spec' or 'refinement', found '{kind}'", loc)
-            raw, ploc = sc.take_path()
-            loads.append(LoadDirective(kind, _check_config_path(sc, raw, ploc), loc=loc))
-            sc.expect_punct(";")
+            loads.append(LoadDirective(kind, _config_path(sc), loc=loc))
         else:
             sc.error(f"unknown configuration entry '{word}'", loc)
+        sc.expect_punct(";")
 
     if not sc.eof():
         loc = sc.loc()
         if sc.try_word("config"):
-            other = sc.take_word("configuration name")[0]
-            if other == name:
+            if sc.take_word("configuration name") == name:
                 sc.error(f"duplicate config name '{name}'", loc)
             sc.error("multiple configurations per file are not supported", loc)
         sc.error(f"unexpected text after configuration: {sc._describe_next()}", loc)
 
-    if src is None:
-        sc.error("missing required field 'src'", config_loc)
-    if out is None:
-        sc.error("missing required field 'out'", config_loc)
+    for field in ("src", "out"):
+        if field not in paths:
+            sc.error(f"missing required field '{field}'", config_loc)
     if not any(load.kind == "spec" for load in loads):
         sc.error("no specification sources (need at least one 'load spec')", config_loc)
 
     return BuildConfig(
         name=name,
-        src=src,
-        out=out,
+        src=paths["src"],
+        out=paths["out"],
         loads=tuple(loads),
         source_path=source.path,
         loc=config_loc,

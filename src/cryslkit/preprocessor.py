@@ -15,7 +15,7 @@ may bind the same parameter of one template, producing one rule copy each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import Diagnostic, Loc, Severity, error_at
@@ -28,7 +28,6 @@ from .model import (
     AggregateDecl,
     CrySLSpec,
     DefineLiteralSet,
-    DefineQualifiedType,
     EventDecl,
     Implication,
     LiteralSet,
@@ -41,16 +40,14 @@ from .model import (
     RemovePredicate,
     ReplaceOrder,
     meta_var_names,
-    placeholder_names,
-    has_variation_points,
     simple_name,
+    spec_as,
     to_concrete,
     validate_spec,
+    variation_points,
 )
-from .parsing import ParseError, SourceFile, parse_abstract, parse_crysl, parse_refinement
+from .parsing import RULE_SUFFIXES, ParseError, SourceFile, parse_refinement, read_rule, rule_files
 
-_SPEC_SUFFIXES = (".mcsl", ".crysl")
-_REF_SUFFIXES = (".ref",)
 
 
 class RefinementError(Exception):
@@ -84,19 +81,6 @@ class BuildResult:
     stats: BuildStats
 
 
-def _collect_files(root: Path, suffixes: tuple[str, ...]) -> list[Path]:
-    """Files under a directory, one level of subdirectories deep, sorted."""
-    direct = [p for p in root.iterdir() if p.is_file() and p.suffix in suffixes]
-    nested = [
-        p
-        for sub in root.iterdir()
-        if sub.is_dir()
-        for p in sub.iterdir()
-        if p.is_file() and p.suffix in suffixes
-    ]
-    return sorted(direct + nested, key=lambda p: p.as_posix())
-
-
 def load(config, config_dir: str | Path | None = None) -> tuple[SpecRegistry, list[Diagnostic]]:
     """Load every spec and refinement named by a configuration.
 
@@ -118,54 +102,28 @@ def load(config, config_dir: str | Path | None = None) -> tuple[SpecRegistry, li
 
     for directive in config.loads:
         target = src_root / directive.path
-        suffixes = _SPEC_SUFFIXES if directive.kind == "spec" else _REF_SUFFIXES
-        if target.is_file():
-            files = [target]
-            if target.suffix not in suffixes:
-                diags.append(
-                    error_at(config_path, directive.loc,
-                             f"'{directive.path}' is not a {directive.kind} file")
-                )
-                continue
-        elif target.is_dir():
-            files = _collect_files(target, suffixes)
-        else:
+        suffixes = RULE_SUFFIXES if directive.kind == "spec" else (".ref",)
+        if not target.is_file() and not target.is_dir():
             diags.append(error_at(config_path, directive.loc, f"missing path: '{target}'"))
             continue
+        if target.is_file() and target.suffix not in suffixes:
+            diags.append(
+                error_at(config_path, directive.loc,
+                         f"'{directive.path}' is not a {directive.kind} file")
+            )
+            continue
 
-        for file_path in files:
+        for file_path in rule_files(target, suffixes):
             try:
-                source = SourceFile.from_path(file_path)
                 if directive.kind == "spec":
-                    if source.language == "crysl":
-                        spec: AbstractSpec = _as_abstract(parse_crysl(source))
-                    else:
-                        spec = parse_abstract(source)
-                    _register_spec(registry, spec, diags)
+                    _register_spec(registry, spec_as(AbstractSpec, read_rule(file_path)), diags)
                 else:
-                    for refinement in parse_refinement(source):
+                    for refinement in parse_refinement(SourceFile.from_path(file_path)):
                         _register_refinement(registry, refinement, diags)
             except ParseError as exc:
                 diags.append(exc.diagnostic)
 
     return registry, diags
-
-
-def _as_abstract(spec: CrySLSpec) -> AbstractSpec:
-    return AbstractSpec(
-        class_name=spec.class_name,
-        objects=spec.objects,
-        events=spec.events,
-        aggregates=spec.aggregates,
-        order=spec.order,
-        constraints=spec.constraints,
-        requires=spec.requires,
-        ensures=spec.ensures,
-        type_params=(),
-        source_path=spec.source_path,
-        loc=spec.loc,
-        order_loc=spec.order_loc,
-    )
 
 
 def _register_spec(registry: SpecRegistry, spec: AbstractSpec, diags: list[Diagnostic]) -> None:
@@ -205,7 +163,7 @@ def _substitute_placeholder(text: str, param: str, replacement: str) -> str:
 
 
 def _apply_type_binding(
-    spec: AbstractSpec, op: DefineQualifiedType, renames_header: bool
+    spec: AbstractSpec, param: str, fqn: str, renames_header: bool
 ) -> AbstractSpec:
     """Substitute one type parameter everywhere it can occur.
 
@@ -214,31 +172,31 @@ def _apply_type_binding(
     When the binding covers the template's first parameter the SPEC header
     switches to the fully qualified bound class.
     """
-    short = simple_name(op.fqn)
+    short = simple_name(fqn)
     objects = tuple(
-        ObjectDecl(_substitute_placeholder(o.type_name, op.param, op.fqn), o.var_name, loc=o.loc)
+        ObjectDecl(_substitute_placeholder(o.type_name, param, fqn), o.var_name, loc=o.loc)
         for o in spec.objects
     )
     events = tuple(
         EventDecl(
             e.label,
             e.return_binding,
-            _substitute_placeholder(e.method_name, op.param, short),
+            _substitute_placeholder(e.method_name, param, short),
             e.params,
             loc=e.loc,
         )
         for e in spec.events
     )
     if renames_header:
-        class_name = op.fqn
+        class_name = fqn
     else:
-        class_name = _substitute_placeholder(spec.class_name, op.param, op.fqn)
-    return _with(
+        class_name = _substitute_placeholder(spec.class_name, param, fqn)
+    return replace(
         spec,
         class_name=class_name,
         objects=objects,
         events=events,
-        type_params=tuple(p for p in spec.type_params if p != op.param),
+        type_params=tuple(p for p in spec.type_params if p != param),
     )
 
 
@@ -257,26 +215,7 @@ def _resolve_meta_vars(spec: AbstractSpec, env: dict[str, LiteralSet]) -> Abstra
             )
         else:
             constraints.append(resolve_membership(constraint))
-    return _with(spec, constraints=tuple(constraints))
-
-
-def _with(spec: AbstractSpec, **changes) -> AbstractSpec:
-    values = dict(
-        class_name=spec.class_name,
-        objects=spec.objects,
-        events=spec.events,
-        aggregates=spec.aggregates,
-        order=spec.order,
-        constraints=spec.constraints,
-        requires=spec.requires,
-        ensures=spec.ensures,
-        type_params=spec.type_params,
-        source_path=spec.source_path,
-        loc=spec.loc,
-        order_loc=spec.order_loc,
-    )
-    values.update(changes)
-    return AbstractSpec(**values)
+    return replace(spec, constraints=tuple(constraints))
 
 
 def apply_refinement(
@@ -316,7 +255,7 @@ def _apply(
     spec = base
     header_param = base.type_params[0] if base.type_params else None
     for param, fqn in zip(base.type_params, refinement.type_args):
-        spec = _apply_type_binding(spec, DefineQualifiedType(param, fqn), param == header_param)
+        spec = _apply_type_binding(spec, param, fqn, param == header_param)
 
     env: dict[str, LiteralSet] = {}
     for op in refinement.ops:
@@ -326,8 +265,6 @@ def _apply(
             if op.name not in meta_var_names(spec):
                 fail(op.loc, f"unknown meta-variable '${op.name}' in base '{base.name}'")
             env[op.name] = op.values
-        elif isinstance(op, DefineQualifiedType):
-            fail(op.loc, "type arguments belong on the REFINES clause")
         elif isinstance(op, AddEvent):
             taken = set(spec.event_labels()) | set(spec.aggregate_names())
             if op.event.label in taken:
@@ -344,7 +281,7 @@ def _apply(
                     else agg
                     for agg in spec.aggregates
                 )
-            spec = _with(spec, events=events, aggregates=aggregates)
+            spec = replace(spec, events=events, aggregates=aggregates)
         elif isinstance(op, RemoveEvent):
             if op.label not in spec.event_labels():
                 fail(op.loc, f"unknown event '{op.label}'")
@@ -355,29 +292,29 @@ def _apply(
                 if not alternatives:
                     fail(op.loc, f"removing '{op.label}' would empty aggregate '{agg.name}'")
                 aggregates.append(AggregateDecl(agg.name, alternatives, loc=agg.loc))
-            spec = _with(spec, events=events, aggregates=tuple(aggregates))
+            spec = replace(spec, events=events, aggregates=tuple(aggregates))
         elif isinstance(op, AddConstraint):
-            spec = _with(spec, constraints=spec.constraints + (op.constraint,))
+            spec = replace(spec, constraints=spec.constraints + (op.constraint,))
         elif isinstance(op, RemoveConstraint):
             remaining = [c for c in spec.constraints if c != op.constraint]
             if len(remaining) == len(spec.constraints):
                 fail(op.loc, "no matching constraint to remove")
-            spec = _with(spec, constraints=tuple(remaining))
+            spec = replace(spec, constraints=tuple(remaining))
         elif isinstance(op, ReplaceOrder):
-            spec = _with(spec, order=op.order)
+            spec = replace(spec, order=op.order)
         elif isinstance(op, AddEnsures):
-            spec = _with(spec, ensures=spec.ensures + (op.predicate,))
+            spec = replace(spec, ensures=spec.ensures + (op.predicate,))
         elif isinstance(op, AddRequires):
-            spec = _with(spec, requires=spec.requires + (op.predicate,))
+            spec = replace(spec, requires=spec.requires + (op.predicate,))
         elif isinstance(op, RemovePredicate):
             pool = spec.ensures if op.kind == "ensures" else spec.requires
             remaining = tuple(p for p in pool if p.name != op.name)
             if len(remaining) == len(pool):
                 fail(op.loc, f"no {op.kind} predicate named '{op.name}'")
             if op.kind == "ensures":
-                spec = _with(spec, ensures=remaining)
+                spec = replace(spec, ensures=remaining)
             else:
-                spec = _with(spec, requires=remaining)
+                spec = replace(spec, requires=remaining)
         else:  # pragma: no cover - exhaustive over RefinementOp
             fail(refinement.loc, f"unsupported refinement op {type(op).__name__}")
 
@@ -388,14 +325,6 @@ def _apply(
 # ---------------------------------------------------------------------------
 # Resolving a whole registry
 # ---------------------------------------------------------------------------
-
-
-def _unbound_description(spec: AbstractSpec) -> str:
-    parts = [f"${name}" for name in meta_var_names(spec)]
-    parts += [f"<{name}>" for name in placeholder_names(spec)]
-    if isinstance(spec, AbstractSpec):
-        parts += [f"<{p}>" for p in spec.type_params if f"<{p}>" not in parts]
-    return ", ".join(dict.fromkeys(parts))
 
 
 def resolve(registry: SpecRegistry) -> BuildResult:
@@ -439,10 +368,10 @@ def resolve(registry: SpecRegistry) -> BuildResult:
             diags.append(exc.diagnostic)
             continue
         bound.setdefault(base_key, set()).update(newly_bound)
-        if has_variation_points(spec):
+        unbound = variation_points(spec)
+        if unbound:
             diags.append(
-                error_at(path, refinement.loc,
-                         f"unbound {_unbound_description(spec)} in '{refinement.name}'")
+                error_at(path, refinement.loc, f"unbound {', '.join(unbound)} in '{refinement.name}'")
             )
             continue
         concrete = to_concrete(spec)
@@ -461,10 +390,11 @@ def resolve(registry: SpecRegistry) -> BuildResult:
         if key in targeted:
             continue
         path = spec.source_path or "<rule>"
-        if has_variation_points(spec):
+        unbound = variation_points(spec)
+        if unbound:
             diags.append(
                 error_at(path, spec.loc,
-                         f"unbound {_unbound_description(spec)} in '{key}' (no covering refinement)")
+                         f"unbound {', '.join(unbound)} in '{key}' (no covering refinement)")
             )
             continue
         add_output(f"{key}.crysl", to_concrete(spec), f"spec '{key}'")

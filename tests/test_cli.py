@@ -65,6 +65,32 @@ def test_build_reports_errors_with_exit_1(tmp_path, capsys):
     assert "unbound $Hole" in err
 
 
+def test_build_records_an_overlong_integer_literal_and_goes_on(tmp_path, capsys):
+    (tmp_path / "base").mkdir()
+    (tmp_path / "base" / "X.mcsl").write_text(
+        "SPEC X\nOBJECTS\n    int a;\nEVENTS\n    e : go(a);\nORDER\n    e\n"
+        "CONSTRAINTS\n    a in $Sizes;\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "base" / "Y.crysl").write_text(
+        "SPEC Y\nOBJECTS\n    int a;\nEVENTS\n    e : go(a);\nORDER\n    e\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "refs").mkdir()
+    ref = tmp_path / "refs" / "big.ref"
+    ref.write_text(f"SPEC X1 REFINES X {{\n    define Sizes = {{{'7' * 5000}}};\n}}\n",
+                   encoding="utf-8")
+    conf = tmp_path / "big.conf"
+    conf.write_text(
+        "config big {\n  src = .;\n  out = out/;\n  load spec base/;\n  load refinement refs/;\n}",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "build", str(conf))
+    assert code == 1
+    assert f"{ref}:2:21: error: integer literal of 5000 digits is too long" in err.splitlines()
+    assert (tmp_path / "out" / "Y.crysl").is_file()  # the other rules are still built
+
+
 def test_build_stdout_is_reproducible(corpus_copy, capsys):
     conf = corpus_copy / "jca-android" / "bsi0116.conf"
     code1, out1, _ = run_cli(capsys, "build", str(conf), "--json")
@@ -94,6 +120,19 @@ def test_validate_bad_rule_exits_1(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(bad))
     assert code == 1
     assert "unresolved label 'nope'" in err
+
+
+@pytest.mark.parametrize("suffix", [".crysl", ".mcsl"])
+def test_validate_locates_an_overlong_integer_literal(tmp_path, capsys, suffix):
+    rule = tmp_path / f"Big{suffix}"
+    rule.write_text(
+        "SPEC org.example.Big\nOBJECTS\n    int n;\nEVENTS\n    e : push(n);\nORDER\n    e\n"
+        f"CONSTRAINTS\n    n in {{1, {'7' * 5000}}};\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "validate", str(rule))
+    assert code == 1
+    assert err.splitlines()[0] == f"{rule}:9:14: error: integer literal of 5000 digits is too long"
 
 
 def test_validate_missing_path_exits_2(capsys):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cryslkit import (
     ParseError,
@@ -10,6 +13,7 @@ from cryslkit import (
     parse_crysl,
     parse_refinement,
 )
+from cryslkit.diagnostics import Loc
 from cryslkit.model import (
     AddConstraint,
     Alt,
@@ -356,3 +360,152 @@ def test_duplicate_config_name_is_rejected():
     with pytest.raises(ParseError) as err:
         conf(CONFIG_TEXT + CONFIG_TEXT)
     assert "duplicate config name" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Locations
+# ---------------------------------------------------------------------------
+
+SMALL_RULE = "SPEC X\nOBJECTS\n    int n;\nEVENTS\n    e : push(n);\nORDER\n"
+
+
+def error_loc(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return err.value.diagnostic.line, err.value.diagnostic.column
+
+
+def test_crlf_line_endings_count_the_carriage_return_as_a_column():
+    text = (SMALL_RULE + "    e\r\t)\n").replace("\n", "\r\n")
+    spec = crysl((SMALL_RULE + "    e\n").replace("\n", "\r\n"))
+    assert spec.events[0].loc == Loc(5, 5)
+    assert spec.order_loc == Loc(6, 1)
+    # Four spaces, 'e', a lone carriage return and a tab precede the ')'.
+    assert error_loc(crysl, text) == (7, 8)
+
+
+def test_a_tab_counts_as_one_column():
+    spec = crysl("SPEC X\nOBJECTS\n\tint n;\nEVENTS\n\t\te : push(n);\nORDER\n\te\n")
+    assert spec.objects[0].loc == Loc(3, 2)
+    assert spec.events[0].loc == Loc(5, 3)
+    assert spec.order.loc == Loc(7, 2)
+
+
+def test_comment_on_the_last_line_without_a_newline():
+    assert crysl(SMALL_RULE + "    e // done") == crysl(SMALL_RULE + "    e\n")
+    # The missing atom is reported at the end of the file, inside the comment's line.
+    assert error_loc(crysl, SMALL_RULE + "    e, // more") == (7, 15)
+
+
+def test_error_at_end_of_file_after_a_trailing_newline():
+    assert error_loc(crysl, SMALL_RULE + "    e,\n") == (8, 1)
+    assert error_loc(conf, "config c {\n    src = a;\n") == (3, 1)
+
+
+def test_the_101st_parenthesis_of_an_over_deep_order_is_located():
+    order = "(" * 60 + "\n\t" + "(" * 60 + "e" + ")" * 120
+    with pytest.raises(ParseError) as err:
+        crysl(SMALL_RULE + order + "\n")
+    diag = err.value.diagnostic
+    # 40 more parentheses after the tab on line 8.
+    assert (diag.line, diag.column) == (8, 42)
+    assert "parentheses deeper than 100 levels" in diag.message
+
+
+# ---------------------------------------------------------------------------
+# String and integer literals
+# ---------------------------------------------------------------------------
+
+
+def literal_values(literals):
+    spec = crysl(SMALL_RULE + "    e\nCONSTRAINTS\n    n in {" + literals + "};\n")
+    return spec.constraints[0].values.values
+
+
+def test_escaped_quote_before_a_newline_is_an_unterminated_string():
+    with pytest.raises(ParseError) as err:
+        literal_values('"abc\\"\n"x"')
+    diag = err.value.diagnostic
+    assert (diag.line, diag.column, diag.message) == (9, 11, "unterminated string literal")
+
+
+def test_escaped_backslash_ends_before_the_closing_quote():
+    assert literal_values('"a\\\\"') == {"a\\"}
+
+
+def test_backslash_before_another_character_is_kept():
+    assert literal_values('"a\\q"') == {"a\\q"}
+
+
+def test_integer_literal_up_to_the_digit_limit_parses():
+    assert literal_values("1" * 4300) == {int("1" * 4300)}
+
+
+@pytest.mark.parametrize("parse, text, loc", [
+    (crysl, SMALL_RULE + "    e\nCONSTRAINTS\n    n in {1, " + "7" * 5000 + "};\n", (9, 14)),
+    (mcsl, SMALL_RULE + "    e\nCONSTRAINTS\n    n in {" + "7" * 5000 + "};\n", (9, 11)),
+    (ref, "SPEC A REFINES X {\n    define S = {" + "7" * 5000 + "};\n}\n", (2, 17)),
+    (ref, "SPEC A REFINES X {\n    add event e : f(" + "0" * 4301 + ");\n}\n", (2, 21)),
+], ids=["crysl", "mcsl", "ref-define", "ref-event"])
+def test_overlong_integer_literal_is_a_located_parse_error(parse, text, loc):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    diag = err.value.diagnostic
+    assert (diag.line, diag.column) == loc
+    assert "integer literal of" in diag.message and "digits is too long" in diag.message
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every input is a result or a located ParseError
+# ---------------------------------------------------------------------------
+
+PARSERS = {"crysl": crysl, "abstract": mcsl, "refinement": ref, "config": conf}
+SAMPLES = {
+    "crysl": [MESSAGEDIGEST_RULE, SHA256_DIGEST_RULE],
+    "abstract": [ABSTRACT_MESSAGEDIGEST, ABSTRACT_FACTORY],
+    "refinement": [PROVIDER_REFINEMENTS, DIGEST_FAMILY_REFINEMENTS],
+    "config": [CONFIG_TEXT],
+}
+TOKENS = [
+    "SPEC", "ABSTRACT", "OBJECTS", "EVENTS", "ORDER", "CONSTRAINTS", "REQUIRES", "ENSURES",
+    "REFINES", "in", "define", "add", "remove", "replace", "event", "constraint", "ensures",
+    "requires", "order", "to", "config", "src", "out", "load", "spec", "refinement",
+    "x", "n", "T", "_", "a.b", "é",
+    "(", ")", "{", "}", "<", ">", "[", "]", "[]", ",", ";", ":", ":=", "=", "=>", "|", "?",
+    "*", "+", "$", ".", "/", "..", "../", "\\",
+    '"s"', '"a\\"b"', '"\\\\"', '"', "0", "42", "9" * 4301,
+    "// note", "//", " ", "\n", "\r\n", "\t", "\r",
+]
+token_text = st.lists(st.sampled_from(TOKENS), max_size=60).map("".join)
+
+
+@st.composite
+def parser_inputs(draw):
+    language = draw(st.sampled_from(sorted(PARSERS)))
+    kind = draw(st.sampled_from(["text", "tokens", "spliced"]))
+    if kind == "text":
+        text = draw(st.text(max_size=200))
+    elif kind == "tokens":
+        text = draw(token_text)
+    else:  # a bundled sample with grammar tokens spliced in at token boundaries
+        sample = draw(st.sampled_from(SAMPLES[language]))
+        bounds = [0] + [m.end() for m in re.finditer(r"\w+|\S", sample)]
+        start = draw(st.sampled_from(bounds))
+        end = draw(st.sampled_from([b for b in bounds if start <= b <= start + 40]))
+        text = sample[:start] + draw(token_text) + sample[end:]
+    return language, text
+
+
+@settings(max_examples=500, deadline=None)
+@given(parser_inputs())
+@example(("crysl", SMALL_RULE + "    e\nCONSTRAINTS\n    n in {" + "9" * 4301 + "};"))
+@example(("refinement", "SPEC A REFINES X { define S = {" + "9" * 4301 + "}; }"))
+def test_any_input_parses_or_raises_a_parse_error_inside_the_input(case):
+    language, text = case
+    try:
+        PARSERS[language](text)
+    except ParseError as exc:
+        diag = exc.diagnostic
+        lines = text.split("\n")
+        assert 1 <= diag.line <= len(lines)
+        assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1
