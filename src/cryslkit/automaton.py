@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .model import AggregateDecl, Alt, Atom, Opt, OrderExpr, Plus, Seq, Star
+from .model import AggregateDecl, Alt, Atom, Opt, OrderExpr, Seq, Star, order_atoms
 
 
 def inline_aggregates(expr: OrderExpr, aggregates: Iterable[AggregateDecl]) -> OrderExpr:
@@ -39,15 +39,9 @@ def inline_aggregates(expr: OrderExpr, aggregates: Iterable[AggregateDecl]) -> O
             if len(alternatives) == 1:
                 return Atom(alternatives[0])
             return Alt(tuple(Atom(label) for label in alternatives))
-        if isinstance(node, Seq):
-            return Seq(tuple(walk(p) for p in node.parts))
-        if isinstance(node, Alt):
-            return Alt(tuple(walk(p) for p in node.parts))
-        if isinstance(node, Opt):
-            return Opt(walk(node.child))
-        if isinstance(node, Star):
-            return Star(walk(node.child))
-        return Plus(walk(node.child))
+        if isinstance(node, (Seq, Alt)):
+            return type(node)(tuple(walk(p) for p in node.parts))
+        return type(node)(walk(node.child))
 
     return walk(expr)
 
@@ -192,23 +186,12 @@ class TypestateAutomaton:
         return dst
 
 
-def order_alphabet(expr: OrderExpr) -> frozenset[str]:
-    if isinstance(expr, Atom):
-        return frozenset({expr.label})
-    if isinstance(expr, (Seq, Alt)):
-        out: set[str] = set()
-        for part in expr.parts:
-            out |= order_alphabet(part)
-        return frozenset(out)
-    return order_alphabet(expr.child)
-
-
 def lazy_automaton(
     order: OrderExpr, aggregates: Iterable[AggregateDecl] = ()
 ) -> TypestateAutomaton:
     """The DFA of an ORDER expression with only its initial state built."""
     expr = inline_aggregates(order, aggregates)
-    return TypestateAutomaton(build_nfa(expr), order_alphabet(expr))
+    return TypestateAutomaton(build_nfa(expr), frozenset(a.label for a in order_atoms(expr)))
 
 
 def compile_order(
@@ -242,35 +225,24 @@ class Verdict:
     kind: VerdictKind
     reject_index: int | None = None
 
-    @staticmethod
-    def accepted() -> "Verdict":
-        return Verdict(VerdictKind.ACCEPTED)
-
-    @staticmethod
-    def rejected_at(index: int) -> "Verdict":
-        return Verdict(VerdictKind.REJECTED, index)
-
-    @staticmethod
-    def incomplete() -> "Verdict":
-        return Verdict(VerdictKind.INCOMPLETE)
-
 
 def accepts(automaton: TypestateAutomaton, word: Sequence[str]) -> Verdict:
     """Run a word through the automaton.
 
-    ``rejected_at(i)`` means the i-th label has no transition (including
-    labels outside the alphabet); ``incomplete`` means every label was
-    consumed but the protocol did not reach an accepting state.
+    ``REJECTED`` with ``reject_index`` i means the i-th label has no
+    transition (including labels outside the alphabet); ``INCOMPLETE`` means
+    every label was consumed but the protocol did not reach an accepting
+    state.
     """
     state = automaton.initial
     for index, label in enumerate(word):
         next_state = automaton.step(state, label)
         if next_state is None:
-            return Verdict.rejected_at(index)
+            return Verdict(VerdictKind.REJECTED, index)
         state = next_state
     if state in automaton.accepting:
-        return Verdict.accepted()
-    return Verdict.incomplete()
+        return Verdict(VerdictKind.ACCEPTED)
+    return Verdict(VerdictKind.INCOMPLETE)
 
 
 def to_dot(automaton: TypestateAutomaton) -> str:

@@ -257,10 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         _print_diagnostics([exc.diagnostic])
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

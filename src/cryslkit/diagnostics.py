@@ -31,6 +31,15 @@ class Diagnostic:
         return f"{self.path}:{self.line}:{self.column}: {self.severity.value}: {self.message}"
 
 
+class LocatedError(Exception):
+    """An error at a place in a source file, line 1 column 1 when the place is
+    not known; ``diagnostic`` reports it."""
+
+    def __init__(self, path: str, loc: Loc | None, message: str):
+        self.diagnostic = error_at(path, loc, message)
+        super().__init__(f"{path}:{self.diagnostic.line}:{self.diagnostic.column}: {message}")
+
+
 def error_at(path: str, loc: Loc | None, message: str) -> Diagnostic:
     loc = loc or Loc(1, 1)
     return Diagnostic(path, loc.line, loc.col, Severity.ERROR, message)

@@ -60,12 +60,17 @@ def normalize_lines(text: str) -> list[str]:
 
 def count_text_lines(texts: Sequence[str]) -> LineStats:
     """Line statistics over in-memory documents (one counter for the set)."""
+    return _line_stats([normalize_lines(text) for text in texts])
+
+
+def _line_stats(documents: Sequence[list[str]]) -> LineStats:
+    """Line statistics over documents already normalized."""
     counts: Counter = Counter()
-    for text in texts:
-        counts.update(normalize_lines(text))
+    for lines in documents:
+        counts.update(lines)
     duplicated = [n for n in counts.values() if n >= 2]
     return LineStats(
-        files=len(texts),
+        files=len(documents),
         total_lines=sum(counts.values()),
         duplicate_lines=sum(n - 1 for n in duplicated),
         unique_duplicated=len(duplicated),
@@ -111,19 +116,20 @@ def savings(
     """
     meta = count_lines(meta_paths, on_error)
 
-    generated_texts: list[str] = []
+    documents: list[list[str]] = []
     cumulative: list[int] = []
     running = 0
     for config in configs:
         result = run_build(config)
         if has_errors(result.diagnostics):
             raise BuildFailure(config.name, result.diagnostics)
-        texts = [pretty_print(spec) for _, spec in result.generated]
-        generated_texts.extend(texts)
-        running += sum(len(normalize_lines(t)) for t in texts)
+        for _, spec in result.generated:
+            lines = normalize_lines(pretty_print(spec))
+            documents.append(lines)
+            running += len(lines)
         cumulative.append(running)
 
-    generated = count_text_lines(generated_texts)
+    generated = _line_stats(documents)
     breakeven = None
     for index, total in enumerate(cumulative, start=1):
         if total > meta.total_lines:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
-from .diagnostics import Diagnostic, Loc, Severity
+from .diagnostics import Loc, LocatedError
 from .model import (
     AbstractSpec,
     AddConstraint,
@@ -83,19 +83,20 @@ _PATH_RE = re.compile(r"[^\s;{}]+")
 # an escaped quote into a closing one.
 _STRING_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
 _ESCAPE_RE = re.compile(r'\\(["\\])')
+_UNDECODABLE_RE = re.compile("[\udc80-\udcff]")  # a byte escaped by "surrogateescape"
 
 
-class ParseError(Exception):
+class ParseError(LocatedError):
     """A syntax error with a location inside the offending file."""
-
-    def __init__(self, path: str, loc: Loc, message: str):
-        super().__init__(f"{path}:{loc.line}:{loc.col}: {message}")
-        self.diagnostic = Diagnostic(path, loc.line, loc.col, Severity.ERROR, message)
 
 
 @dataclass(frozen=True)
 class SourceFile:
-    """UTF-8 text with a language tag inferred from the file extension."""
+    """UTF-8 text with a language tag inferred from the file extension.
+
+    A file that is not UTF-8 is a ``ParseError`` at its first byte that does
+    not decode.
+    """
 
     path: str
     text: str
@@ -107,7 +108,18 @@ class SourceFile:
         language = LANGUAGE_BY_EXTENSION.get(path.suffix)
         if language is None:
             raise ValueError(f"{path}: unknown rule-file extension '{path.suffix}'")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            # Read again, keeping undecodable bytes, to locate the first one
+            # with the same newline translation the parsers see.
+            text = path.read_text(encoding="utf-8", errors="surrogateescape")
+            at = _UNDECODABLE_RE.search(text).start()
+            line_start = text.rfind("\n", 0, at)
+            raise ParseError(
+                str(path), Loc(text.count("\n", 0, at) + 1, at - line_start),
+                f"byte 0x{ord(text[at]) - 0xdc00:02x} is not valid UTF-8",
+            ) from None
         return cls(str(path), text, language)
 
     @classmethod

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .diagnostics import Diagnostic, Loc, Severity, error_at
+from .diagnostics import Diagnostic, Loc, LocatedError, error_at
 from .model import (
     AbstractSpec,
     AddConstraint,
@@ -49,14 +49,8 @@ from .model import (
 from .parsing import RULE_SUFFIXES, ParseError, SourceFile, parse_refinement, read_rule, rule_files
 
 
-
-class RefinementError(Exception):
+class RefinementError(LocatedError):
     """A refinement operation that cannot be applied to its base rule."""
-
-    def __init__(self, path: str, loc: Loc | None, message: str):
-        loc = loc or Loc(1, 1)
-        super().__init__(f"{path}:{loc.line}:{loc.col}: {message}")
-        self.diagnostic = Diagnostic(path, loc.line, loc.col, Severity.ERROR, message)
 
 
 @dataclass
@@ -81,17 +75,16 @@ class BuildResult:
     stats: BuildStats
 
 
-def load(config, config_dir: str | Path | None = None) -> tuple[SpecRegistry, list[Diagnostic]]:
+def load(config) -> tuple[SpecRegistry, list[Diagnostic]]:
     """Load every spec and refinement named by a configuration.
 
-    ``config_dir`` defaults to the directory of the file the configuration
-    was parsed from. Directory loads pick up files one subdirectory deep,
-    sorted lexicographically; loading the same spec or refinement name twice
-    is an error.
+    ``src`` is relative to the directory of the file the configuration was
+    parsed from (the working directory when it has none). Directory loads
+    pick up files one subdirectory deep, sorted lexicographically; loading
+    the same spec or refinement name twice is an error.
     """
-    if config_dir is None:
-        config_dir = Path(config.source_path).parent if config.source_path else Path(".")
-    src_root = Path(config_dir) / config.src
+    config_dir = Path(config.source_path).parent if config.source_path else Path(".")
+    src_root = config_dir / config.src
     registry = SpecRegistry()
     diags: list[Diagnostic] = []
     config_path = config.source_path or "<config>"
@@ -407,9 +400,9 @@ def resolve(registry: SpecRegistry) -> BuildResult:
     return BuildResult(generated=generated, diagnostics=diags, stats=stats)
 
 
-def run_build(config, config_dir: str | Path | None = None) -> BuildResult:
+def run_build(config) -> BuildResult:
     """Load and resolve a configuration in one step."""
-    registry, load_diags = load(config, config_dir)
+    registry, load_diags = load(config)
     result = resolve(registry)
     result.diagnostics = load_diags + result.diagnostics
     return result

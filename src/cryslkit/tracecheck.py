@@ -15,11 +15,13 @@ or literal value); there is no aliasing analysis.
 
 What a check costs: :func:`compile_rules` works out, once per rule, which
 declaration each ``(method, arity)`` pair matches, each constraint's sorted
-variables and rendered text, and which constraints each declaration's
-bindings reach. Checking then costs one dict lookup per event to find its
-declaration, one automaton step, and a re-judgement of only the constraints
-the event binds; the others cannot have changed since the object's previous
-event.
+variables and rendered text, and one index per declaration: the constraints
+its parameters and its return binding reach. Checking then costs one dict
+lookup per event to find its declaration, one automaton step, and a walk
+over that index; the other constraints cannot have changed since the
+object's previous event, and one in the index whose bindings the event left
+as they were (a return binding without a return id) is skipped by its
+signature.
 """
 
 from __future__ import annotations
@@ -53,14 +55,8 @@ class Ref:
 
 
 class Unknown:
-    """Singleton marker for an argument whose value was not recorded."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Type of :data:`UNKNOWN`, the marker for an argument whose value was not
+    recorded."""
 
     def __repr__(self) -> str:
         return "UNKNOWN"
@@ -79,7 +75,6 @@ class TraceEvent:
     method_name: str
     args: tuple[ArgValue, ...] = ()
     return_id: str | None = None
-    line: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,6 @@ def parse_trace_lines(
                 method_name=method_name,
                 args=tuple([_parse_arg(a) for a in args]),
                 return_id=return_id,
-                line=line_no,
             )
         # RecursionError: the JSON decoder's answer to arrays or objects nested
         # too deeply.
@@ -192,8 +186,7 @@ class _EventPlan(NamedTuple):
 
     decl: EventDecl
     params: tuple[tuple[int, str], ...]  # (argument position, variable) per VarRef
-    constraints: tuple[int, ...]  # indices of constraints on a parameter variable
-    constraints_with_return: tuple[int, ...]  # ... or on the return binding
+    constraints: tuple[int, ...]  # indices of constraints on a parameter or return variable
 
 
 @dataclass
@@ -224,9 +217,8 @@ def _compile_rule(spec: CrySLSpec) -> CompiledRule:
             for position, param in enumerate(decl.params)
             if isinstance(param, VarRef)
         )
-        bound = {name for _, name in params}
         dispatch[key] = _EventPlan(
-            decl, params, reached(bound), reached(bound | {decl.return_binding})
+            decl, params, reached({name for _, name in params} | {decl.return_binding})
         )
     return CompiledRule(
         spec,
@@ -349,7 +341,13 @@ def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
     # the outcome.
     pending_requires: list[tuple[_ObjectRun, str, tuple, tuple, int]] = []
 
-    def check_constraints(run: _ObjectRun, event: TraceEvent, indices: tuple[int, ...]) -> None:
+    def found(kind: str, run: _ObjectRun, seq: int | None, message: str) -> None:
+        violations.append(Violation(kind, run.object_id, seq, run.rule.spec.class_name, message))
+
+    def warn(seq: int, run: _ObjectRun, text: str) -> None:
+        warnings.append(f"seq {seq}: {run.object_id}: cannot {text} (unknown value)")
+
+    def check_constraints(run: _ObjectRun, seq: int, indices: tuple[int, ...]) -> None:
         rule = run.rule
         env = run.env
         for index in indices:
@@ -365,26 +363,15 @@ def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
                 continue
             rendered = rule.constraint_texts[index]
             if outcome is UNKNOWN:
-                warnings.append(
-                    f"seq {event.seq}: {run.object_id}: cannot decide '{rendered}' "
-                    "(unknown value)"
-                )
+                warn(seq, run, f"decide '{rendered}'")
                 continue
             run.constraint_ok = False
             bindings = ", ".join(
                 f"{name} = {_render_value(value)}" for name, value in zip(names, signature)
             )
-            violations.append(
-                Violation(
-                    kind="constraint",
-                    object_id=run.object_id,
-                    seq=event.seq,
-                    rule_class=rule.spec.class_name,
-                    message=f"{bindings} violates '{rendered}'",
-                )
-            )
+            found("constraint", run, seq, f"{bindings} violates '{rendered}'")
 
-    def complete(run: _ObjectRun, event: TraceEvent) -> None:
+    def complete(run: _ObjectRun, seq: int) -> None:
         spec = run.rule.spec
         if run.constraint_ok:
             for pred in spec.ensures:
@@ -396,12 +383,9 @@ def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
             for pred in spec.requires:
                 keys = [_value_key(run.env.get(arg, UNKNOWN)) for arg in pred.args]
                 if any(k is None for k in keys):
-                    warnings.append(
-                        f"seq {event.seq}: {run.object_id}: cannot check requires "
-                        f"{pred.name}[{', '.join(pred.args)}] (unknown value)"
-                    )
+                    warn(seq, run, f"check requires {pred.name}[{', '.join(pred.args)}]")
                     continue
-                pending_requires.append((run, pred.name, pred.args, tuple(keys), event.seq))
+                pending_requires.append((run, pred.name, pred.args, tuple(keys), seq))
 
     for event in sorted(trace, key=attrgetter("seq")):
         rule = rules.rules.get(event.class_name)
@@ -416,70 +400,39 @@ def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
         if plan is None:
             if not run.broken:
                 run.broken = True
-                violations.append(
-                    Violation(
-                        kind="order",
-                        object_id=run.object_id,
-                        seq=event.seq,
-                        rule_class=rule.spec.class_name,
-                        message=f"{event.method_name}() is not a declared event",
-                    )
-                )
+                found("order", run, event.seq, f"{event.method_name}() is not a declared event")
             continue
         env = run.env
         for position, name in plan.params:
             env[name] = args[position]
-        indices = plan.constraints
         decl = plan.decl
         if decl.return_binding is not None and event.return_id is not None:
             env[decl.return_binding] = Ref(event.return_id)
-            indices = plan.constraints_with_return
-        if indices:
-            check_constraints(run, event, indices)
+        # Without a return id the return binding keeps its earlier value, so
+        # the constraints only it reaches are skipped by their signature.
+        if plan.constraints:
+            check_constraints(run, event.seq, plan.constraints)
         if run.broken:
             continue
         next_state = rule.automaton.step(run.state, decl.label)
         if next_state is None:
             run.broken = True
-            violations.append(
-                Violation(
-                    kind="order",
-                    object_id=run.object_id,
-                    seq=event.seq,
-                    rule_class=rule.spec.class_name,
-                    message=f"{event.method_name}() breaks the declared call order",
-                )
-            )
+            found("order", run, event.seq, f"{event.method_name}() breaks the declared call order")
             continue
         run.state = next_state
         if run.state in rule.automaton.accepting:
-            complete(run, event)
+            complete(run, event.seq)
 
     for run, name, args, keys, seq in pending_requires:
         if (name, keys) not in predicates:
-            violations.append(
-                Violation(
-                    kind="missing-predicate",
-                    object_id=run.object_id,
-                    seq=seq,
-                    rule_class=run.rule.spec.class_name,
-                    message=f"requires {name}[{', '.join(args)}] but no rule established it",
-                )
-            )
+            found("missing-predicate", run, seq,
+                  f"requires {name}[{', '.join(args)}] but no rule established it")
 
     for key in sorted(runs):
         run = runs[key]
-        if run.broken or run.state in run.rule.automaton.accepting:
-            continue
-        violations.append(
-            Violation(
-                kind="incomplete",
-                object_id=run.object_id,
-                seq=None,
-                rule_class=run.rule.spec.class_name,
-                message="object discarded before completing the declared protocol",
-            )
-        )
+        if not (run.broken or run.state in run.rule.automaton.accepting):
+            found("incomplete", run, None,
+                  "object discarded before completing the declared protocol")
 
     violations.sort(key=lambda v: (v.seq is None, v.seq or 0, v.object_id, v.kind))
     return CheckResult(violations=violations, warnings=warnings)

@@ -91,6 +91,26 @@ def test_build_records_an_overlong_integer_literal_and_goes_on(tmp_path, capsys)
     assert (tmp_path / "out" / "Y.crysl").is_file()  # the other rules are still built
 
 
+def test_build_records_a_rule_file_that_is_not_utf8_and_goes_on(tmp_path, capsys):
+    (tmp_path / "base").mkdir()
+    latin1 = tmp_path / "base" / "X.crysl"
+    latin1.write_bytes(
+        b"SPEC X\n// caf\xe9\nOBJECTS\n    int a;\nEVENTS\n    e : go(a);\nORDER\n    e\n"
+    )
+    (tmp_path / "base" / "Y.crysl").write_text(
+        "SPEC Y\nOBJECTS\n    int a;\nEVENTS\n    e : go(a);\nORDER\n    e\n",
+        encoding="utf-8",
+    )
+    conf = tmp_path / "mixed.conf"
+    conf.write_text(
+        "config mixed {\n  src = .;\n  out = out/;\n  load spec base/;\n}", encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, "build", str(conf))
+    assert code == 1
+    assert f"{latin1}:2:7: error: byte 0xe9 is not valid UTF-8" in err.splitlines()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["Y.crysl"]
+
+
 def test_build_stdout_is_reproducible(corpus_copy, capsys):
     conf = corpus_copy / "jca-android" / "bsi0116.conf"
     code1, out1, _ = run_cli(capsys, "build", str(conf), "--json")
@@ -133,6 +153,19 @@ def test_validate_locates_an_overlong_integer_literal(tmp_path, capsys, suffix):
     code, out, err = run_cli(capsys, "validate", str(rule))
     assert code == 1
     assert err.splitlines()[0] == f"{rule}:9:14: error: integer literal of 5000 digits is too long"
+
+
+def test_validate_locates_the_first_byte_that_is_not_utf8(tmp_path, capsys):
+    rule = tmp_path / "Latin1.crysl"
+    # CRLF line ends and a two-byte "\u00f1" before the bad byte: the column
+    # counts characters after newline translation, as the parsers do.
+    rule.write_bytes(b"SPEC X\r\n// \xc3\xb1 caf\xe9 \xe8\r\nOBJECTS\r\n")
+    code, out, err = run_cli(capsys, "validate", str(rule))
+    assert code == 1
+    assert err.splitlines() == [
+        f"{rule}:2:9: error: byte 0xe9 is not valid UTF-8",
+        "1 file(s): 1 error(s), 0 warning(s)",
+    ]
 
 
 def test_validate_missing_path_exits_2(capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cryslkit import SourceFile, parse_config
+from cryslkit import SourceFile, metrics, parse_config
 from cryslkit.metrics import (
     BuildFailure,
     count_lines,
@@ -103,6 +103,18 @@ def test_single_small_config_has_negative_savings_and_no_breakeven(corpus_dir):
     assert report.breakeven is None
     assert report.savings_ratio < 0
     assert report.cumulative[0] == report.generated.total_lines
+
+
+def test_savings_normalizes_each_text_once(corpus_dir, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        metrics, "normalize_lines", lambda text: calls.append(text) or normalize_lines(text)
+    )
+    config = parse_config(SourceFile.from_path(corpus_dir / "standards" / "fips.conf"))
+    meta = sorted((corpus_dir / "standards" / "base").glob("*.mcsl"))
+    report = savings(meta, [config])
+    assert report.generated.files > 0
+    assert len(calls) == report.meta.files + report.generated.files
 
 
 def test_breakeven_and_monotone_cumulative_on_bundled_corpus(corpus_dir):

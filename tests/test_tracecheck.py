@@ -273,6 +273,45 @@ def test_removing_algorithm_never_decreases_violations(digest_rules):
     assert len(fewer.violations) >= len(full.violations)
 
 
+HANDLE_RULE = """\
+SPEC org.example.Handle
+OBJECTS
+    java.lang.String mode;
+    java.lang.Object h;
+EVENTS
+    c : h = create();
+    o : h = open(mode);
+ORDER
+    c, o+
+CONSTRAINTS
+    h in {"h1"};
+    mode in {"r", "w"};
+    mode in {"w"} => h in {"h1"};
+"""
+
+
+def test_return_binding_without_a_return_id_keeps_the_earlier_value():
+    # open() declares the return binding h, but its events carry no return
+    # id: h keeps the Ref create() bound, and the constraint on h alone,
+    # which open()'s constraint index reaches, is not judged again.
+    rules = compile_rules([parse_crysl(SourceFile.for_text(HANDLE_RULE, "crysl"))])
+    trace = [
+        ev(1, "f1", "org.example.Handle", "create", [], ret="h1"),
+        ev(2, "f1", "org.example.Handle", "open", ["w"]),
+        ev(3, "f1", "org.example.Handle", "open", ["x"]),
+    ]
+    result = check_trace(rules, trace)
+    assert [(v.kind, v.seq, v.message) for v in result.violations] == [
+        ("constraint", 3, 'mode = "x" violates \'mode in {"r", "w"}\''),
+    ]
+    assert result.warnings == [
+        "seq 1: f1: cannot decide 'h in {\"h1\"}' (unknown value)",
+        "seq 2: f1: cannot decide 'mode in {\"w\"} => h in {\"h1\"}' (unknown value)",
+    ]
+    expected = oracles.reference_check_trace(rules, trace)
+    assert (result.violations, result.warnings) == (expected.violations, expected.warnings)
+
+
 # Argument values the random rules' literal sets and implications draw on,
 # plus references and the unknown marker.
 _TRACE_VALUES = ("AES", "DES", "SHA-256", "x", 0, 7, 128, 192, 256, UNKNOWN,
