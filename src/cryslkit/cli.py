@@ -32,6 +32,15 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
         print(diag.render(), file=sys.stderr)
 
 
+def _is_file(path: Path) -> bool:
+    """True for a file; otherwise say on stderr what ``path`` is instead."""
+    if path.is_file():
+        return True
+    problem = "is a directory, expected a file" if path.is_dir() else "no such file"
+    print(f"{path}: {problem}", file=sys.stderr)
+    return False
+
+
 def _read_rules(files: list[Path], concrete: bool = False) -> tuple[list, list[Diagnostic]]:
     """Parse and validate each rule file; a file that fails to parse is
     reported and left out."""
@@ -120,8 +129,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
 
     trace_path = Path(args.trace)
-    if not trace_path.is_file():
-        print(f"{trace_path}: no such file", file=sys.stderr)
+    if not _is_file(trace_path):
         return 2
     trace, trace_diags = load_trace(trace_path)
     _print_diagnostics(trace_diags)
@@ -149,7 +157,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     for raw in args.configs:
         configs.append(parse_config(SourceFile.from_path(raw)))
 
-    def on_error(path: Path, exc: OSError) -> None:
+    def on_error(path: Path, exc: OSError | UnicodeDecodeError) -> None:
         print(f"{path}: unreadable: {exc}", file=sys.stderr)
 
     try:
@@ -181,8 +189,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_fsm(args: argparse.Namespace) -> int:
     path = Path(args.rule)
-    if not path.is_file():
-        print(f"{path}: no such file", file=sys.stderr)
+    if not _is_file(path):
         return 2
     specs, diags = _read_rules([path], concrete=True)
     _print_diagnostics(diags)

@@ -79,15 +79,15 @@ def _line_stats(documents: Sequence[list[str]]) -> LineStats:
 
 def count_lines(
     paths: Iterable[str | Path],
-    on_error: Callable[[Path, OSError], None] | None = None,
+    on_error: Callable[[Path, OSError | UnicodeDecodeError], None] | None = None,
 ) -> LineStats:
-    """Line statistics over files; unreadable files are reported via
-    ``on_error`` and the remaining files are still counted."""
+    """Line statistics over files; files that cannot be read or are not UTF-8
+    are reported via ``on_error`` and the remaining files are still counted."""
     texts = []
     for path in map(Path, paths):
         try:
             texts.append(path.read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             if on_error is not None:
                 on_error(path, exc)
     return count_text_lines(texts)
@@ -102,7 +102,7 @@ def savings_ratio(meta_total: int, generated_total: int) -> float:
 def savings(
     meta_paths: Iterable[str | Path],
     configs: Sequence[BuildConfig],
-    on_error: Callable[[Path, OSError], None] | None = None,
+    on_error: Callable[[Path, OSError | UnicodeDecodeError], None] | None = None,
 ) -> SavingsReport:
     """Build every configuration and compare generated text against sources.
 

@@ -90,6 +90,15 @@ class ParseError(LocatedError):
     """A syntax error with a location inside the offending file."""
 
 
+def undecodable_byte(text: str) -> tuple[int, str] | None:
+    """Index of the first byte that ``surrogateescape`` kept in ``text``, and
+    the message naming it; None when every byte decoded."""
+    match = _UNDECODABLE_RE.search(text)
+    if match is None:
+        return None
+    return match.start(), f"byte 0x{ord(match.group()) - 0xdc00:02x} is not valid UTF-8"
+
+
 @dataclass(frozen=True)
 class SourceFile:
     """UTF-8 text with a language tag inferred from the file extension.
@@ -114,11 +123,10 @@ class SourceFile:
             # Read again, keeping undecodable bytes, to locate the first one
             # with the same newline translation the parsers see.
             text = path.read_text(encoding="utf-8", errors="surrogateescape")
-            at = _UNDECODABLE_RE.search(text).start()
+            at, message = undecodable_byte(text)
             line_start = text.rfind("\n", 0, at)
             raise ParseError(
-                str(path), Loc(text.count("\n", 0, at) + 1, at - line_start),
-                f"byte 0x{ord(text[at]) - 0xdc00:02x} is not valid UTF-8",
+                str(path), Loc(text.count("\n", 0, at) + 1, at - line_start), message
             ) from None
         return cls(str(path), text, language)
 

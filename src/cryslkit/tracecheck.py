@@ -21,13 +21,18 @@ lookup per event to find its declaration, one automaton step, and a walk
 over that index; the other constraints cannot have changed since the
 object's previous event, and one in the index whose bindings the event left
 as they were (a return binding without a return id) is skipped by its
-signature.
+signature. Reading and reporting keep pace: each trace line goes through the
+C JSON scanner once (``json.loads`` only for a line the scanner does not take
+whole, so diagnostics keep their text), events are ``__slots__`` records with
+a plain ``__init__``, and :func:`report` fills a fixed template per violation
+instead of running ``json.dumps``'s indenting encoder, which is pure Python.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Union
@@ -45,13 +50,39 @@ from .model import (
     VarRef,
     constraint_memberships,
 )
+from .parsing import undecodable_byte
 
 
-@dataclass(frozen=True)
-class Ref:
+class _Record:
+    """Base of the trace records: fields in ``__slots__``, set once by a plain
+    ``__init__`` and not changed after; equality by type and fields, a hash,
+    and a dataclass-style repr."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Ref(_Record):
     """An opaque object-reference id appearing as an argument value."""
 
-    id: str
+    __slots__ = ("id",)
+
+    def __init__(self, id: str):
+        self.id = id
 
 
 class Unknown:
@@ -67,23 +98,29 @@ UNKNOWN = Unknown()
 ArgValue = Union[str, int, Ref, Unknown]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    seq: int
-    object_id: str
-    class_name: str
-    method_name: str
-    args: tuple[ArgValue, ...] = ()
-    return_id: str | None = None
+class TraceEvent(_Record):
+    __slots__ = ("seq", "object_id", "class_name", "method_name", "args", "return_id")
+
+    def __init__(self, seq: int, object_id: str, class_name: str, method_name: str,
+                 args: tuple[ArgValue, ...] = (), return_id: str | None = None):
+        self.seq = seq
+        self.object_id = object_id
+        self.class_name = class_name
+        self.method_name = method_name
+        self.args = args
+        self.return_id = return_id
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # order | incomplete | constraint | missing-predicate
-    object_id: str
-    seq: int | None  # None marks end of trace (incomplete objects)
-    rule_class: str
-    message: str
+class Violation(_Record):
+    __slots__ = ("kind", "object_id", "seq", "rule_class", "message")
+
+    def __init__(self, kind: str, object_id: str, seq: int | None, rule_class: str,
+                 message: str):
+        self.kind = kind  # order | incomplete | constraint | missing-predicate
+        self.object_id = object_id
+        self.seq = seq  # None marks end of trace (incomplete objects)
+        self.rule_class = rule_class
+        self.message = message
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +150,34 @@ def _wrong_type(field_name: str, expected: str, value) -> ValueError:
     return ValueError(f"'{field_name}' must be {expected}, not {_JSON_TYPE_NAMES[type(value)]}")
 
 
+_scan = json.JSONDecoder().scan_once
+
+
+def _decode(text: str):
+    """``json.loads(text)`` for a line already stripped, through the C scanner.
+
+    The scanner's answer stands only when it used the whole line; any failure
+    or a short answer goes to ``json.loads``, so a diagnostic keeps its text.
+    ``json.loads`` skips JSON whitespace at both ends first, which a stripped
+    line has none of, so both agree on every line.
+    """
+    try:
+        value, end = _scan(text, 0)
+    except (StopIteration, ValueError, RecursionError):  # StopIteration: no value at 0
+        return json.loads(text)
+    if end != len(text):
+        return json.loads(text)
+    return value
+
+
 def parse_trace_lines(
     lines: Iterable[str], path: str = "<trace>"
 ) -> tuple[list[TraceEvent], list[Diagnostic]]:
-    """Parse JSON-lines trace text; malformed lines are reported and skipped."""
+    """Parse JSON-lines trace text; malformed lines are reported and skipped.
+
+    A byte that is not UTF-8 arrives as the code point ``surrogateescape``
+    gives it (``load_trace`` reads that way); a line holding one is malformed.
+    """
     events: list[TraceEvent] = []
     diags: list[Diagnostic] = []
     last_seq: int | None = None
@@ -125,8 +186,12 @@ def parse_trace_lines(
         if not text:
             continue
         try:
-            record = json.loads(text)
-            if not isinstance(record, dict):
+            if not text.isascii():
+                bad_byte = undecodable_byte(text)
+                if bad_byte is not None:
+                    raise ValueError(bad_byte[1])
+            record = _decode(text)
+            if type(record) is not dict:
                 raise ValueError("trace line must be a JSON object")
             # Exact type tests: JSON true is a bool, which int() would accept.
             seq = record["seq"]
@@ -147,32 +212,26 @@ def parse_trace_lines(
             return_id = record.get("return_id")
             if return_id is not None and type(return_id) is not str:
                 raise _wrong_type("return_id", "a string or null", return_id)
-            event = TraceEvent(
-                seq=seq,
-                object_id=object_id,
-                class_name=class_name,
-                method_name=method_name,
-                args=tuple([_parse_arg(a) for a in args]),
-                return_id=return_id,
-            )
+            event = TraceEvent(seq, object_id, class_name, method_name,
+                               tuple([_parse_arg(a) for a in args]), return_id)
         # RecursionError: the JSON decoder's answer to arrays or objects nested
         # too deeply.
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
             diags.append(error_at(path, Loc(line_no, 1), f"malformed trace line: {exc}"))
             continue
-        if last_seq is not None and event.seq <= last_seq:
+        if last_seq is not None and seq <= last_seq:
             diags.append(
                 error_at(path, Loc(line_no, 1),
-                         f"seq {event.seq} does not increase (previous was {last_seq})")
+                         f"seq {seq} does not increase (previous was {last_seq})")
             )
             continue
-        last_seq = event.seq
+        last_seq = seq
         events.append(event)
     return events, diags
 
 
 def load_trace(path: str | Path) -> tuple[list[TraceEvent], list[Diagnostic]]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     return parse_trace_lines(text.splitlines(), str(path))
 
 
@@ -452,12 +511,25 @@ def _render_value(value: ArgValue) -> str:
 
 VIOLATION_KINDS = ("constraint", "incomplete", "missing-predicate", "order")
 
+# One violation as ``json.dumps(..., indent=2)`` lays it out inside the report.
+_VIOLATION_JSON = (
+    '    {\n'
+    '      "kind": %s,\n'
+    '      "object_id": %s,\n'
+    '      "seq": %s,\n'
+    '      "rule": %s,\n'
+    '      "message": %s\n'
+    '    }'
+)
+
 
 def report(violations: list[Violation], fmt: str = "json") -> str:
     """Render violations as a JSON document or an aligned text table.
 
     The JSON schema is documented in ``docs/formats.md``; identical input
-    always yields identical output bytes.
+    always yields identical output bytes. ``json.dumps`` with ``indent`` runs
+    its encoder in Python, so only the short head goes through it; each
+    violation fills a fixed template, with strings escaped by the C encoder.
     """
     if fmt == "json":
         by_kind = {kind: 0 for kind in VIOLATION_KINDS}
@@ -465,22 +537,22 @@ def report(violations: list[Violation], fmt: str = "json") -> str:
         for violation in violations:
             by_kind[violation.kind] = by_kind.get(violation.kind, 0) + 1
             by_rule[violation.rule_class] = by_rule.get(violation.rule_class, 0) + 1
-        payload = {
+        head = json.dumps({
             "total": len(violations),
             "by_kind": dict(sorted(by_kind.items())),
             "by_rule": dict(sorted(by_rule.items())),
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "object_id": v.object_id,
-                    "seq": v.seq,
-                    "rule": v.rule_class,
-                    "message": v.message,
-                }
-                for v in violations
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        }, indent=2)[:-2]  # reopened before its closing "\n}"
+        if not violations:
+            return head + ',\n  "violations": []\n}\n'
+        quote = encode_basestring_ascii
+        blocks = ",\n".join([
+            _VIOLATION_JSON % (
+                quote(v.kind), quote(v.object_id), "null" if v.seq is None else int.__repr__(v.seq),
+                quote(v.rule_class), quote(v.message),
+            )
+            for v in violations
+        ])
+        return f'{head},\n  "violations": [\n{blocks}\n  ]\n}}\n'
     if fmt != "table":
         raise ValueError(f"unknown report format '{fmt}'")
 

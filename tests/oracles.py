@@ -7,11 +7,14 @@ anywhere near the NFA/DFA construction they are used to check.
 
 The reference checker re-judges every constraint of a rule at every matched
 event and matches events by a linear scan over the declarations; the
-checker in ``cryslkit.tracecheck`` must report exactly what it reports.
+checker in ``cryslkit.tracecheck`` must report exactly what it reports. The
+reference report builds the whole JSON document and lets ``json.dumps``
+indent it; ``cryslkit.tracecheck.report`` must give the same bytes.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import string
 
@@ -429,3 +432,28 @@ def reference_check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResul
 
     violations.sort(key=lambda v: (v.seq is None, v.seq or 0, v.object_id, v.kind))
     return CheckResult(violations=violations, warnings=warnings)
+
+
+# ---------------------------------------------------------------------------
+# Reference report: the whole document through json.dumps
+# ---------------------------------------------------------------------------
+
+
+def reference_report(violations: list[Violation]) -> str:
+    """``report(violations, "json")`` as it was before the direct encoder."""
+    by_kind = {kind: 0 for kind in ("constraint", "incomplete", "missing-predicate", "order")}
+    by_rule: dict = {}
+    for violation in violations:
+        by_kind[violation.kind] = by_kind.get(violation.kind, 0) + 1
+        by_rule[violation.rule_class] = by_rule.get(violation.rule_class, 0) + 1
+    payload = {
+        "total": len(violations),
+        "by_kind": dict(sorted(by_kind.items())),
+        "by_rule": dict(sorted(by_rule.items())),
+        "violations": [
+            {"kind": v.kind, "object_id": v.object_id, "seq": v.seq, "rule": v.rule_class,
+             "message": v.message}
+            for v in violations
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -216,6 +216,34 @@ def test_check_table_format_is_default(fips_rules_dir, corpus_copy, capsys):
     assert out.splitlines()[0].startswith("KIND")
 
 
+def test_check_reports_a_trace_line_that_is_not_utf8_and_goes_on(
+    fips_rules_dir, corpus_copy, capsys
+):
+    source = corpus_copy / "traces" / "standards" / "md5_digest.jsonl"
+    _, expected, _ = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
+                             "--trace", str(source), "--format", "json")
+    # A line between the first and the second event, with a Latin-1 "é".
+    first, *rest = source.read_bytes().splitlines(keepends=True)
+    latin1 = b'{"seq": 1, "object_id": "md1", "class_name": "C", "method_name": "caf\xe9"}\n'
+    trace = corpus_copy / "latin1.jsonl"
+    trace.write_bytes(b"".join([first, latin1, *rest]))
+    code, out, err = run_cli(
+        capsys, "check", "--rules", str(fips_rules_dir), "--trace", str(trace),
+        "--format", "json",
+    )
+    assert code == 1
+    assert err == f"{trace}:2:1: error: malformed trace line: byte 0xe9 is not valid UTF-8\n"
+    assert out == expected
+
+
+def test_check_trace_that_is_a_directory_exits_2(fips_rules_dir, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
+                             "--trace", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"{tmp_path}: is a directory, expected a file\n"
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -251,6 +279,19 @@ def test_metrics_csv_curve(corpus_copy, capsys, tmp_path):
     assert lines[0] == "configuration,cumulative_generated_lines"
     assert lines[1].startswith("base0108,")
     assert len(lines) == 3
+
+
+def test_metrics_reports_a_meta_file_that_is_not_utf8_and_goes_on(corpus_copy, capsys):
+    root = corpus_copy / "jca-android"
+    conf = str(root / "base0108.conf")
+    _, expected, _ = run_cli(capsys, "metrics", "--meta", str(root), "--configs", conf, "--json")
+    latin1 = root / "notes.mcsl"
+    latin1.write_bytes(b"// caf\xe9\n")
+    code, out, err = run_cli(capsys, "metrics", "--meta", str(root), "--configs", conf, "--json")
+    assert code == 0
+    assert out == expected
+    assert err.startswith(f"{latin1}: unreadable: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +338,13 @@ def test_fsm_reports_deep_order_nesting(tmp_path, capsys):
     assert out == ""
     # The 101st parenthesis, after four spaces of indentation.
     assert err == f"{rule}:7:105: error: ORDER nests parentheses deeper than 100 levels\n"
+
+
+def test_fsm_rule_that_is_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "fsm", "--rule", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"{tmp_path}: is a directory, expected a file\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "fsm"])

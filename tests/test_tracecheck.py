@@ -20,7 +20,7 @@ from cryslkit import (
     parse_config,
 )
 from cryslkit.model import Membership
-from cryslkit.tracecheck import Ref, UNKNOWN
+from cryslkit.tracecheck import VIOLATION_KINDS, Ref, UNKNOWN, Violation, _decode
 
 import oracles
 from conftest import MESSAGEDIGEST_RULE
@@ -453,6 +453,73 @@ def test_any_trace_line_gives_an_event_or_a_located_diagnostic(line):
         assert diag.message.startswith("malformed trace line: ")
 
 
+def _outcome(decode, text):
+    """A decoder's value, or the type and text of what it raised."""
+    try:
+        return "value", repr(decode(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Malformed lines that, joined with "," into one array, decode as one object
+# per line; the first three also pass a check on their first and last
+# characters and on bracket counts.
+_SPLIT_OBJECT_LINES = (
+    '{"x":"]}","a":[{"b":1}', '{"c":"{["}]}', '{"d":1},{"e":2}', '{"a":1},{"b":[2', "3]}",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _json_values.map(json.dumps),
+                 _json_values.map(lambda v: json.dumps(v, ensure_ascii=False)),
+                 _records.map(json.dumps),
+                 st.lists(_json_values.map(json.dumps), min_size=2, max_size=3).map(",".join)))
+@example("[" * 100_000)
+@example("\ufeff{}")
+@example('{"a": NaN, "b": -Infinity}')
+@example('"\\udce9"')
+def test_decode_agrees_with_json_loads(text):
+    text = text.strip()
+    assert _outcome(_decode, text) == _outcome(json.loads, text)
+
+
+@pytest.mark.parametrize("line", _SPLIT_OBJECT_LINES)
+def test_decode_agrees_with_json_loads_on_split_objects(line):
+    assert _outcome(_decode, line) == _outcome(json.loads, line)
+
+
+def test_split_object_lines_are_each_malformed():
+    events, diags = parse_trace_lines(_SPLIT_OBJECT_LINES, "t.jsonl")
+    assert events == []
+    assert [d.line for d in diags] == [1, 2, 3, 4, 5]
+
+
+def test_undecodable_byte_makes_the_line_malformed():
+    # load_trace keeps a byte that is not UTF-8 as a lone surrogate, which the
+    # JSON scanner accepts inside a string.
+    good = json.dumps({"seq": 2, "object_id": "o", "class_name": MD, "method_name": "digest"})
+    bad = good.replace("digest", "caf\udce9").replace('"seq": 2', '"seq": 1')
+    events, diags = parse_trace_lines([bad, good], "t.jsonl")
+    assert [e.seq for e in events] == [2]
+    assert [d.render() for d in diags] == [
+        "t.jsonl:1:1: error: malformed trace line: byte 0xe9 is not valid UTF-8"
+    ]
+
+
+def test_records_compare_by_type_and_fields():
+    event = TraceEvent(1, "o", MD, "digest")
+    assert event == TraceEvent(1, "o", MD, "digest", (), None)
+    assert event != TraceEvent(2, "o", MD, "digest")
+    assert hash(Ref("k")) == hash(Ref("k")) and Ref("k") != "k"
+    assert len({Violation("order", "o", None, MD, "m"), Violation("order", "o", None, MD, "m")}) == 1
+    assert repr(Ref("k")) == "Ref(id='k')"
+    assert repr(event) == (
+        "TraceEvent(seq=1, object_id='o', class_name='java.security.MessageDigest', "
+        "method_name='digest', args=(), return_id=None)"
+    )
+    assert not hasattr(event, "__dict__")
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -490,6 +557,24 @@ def test_table_report_mentions_each_violation(digest_rules):
     table = report(violations, "table")
     assert "constraint" in table
     assert "total: 1" in table
+
+
+_awkward_text = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=12),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udce9",
+                     "é", "\U0001f600", ""]),
+)
+_violations = st.builds(
+    Violation, st.one_of(st.sampled_from(VIOLATION_KINDS), _awkward_text), _awkward_text,
+    st.none() | st.integers(), _awkward_text, _awkward_text,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_violations, max_size=6))
+@example([])
+def test_json_report_matches_the_reference_report(violations):
+    assert report(violations, "json") == oracles.reference_report(violations)
 
 
 # ---------------------------------------------------------------------------
