@@ -20,10 +20,10 @@ accepted word is reachable anymore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .diagnostics import Record
 from .model import AggregateDecl, Alt, Atom, Opt, OrderExpr, Seq, Star, order_atoms
 
 
@@ -46,8 +46,7 @@ def inline_aggregates(expr: OrderExpr, aggregates: Iterable[AggregateDecl]) -> O
     return walk(expr)
 
 
-@dataclass
-class Nfa:
+class Nfa(Record):
     """Epsilon-NFA with a single start and a single accepting state."""
 
     start: int
@@ -220,8 +219,7 @@ class VerdictKind(Enum):
     INCOMPLETE = "incomplete"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     kind: VerdictKind
     reject_index: int | None = None
 

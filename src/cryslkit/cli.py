@@ -75,11 +75,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "out": str(out_root),
             "dry_run": bool(args.dry_run),
             "files": written,
-            "stats": {
-                "specs_loaded": result.stats.specs_loaded,
-                "refinements_applied": result.stats.refinements_applied,
-                "specs_emitted": result.stats.specs_emitted,
-            },
+            "stats": {name: getattr(result.stats, name) for name in result.stats._fields},
             "errors": sum(d.severity is Severity.ERROR for d in result.diagnostics),
             "warnings": sum(d.severity is Severity.WARNING for d in result.diagnostics),
         }
@@ -157,8 +153,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     for raw in args.configs:
         configs.append(parse_config(SourceFile.from_path(raw)))
 
-    def on_error(path: Path, exc: OSError | UnicodeDecodeError) -> None:
-        print(f"{path}: unreadable: {exc}", file=sys.stderr)
+    def on_error(path: Path, exc: OSError | ParseError) -> None:
+        if isinstance(exc, ParseError):
+            _print_diagnostics([exc.diagnostic])
+        else:
+            print(f"{path}: unreadable: {exc}", file=sys.stderr)
 
     try:
         result = savings(meta_paths, configs, on_error)

@@ -11,26 +11,24 @@ emitter's canonical formatting.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .diagnostics import Diagnostic, has_errors
+from .diagnostics import Diagnostic, Record, has_errors
 from .emitter import pretty_print
 from .model import BuildConfig
+from .parsing import ParseError, SourceFile
 from .preprocessor import run_build
 
 
-@dataclass(frozen=True)
-class LineStats:
+class LineStats(Record):
     files: int
     total_lines: int
     duplicate_lines: int
     unique_duplicated: int
 
 
-@dataclass(frozen=True)
-class SavingsReport:
+class SavingsReport(Record):
     meta: LineStats
     generated: LineStats
     savings_ratio: float
@@ -79,15 +77,17 @@ def _line_stats(documents: Sequence[list[str]]) -> LineStats:
 
 def count_lines(
     paths: Iterable[str | Path],
-    on_error: Callable[[Path, OSError | UnicodeDecodeError], None] | None = None,
+    on_error: Callable[[Path, OSError | ParseError], None] | None = None,
 ) -> LineStats:
-    """Line statistics over files; files that cannot be read or are not UTF-8
-    are reported via ``on_error`` and the remaining files are still counted."""
+    """Line statistics over rule-language files, read as every stage reads
+    them (:meth:`SourceFile.from_path`); a file that cannot be read
+    (``OSError``) or is not UTF-8 (``ParseError`` at its first bad byte) is
+    reported via ``on_error`` and the remaining files are still counted."""
     texts = []
     for path in map(Path, paths):
         try:
-            texts.append(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:
+            texts.append(SourceFile.from_path(path).text)
+        except (OSError, ParseError) as exc:
             if on_error is not None:
                 on_error(path, exc)
     return count_text_lines(texts)
@@ -102,7 +102,7 @@ def savings_ratio(meta_total: int, generated_total: int) -> float:
 def savings(
     meta_paths: Iterable[str | Path],
     configs: Sequence[BuildConfig],
-    on_error: Callable[[Path, OSError | UnicodeDecodeError], None] | None = None,
+    on_error: Callable[[Path, OSError | ParseError], None] | None = None,
 ) -> SavingsReport:
     """Build every configuration and compare generated text against sources.
 
@@ -152,12 +152,7 @@ def report_as_dict(report: SavingsReport) -> dict:
     full precision.
     """
     def stats(s: LineStats) -> dict:
-        return {
-            "files": s.files,
-            "total_lines": s.total_lines,
-            "duplicate_lines": s.duplicate_lines,
-            "unique_duplicated": s.unique_duplicated,
-        }
+        return {name: getattr(s, name) for name in s._fields}
 
     return {
         "meta": stats(report.meta),

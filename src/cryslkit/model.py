@@ -10,17 +10,21 @@ Four surface languages share these types:
 * refinement files (``.ref``) parse to :class:`RefinementSpec`,
 * build configurations (``.conf``) parse to :class:`BuildConfig`.
 
-All nodes are immutable after construction and safe to share between threads.
-Equality is structural: source locations and source paths never participate.
+All nodes are :class:`~cryslkit.diagnostics.Record` values, immutable by
+contract: no API assigns to a node's field after construction, and
+``node.replace(...)`` returns a changed copy, so nodes are safe to share
+between threads and builds. The contract is not enforced at run time, because
+a frozen-style store through ``object.__setattr__`` costs two to four times a
+plain one, paid for every node parsed and every trace event read. Equality is
+structural: source locations and source paths never participate.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from typing import Iterator, Union
 
-from .diagnostics import Diagnostic, Loc, error_at, warning_at
+from .diagnostics import Diagnostic, Loc, Record, error_at, warning_at
 
 LiteralValue = Union[str, int]
 
@@ -37,18 +41,16 @@ def simple_name(qualified: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiteralSet:
+class LiteralSet(Record):
     """An order-insensitive set of string or integer literals."""
 
     values: frozenset  # of LiteralValue
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", frozenset(self.values))
+    def __init__(self, values):
+        self.values = frozenset(values)
 
 
-@dataclass(frozen=True)
-class MetaVarRef:
+class MetaVarRef(Record):
     """A ``$Name`` hole in a literal-set position of an abstract rule."""
 
     name: str
@@ -57,18 +59,16 @@ class MetaVarRef:
 SetExpr = Union[LiteralSet, MetaVarRef]
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(Record):
     var: str
     values: SetExpr
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class Implication:
+class Implication(Record):
     lhs: "ConstraintExpr"
     rhs: "ConstraintExpr"
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
 ConstraintExpr = Union[Membership, Implication]
@@ -79,34 +79,28 @@ ConstraintExpr = Union[Membership, Implication]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     label: str
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Record):
     parts: tuple["OrderExpr", ...]
 
 
-@dataclass(frozen=True)
-class Alt:
+class Alt(Record):
     parts: tuple["OrderExpr", ...]
 
 
-@dataclass(frozen=True)
-class Opt:
+class Opt(Record):
     child: "OrderExpr"
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Record):
     child: "OrderExpr"
 
 
-@dataclass(frozen=True)
-class Plus:
+class Plus(Record):
     child: "OrderExpr"
 
 
@@ -129,52 +123,45 @@ def order_atoms(expr: OrderExpr) -> Iterator[Atom]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class LiteralArg:
+class LiteralArg(Record):
     value: LiteralValue
 
 
-@dataclass(frozen=True)
-class Wildcard:
+class Wildcard(Record):
     """The ``_`` event parameter: matches any argument, binds nothing."""
 
 
 ParamRef = Union[VarRef, LiteralArg, Wildcard]
 
 
-@dataclass(frozen=True)
-class ObjectDecl:
+class ObjectDecl(Record):
     type_name: str
     var_name: str
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class EventDecl:
+class EventDecl(Record):
     label: str
     return_binding: str | None
     method_name: str
     params: tuple[ParamRef, ...]
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class AggregateDecl:
+class AggregateDecl(Record):
     name: str
     alternatives: tuple[str, ...]
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class PredicateRef:
+class PredicateRef(Record):
     name: str
     args: tuple[str, ...]
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +169,7 @@ class PredicateRef:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrySLSpec:
+class CrySLSpec(Record):
     """One concrete usage rule for a single class."""
 
     class_name: str
@@ -194,9 +180,9 @@ class CrySLSpec:
     constraints: tuple[ConstraintExpr, ...] = ()
     requires: tuple[PredicateRef, ...] = ()
     ensures: tuple[PredicateRef, ...] = ()
-    source_path: str | None = field(default=None, compare=False, repr=False)
-    loc: Loc | None = field(default=None, compare=False, repr=False)
-    order_loc: Loc | None = field(default=None, compare=False, repr=False)  # ORDER keyword
+    source_path: str | None = None
+    loc: Loc | None = None
+    order_loc: Loc | None = None  # ORDER keyword
 
     @property
     def name(self) -> str:
@@ -213,7 +199,6 @@ class CrySLSpec:
         return {o.var_name for o in self.objects}
 
 
-@dataclass(frozen=True)
 class AbstractSpec(CrySLSpec):
     """A rule with variation points: meta-variables and type parameters.
 
@@ -283,7 +268,7 @@ def spec_as(spec_type: type[CrySLSpec], spec: CrySLSpec) -> CrySLSpec:
     :class:`CrySLSpec` fields (an :class:`AbstractSpec` gets no type parameters)."""
     if type(spec) is spec_type:
         return spec
-    return spec_type(**{f.name: getattr(spec, f.name) for f in fields(CrySLSpec)})
+    return spec_type(**{name: getattr(spec, name) for name in CrySLSpec._fields})
 
 
 def to_concrete(spec: CrySLSpec) -> CrySLSpec:
@@ -303,63 +288,54 @@ def to_concrete(spec: CrySLSpec) -> CrySLSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DefineLiteralSet:
+class DefineLiteralSet(Record):
     name: str
     values: LiteralSet
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class AddEvent:
+class AddEvent(Record):
     event: EventDecl
     aggregate: str | None = None
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class RemoveEvent:
+class RemoveEvent(Record):
     label: str
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class AddConstraint:
+class AddConstraint(Record):
     constraint: ConstraintExpr
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class RemoveConstraint:
+class RemoveConstraint(Record):
     """Removes the constraint that structurally matches ``constraint``."""
 
     constraint: ConstraintExpr
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class ReplaceOrder:
+class ReplaceOrder(Record):
     order: OrderExpr
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class AddEnsures:
+class AddEnsures(Record):
     predicate: PredicateRef
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class AddRequires:
+class AddRequires(Record):
     predicate: PredicateRef
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class RemovePredicate:
+class RemovePredicate(Record):
     kind: str  # "ensures" | "requires"
     name: str
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
 RefinementOp = Union[
@@ -375,16 +351,15 @@ RefinementOp = Union[
 ]
 
 
-@dataclass(frozen=True)
-class RefinementSpec:
+class RefinementSpec(Record):
     """A named bundle of transformations targeting one base rule."""
 
     name: str
     base_name: str
     type_args: tuple[str, ...] = ()
     ops: tuple[RefinementOp, ...] = ()
-    source_path: str | None = field(default=None, compare=False, repr=False)
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    source_path: str | None = None
+    loc: Loc | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +367,19 @@ class RefinementSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoadDirective:
+class LoadDirective(Record):
     kind: str  # "spec" | "refinement"
     path: str
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
-class BuildConfig:
+class BuildConfig(Record):
     name: str
     src: str
     out: str
     loads: tuple[LoadDirective, ...]
-    source_path: str | None = field(default=None, compare=False, repr=False)
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+    source_path: str | None = None
+    loc: Loc | None = None
 
 
 # ---------------------------------------------------------------------------

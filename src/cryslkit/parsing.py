@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
-from .diagnostics import Loc, LocatedError
+from .diagnostics import Loc, LocatedError, Record
 from .model import (
     AbstractSpec,
     AddConstraint,
@@ -99,8 +98,7 @@ def undecodable_byte(text: str) -> tuple[int, str] | None:
     return match.start(), f"byte 0x{ord(match.group()) - 0xdc00:02x} is not valid UTF-8"
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(Record):
     """UTF-8 text with a language tag inferred from the file extension.
 
     A file that is not UTF-8 is a ``ParseError`` at its first byte that does

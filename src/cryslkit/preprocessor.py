@@ -15,10 +15,9 @@ may bind the same parameter of one template, producing one rule copy each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .diagnostics import Diagnostic, Loc, LocatedError, error_at
+from .diagnostics import Diagnostic, Loc, LocatedError, Record, error_at
 from .model import (
     AbstractSpec,
     AddConstraint,
@@ -53,23 +52,23 @@ class RefinementError(LocatedError):
     """A refinement operation that cannot be applied to its base rule."""
 
 
-@dataclass
 class SpecRegistry:
     """Everything a build loaded, keyed by name, in load order."""
 
-    specs: dict[str, AbstractSpec] = field(default_factory=dict)
-    refinements: dict[str, RefinementSpec] = field(default_factory=dict)
+    __slots__ = ("specs", "refinements")
+
+    def __init__(self) -> None:
+        self.specs: dict[str, AbstractSpec] = {}
+        self.refinements: dict[str, RefinementSpec] = {}
 
 
-@dataclass(frozen=True)
-class BuildStats:
+class BuildStats(Record):
     specs_loaded: int
     refinements_applied: int
     specs_emitted: int
 
 
-@dataclass
-class BuildResult:
+class BuildResult(Record):
     generated: list[tuple[str, CrySLSpec]]
     diagnostics: list[Diagnostic]
     stats: BuildStats
@@ -184,8 +183,7 @@ def _apply_type_binding(
         class_name = fqn
     else:
         class_name = _substitute_placeholder(spec.class_name, param, fqn)
-    return replace(
-        spec,
+    return spec.replace(
         class_name=class_name,
         objects=objects,
         events=events,
@@ -208,7 +206,7 @@ def _resolve_meta_vars(spec: AbstractSpec, env: dict[str, LiteralSet]) -> Abstra
             )
         else:
             constraints.append(resolve_membership(constraint))
-    return replace(spec, constraints=tuple(constraints))
+    return spec.replace(constraints=tuple(constraints))
 
 
 def apply_refinement(
@@ -274,7 +272,7 @@ def _apply(
                     else agg
                     for agg in spec.aggregates
                 )
-            spec = replace(spec, events=events, aggregates=aggregates)
+            spec = spec.replace(events=events, aggregates=aggregates)
         elif isinstance(op, RemoveEvent):
             if op.label not in spec.event_labels():
                 fail(op.loc, f"unknown event '{op.label}'")
@@ -285,29 +283,29 @@ def _apply(
                 if not alternatives:
                     fail(op.loc, f"removing '{op.label}' would empty aggregate '{agg.name}'")
                 aggregates.append(AggregateDecl(agg.name, alternatives, loc=agg.loc))
-            spec = replace(spec, events=events, aggregates=tuple(aggregates))
+            spec = spec.replace(events=events, aggregates=tuple(aggregates))
         elif isinstance(op, AddConstraint):
-            spec = replace(spec, constraints=spec.constraints + (op.constraint,))
+            spec = spec.replace(constraints=spec.constraints + (op.constraint,))
         elif isinstance(op, RemoveConstraint):
             remaining = [c for c in spec.constraints if c != op.constraint]
             if len(remaining) == len(spec.constraints):
                 fail(op.loc, "no matching constraint to remove")
-            spec = replace(spec, constraints=tuple(remaining))
+            spec = spec.replace(constraints=tuple(remaining))
         elif isinstance(op, ReplaceOrder):
-            spec = replace(spec, order=op.order)
+            spec = spec.replace(order=op.order)
         elif isinstance(op, AddEnsures):
-            spec = replace(spec, ensures=spec.ensures + (op.predicate,))
+            spec = spec.replace(ensures=spec.ensures + (op.predicate,))
         elif isinstance(op, AddRequires):
-            spec = replace(spec, requires=spec.requires + (op.predicate,))
+            spec = spec.replace(requires=spec.requires + (op.predicate,))
         elif isinstance(op, RemovePredicate):
             pool = spec.ensures if op.kind == "ensures" else spec.requires
             remaining = tuple(p for p in pool if p.name != op.name)
             if len(remaining) == len(pool):
                 fail(op.loc, f"no {op.kind} predicate named '{op.name}'")
             if op.kind == "ensures":
-                spec = replace(spec, ensures=remaining)
+                spec = spec.replace(ensures=remaining)
             else:
-                spec = replace(spec, requires=remaining)
+                spec = spec.replace(requires=remaining)
         else:  # pragma: no cover - exhaustive over RefinementOp
             fail(refinement.loc, f"unsupported refinement op {type(op).__name__}")
 
@@ -404,5 +402,4 @@ def run_build(config) -> BuildResult:
     """Load and resolve a configuration in one step."""
     registry, load_diags = load(config)
     result = resolve(registry)
-    result.diagnostics = load_diags + result.diagnostics
-    return result
+    return result.replace(diagnostics=load_diags + result.diagnostics)

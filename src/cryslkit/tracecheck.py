@@ -31,14 +31,13 @@ instead of running ``json.dumps``'s indenting encoder, which is pure Python.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 from .automaton import TypestateAutomaton, lazy_automaton
-from .diagnostics import Diagnostic, Loc, error_at
+from .diagnostics import Diagnostic, Loc, Record, error_at
 from .emitter import render_constraint, render_literal
 from .model import (
     ConstraintExpr,
@@ -53,36 +52,10 @@ from .model import (
 from .parsing import undecodable_byte
 
 
-class _Record:
-    """Base of the trace records: fields in ``__slots__``, set once by a plain
-    ``__init__`` and not changed after; equality by type and fields, a hash,
-    and a dataclass-style repr."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class Ref(_Record):
+class Ref(Record):
     """An opaque object-reference id appearing as an argument value."""
 
-    __slots__ = ("id",)
-
-    def __init__(self, id: str):
-        self.id = id
+    id: str
 
 
 class Unknown:
@@ -98,29 +71,21 @@ UNKNOWN = Unknown()
 ArgValue = Union[str, int, Ref, Unknown]
 
 
-class TraceEvent(_Record):
-    __slots__ = ("seq", "object_id", "class_name", "method_name", "args", "return_id")
-
-    def __init__(self, seq: int, object_id: str, class_name: str, method_name: str,
-                 args: tuple[ArgValue, ...] = (), return_id: str | None = None):
-        self.seq = seq
-        self.object_id = object_id
-        self.class_name = class_name
-        self.method_name = method_name
-        self.args = args
-        self.return_id = return_id
+class TraceEvent(Record):
+    seq: int
+    object_id: str
+    class_name: str
+    method_name: str
+    args: tuple[ArgValue, ...] = ()
+    return_id: str | None = None
 
 
-class Violation(_Record):
-    __slots__ = ("kind", "object_id", "seq", "rule_class", "message")
-
-    def __init__(self, kind: str, object_id: str, seq: int | None, rule_class: str,
-                 message: str):
-        self.kind = kind  # order | incomplete | constraint | missing-predicate
-        self.object_id = object_id
-        self.seq = seq  # None marks end of trace (incomplete objects)
-        self.rule_class = rule_class
-        self.message = message
+class Violation(Record):
+    kind: str  # order | incomplete | constraint | missing-predicate
+    object_id: str
+    seq: int | None  # None marks end of trace (incomplete objects)
+    rule_class: str
+    message: str
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +205,7 @@ def load_trace(path: str | Path) -> tuple[list[TraceEvent], list[Diagnostic]]:
 # ---------------------------------------------------------------------------
 
 
-class _EventPlan(NamedTuple):
+class _EventPlan(Record):
     """What a matched event does to its object's run, worked out once."""
 
     decl: EventDecl
@@ -248,8 +213,7 @@ class _EventPlan(NamedTuple):
     constraints: tuple[int, ...]  # indices of constraints on a parameter or return variable
 
 
-@dataclass
-class CompiledRule:
+class CompiledRule(Record):
     spec: CrySLSpec
     automaton: TypestateAutomaton
     # (method name, arity) -> plan of the first declaration with that key
@@ -288,8 +252,7 @@ def _compile_rule(spec: CrySLSpec) -> CompiledRule:
     )
 
 
-@dataclass
-class RuleSet:
+class RuleSet(Record):
     rules: dict[str, CompiledRule]  # keyed by fully qualified class name
 
 
@@ -329,22 +292,26 @@ def match_event(rules: RuleSet, event: TraceEvent) -> tuple[CompiledRule | None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     violations: list[Violation]
     warnings: list[str]
 
 
-@dataclass
 class _ObjectRun:
-    rule: CompiledRule
-    object_id: str
-    state: int
-    broken: bool = False  # order already violated; automaton is in the sink
-    env: dict[str, ArgValue] = field(default_factory=dict)
-    evaluated: dict[int, tuple] = field(default_factory=dict)
-    constraint_ok: bool = True
-    requires_checked: bool = False
+    """One object's progress through its rule; updated by every event."""
+
+    __slots__ = ("rule", "object_id", "state", "broken", "env", "evaluated",
+                 "constraint_ok", "requires_checked")
+
+    def __init__(self, rule: CompiledRule, object_id: str, state: int):
+        self.rule = rule
+        self.object_id = object_id
+        self.state = state
+        self.broken = False  # order already violated; automaton is in the sink
+        self.env: dict[str, ArgValue] = {}
+        self.evaluated: dict[int, tuple] = {}
+        self.constraint_ok = True
+        self.requires_checked = False
 
 
 def _membership_holds(membership: Membership, env: dict[str, ArgValue]):

@@ -131,9 +131,7 @@ def test_rule_set_with_matched_requires_is_clean():
 def to_concrete_like(spec):
     # AbstractFactory still has a type parameter; rule-set checks only look
     # at class names and predicates, so strip the variation point crudely.
-    from dataclasses import replace
-
-    return replace(spec, type_params=(), objects=tuple(
+    return spec.replace(type_params=(), objects=tuple(
         o for o in spec.objects if "<" not in o.type_name
     ))
 

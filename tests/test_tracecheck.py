@@ -19,7 +19,8 @@ from cryslkit import (
     run_build,
     parse_config,
 )
-from cryslkit.model import Membership
+from cryslkit.diagnostics import Loc
+from cryslkit.model import AbstractSpec, Atom, CrySLSpec, LiteralSet, Membership, Plus, Star
 from cryslkit.tracecheck import VIOLATION_KINDS, Ref, UNKNOWN, Violation, _decode
 
 import oracles
@@ -518,6 +519,25 @@ def test_records_compare_by_type_and_fields():
         "method_name='digest', args=(), return_id=None)"
     )
     assert not hasattr(event, "__dict__")
+
+    # Model nodes: the type takes part in equality, where a record came from does not.
+    assert Star(Atom("a")) != Plus(Atom("a"))
+    here = parse_crysl(SourceFile.for_text(MESSAGEDIGEST_RULE, "crysl", "here.crysl"))
+    there = parse_crysl(SourceFile.for_text("\n\n" + MESSAGEDIGEST_RULE, "crysl", "there.crysl"))
+    assert (here.source_path, here.loc, here.order_loc) != (
+        there.source_path, there.loc, there.order_loc)
+    atom_here, atom_there = Atom("a", Loc(1, 1)), Atom("a", Loc(9, 9))
+    for left, right in ((here, there), (atom_here, atom_there)):
+        assert left == right and hash(left) == hash(right) and repr(left) == repr(right)
+    assert AbstractSpec._fields == CrySLSpec._fields + ("type_params",)
+
+    member = Membership("a", LiteralSet({"x"}), Loc(3, 4))
+    changed = member.replace(var="b")
+    assert changed is not member and changed == Membership("b", LiteralSet({"x"}))
+    assert (member.var, member.loc) == ("a", Loc(3, 4)) and changed.loc == Loc(3, 4)
+    with pytest.raises(TypeError):
+        member.replace(colour="red")
+    assert not any(hasattr(node, "__dict__") for node in (here, member, atom_here))
 
 
 # ---------------------------------------------------------------------------
