@@ -22,7 +22,15 @@ from .diagnostics import Diagnostic, Severity, error_at, has_errors
 from .emitter import emit
 from .metrics import BuildFailure, curve_as_csv, report_as_dict, savings
 from .model import validate_rule_set, validate_spec
-from .parsing import RULE_SUFFIXES, ParseError, SourceFile, parse_config, read_rule, rule_files
+from .parsing import (
+    LANGUAGE_BY_EXTENSION,
+    RULE_SUFFIXES,
+    ParseError,
+    SourceFile,
+    parse_config,
+    read_rule,
+    rule_files,
+)
 from .preprocessor import run_build
 from .tracecheck import compile_rules, load_trace, report, check_trace
 
@@ -146,14 +154,17 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     # not count as hand-written sources.
     meta_paths = sorted(
         p for p in meta_dir.rglob("*")
-        if p.is_file() and p.suffix in (".crysl", ".mcsl", ".ref", ".conf")
+        if p.is_file() and p.suffix in LANGUAGE_BY_EXTENSION
         and not any(part.startswith("_") for part in p.relative_to(meta_dir).parts)
     )
     configs = []
     for raw in args.configs:
         configs.append(parse_config(SourceFile.from_path(raw)))
 
+    unread: list[Path] = []
+
     def on_error(path: Path, exc: OSError | ParseError) -> None:
+        unread.append(path)
         if isinstance(exc, ParseError):
             _print_diagnostics([exc.diagnostic])
         else:
@@ -183,7 +194,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(f"savings:   {payload['savings_ratio']:.2f}")
         breakeven = "none yet" if result.breakeven is None else f"configuration {result.breakeven}"
         print(f"breakeven: {breakeven}")
-    return 0
+    return 1 if unread else 0
 
 
 def _cmd_fsm(args: argparse.Namespace) -> int:

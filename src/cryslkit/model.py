@@ -322,12 +322,8 @@ class ReplaceOrder(Record):
     loc: Loc | None = None
 
 
-class AddEnsures(Record):
-    predicate: PredicateRef
-    loc: Loc | None = None
-
-
-class AddRequires(Record):
+class AddPredicate(Record):
+    kind: str  # "ensures" | "requires"
     predicate: PredicateRef
     loc: Loc | None = None
 
@@ -345,8 +341,7 @@ RefinementOp = Union[
     AddConstraint,
     RemoveConstraint,
     ReplaceOrder,
-    AddEnsures,
-    AddRequires,
+    AddPredicate,
     RemovePredicate,
 ]
 

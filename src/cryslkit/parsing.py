@@ -26,9 +26,8 @@ from .diagnostics import Loc, LocatedError, Record
 from .model import (
     AbstractSpec,
     AddConstraint,
-    AddEnsures,
     AddEvent,
-    AddRequires,
+    AddPredicate,
     AggregateDecl,
     Alt,
     Atom,
@@ -556,7 +555,7 @@ def _refinement_op(sc: _Scanner) -> RefinementOp:
             return AddConstraint(_constraint(sc, abstract=True), loc=loc)
         if kind in ("ensures", "requires"):
             sc.take_word()
-            return (AddEnsures if kind == "ensures" else AddRequires)(_predicate(sc), loc=loc)
+            return AddPredicate(kind, _predicate(sc), loc=loc)
         sc.error(f"unknown op keyword 'add {kind}'", loc)
     if word == "remove":
         kind = sc.peek_word()

@@ -21,18 +21,14 @@ from .diagnostics import Diagnostic, Loc, LocatedError, Record, error_at
 from .model import (
     AbstractSpec,
     AddConstraint,
-    AddEnsures,
     AddEvent,
-    AddRequires,
-    AggregateDecl,
+    AddPredicate,
+    ConstraintExpr,
     CrySLSpec,
     DefineLiteralSet,
-    EventDecl,
     Implication,
     LiteralSet,
-    Membership,
     MetaVarRef,
-    ObjectDecl,
     RefinementSpec,
     RemoveConstraint,
     RemoveEvent,
@@ -41,7 +37,6 @@ from .model import (
     meta_var_names,
     simple_name,
     spec_as,
-    to_concrete,
     validate_spec,
     variation_points,
 )
@@ -105,53 +100,36 @@ def load(config) -> tuple[SpecRegistry, list[Diagnostic]]:
             )
             continue
 
+        table = registry.specs if directive.kind == "spec" else registry.refinements
+        unnamed = "<rule>" if directive.kind == "spec" else "<refinement>"
         for file_path in rule_files(target, suffixes):
             try:
                 if directive.kind == "spec":
-                    _register_spec(registry, spec_as(AbstractSpec, read_rule(file_path)), diags)
+                    loaded = [spec_as(AbstractSpec, read_rule(file_path))]
                 else:
-                    for refinement in parse_refinement(SourceFile.from_path(file_path)):
-                        _register_refinement(registry, refinement, diags)
+                    loaded = parse_refinement(SourceFile.from_path(file_path))
             except ParseError as exc:
                 diags.append(exc.diagnostic)
+                continue
+            for item in loaded:
+                if item.name in table:
+                    other = table[item.name].source_path or unnamed
+                    diags.append(
+                        error_at(item.source_path or unnamed, item.loc,
+                                 f"duplicate {directive.kind} name '{item.name}' "
+                                 f"(already loaded from {other})")
+                    )
+                    continue
+                table[item.name] = item
+                if directive.kind == "spec":
+                    diags.extend(validate_spec(item))
 
     return registry, diags
-
-
-def _register_spec(registry: SpecRegistry, spec: AbstractSpec, diags: list[Diagnostic]) -> None:
-    key = spec.name
-    if key in registry.specs:
-        other = registry.specs[key].source_path or "<rule>"
-        diags.append(
-            error_at(spec.source_path or "<rule>", spec.loc,
-                     f"duplicate spec name '{key}' (already loaded from {other})")
-        )
-        return
-    for diag in validate_spec(spec):
-        diags.append(diag)
-    registry.specs[key] = spec
-
-
-def _register_refinement(
-    registry: SpecRegistry, refinement: RefinementSpec, diags: list[Diagnostic]
-) -> None:
-    if refinement.name in registry.refinements:
-        other = registry.refinements[refinement.name].source_path or "<refinement>"
-        diags.append(
-            error_at(refinement.source_path or "<refinement>", refinement.loc,
-                     f"duplicate refinement name '{refinement.name}' (already loaded from {other})")
-        )
-        return
-    registry.refinements[refinement.name] = refinement
 
 
 # ---------------------------------------------------------------------------
 # Applying refinements
 # ---------------------------------------------------------------------------
-
-
-def _substitute_placeholder(text: str, param: str, replacement: str) -> str:
-    return text.replace(f"<{param}>", replacement)
 
 
 def _apply_type_binding(
@@ -164,25 +142,18 @@ def _apply_type_binding(
     When the binding covers the template's first parameter the SPEC header
     switches to the fully qualified bound class.
     """
+    placeholder = f"<{param}>"
     short = simple_name(fqn)
     objects = tuple(
-        ObjectDecl(_substitute_placeholder(o.type_name, param, fqn), o.var_name, loc=o.loc)
-        for o in spec.objects
+        o.replace(type_name=o.type_name.replace(placeholder, fqn)) for o in spec.objects
     )
     events = tuple(
-        EventDecl(
-            e.label,
-            e.return_binding,
-            _substitute_placeholder(e.method_name, param, short),
-            e.params,
-            loc=e.loc,
-        )
-        for e in spec.events
+        e.replace(method_name=e.method_name.replace(placeholder, short)) for e in spec.events
     )
     if renames_header:
         class_name = fqn
     else:
-        class_name = _substitute_placeholder(spec.class_name, param, fqn)
+        class_name = spec.class_name.replace(placeholder, fqn)
     return spec.replace(
         class_name=class_name,
         objects=objects,
@@ -192,21 +163,14 @@ def _apply_type_binding(
 
 
 def _resolve_meta_vars(spec: AbstractSpec, env: dict[str, LiteralSet]) -> AbstractSpec:
-    def resolve_membership(m: Membership) -> Membership:
-        if isinstance(m.values, MetaVarRef) and m.values.name in env:
-            return Membership(m.var, env[m.values.name], loc=m.loc)
-        return m
+    def resolve_constraint(c: ConstraintExpr) -> ConstraintExpr:
+        if isinstance(c, Implication):
+            return c.replace(lhs=resolve_constraint(c.lhs), rhs=resolve_constraint(c.rhs))
+        if isinstance(c.values, MetaVarRef) and c.values.name in env:
+            return c.replace(values=env[c.values.name])
+        return c
 
-    constraints = []
-    for constraint in spec.constraints:
-        if isinstance(constraint, Implication):
-            constraints.append(
-                Implication(resolve_membership(constraint.lhs),
-                            resolve_membership(constraint.rhs), loc=constraint.loc)
-            )
-        else:
-            constraints.append(resolve_membership(constraint))
-    return spec.replace(constraints=tuple(constraints))
+    return spec.replace(constraints=tuple(resolve_constraint(c) for c in spec.constraints))
 
 
 def apply_refinement(
@@ -222,13 +186,6 @@ def apply_refinement(
     meta-variable names bound for this base by earlier refinements in the
     same build; re-defining one of them is a conflict.
     """
-    spec, _ = _apply(base, refinement, already_bound)
-    return spec
-
-
-def _apply(
-    base: AbstractSpec, refinement: RefinementSpec, already_bound: frozenset[str]
-) -> tuple[AbstractSpec, set[str]]:
     path = refinement.source_path or "<refinement>"
 
     def fail(loc: Loc | None, message: str):
@@ -263,11 +220,10 @@ def _apply(
             events = spec.events + (op.event,)
             aggregates = spec.aggregates
             if op.aggregate is not None:
-                by_name = {agg.name: agg for agg in spec.aggregates}
-                if op.aggregate not in by_name:
+                if op.aggregate not in spec.aggregate_names():
                     fail(op.loc, f"unknown aggregate '{op.aggregate}'")
                 aggregates = tuple(
-                    AggregateDecl(agg.name, agg.alternatives + (op.event.label,), loc=agg.loc)
+                    agg.replace(alternatives=agg.alternatives + (op.event.label,))
                     if agg.name == op.aggregate
                     else agg
                     for agg in spec.aggregates
@@ -282,7 +238,7 @@ def _apply(
                 alternatives = tuple(a for a in agg.alternatives if a != op.label)
                 if not alternatives:
                     fail(op.loc, f"removing '{op.label}' would empty aggregate '{agg.name}'")
-                aggregates.append(AggregateDecl(agg.name, alternatives, loc=agg.loc))
+                aggregates.append(agg.replace(alternatives=alternatives))
             spec = spec.replace(events=events, aggregates=tuple(aggregates))
         elif isinstance(op, AddConstraint):
             spec = spec.replace(constraints=spec.constraints + (op.constraint,))
@@ -293,24 +249,18 @@ def _apply(
             spec = spec.replace(constraints=tuple(remaining))
         elif isinstance(op, ReplaceOrder):
             spec = spec.replace(order=op.order)
-        elif isinstance(op, AddEnsures):
-            spec = spec.replace(ensures=spec.ensures + (op.predicate,))
-        elif isinstance(op, AddRequires):
-            spec = spec.replace(requires=spec.requires + (op.predicate,))
+        elif isinstance(op, AddPredicate):
+            spec = spec.replace(**{op.kind: getattr(spec, op.kind) + (op.predicate,)})
         elif isinstance(op, RemovePredicate):
-            pool = spec.ensures if op.kind == "ensures" else spec.requires
+            pool = getattr(spec, op.kind)
             remaining = tuple(p for p in pool if p.name != op.name)
             if len(remaining) == len(pool):
                 fail(op.loc, f"no {op.kind} predicate named '{op.name}'")
-            if op.kind == "ensures":
-                spec = spec.replace(ensures=remaining)
-            else:
-                spec = spec.replace(requires=remaining)
+            spec = spec.replace(**{op.kind: remaining})
         else:  # pragma: no cover - exhaustive over RefinementOp
             fail(refinement.loc, f"unsupported refinement op {type(op).__name__}")
 
-    spec = _resolve_meta_vars(spec, env)
-    return spec, set(env)
+    return _resolve_meta_vars(spec, env)
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +273,25 @@ def resolve(registry: SpecRegistry) -> BuildResult:
 
     Refinements run in load order, each against the pristine base; abstract
     rules never targeted by a refinement pass through unchanged when they
-    have no variation points and are an error otherwise. Every generated
-    rule is validated before it enters the result.
+    have no variation points and are an error otherwise. Every rule a
+    refinement generates is validated before it enters the result (``load``
+    validated the others).
     """
     diags: list[Diagnostic] = []
     generated: list[tuple[str, CrySLSpec]] = []
     file_names: dict[str, str] = {}
-    bound: dict[str, set[str]] = {}
-    targeted: set[str] = set()
+    bound: dict[str, set[str]] = {}  # targeted base -> meta-variables bound so far
     applied = 0
 
-    def add_output(file_name: str, spec: CrySLSpec, origin: str) -> None:
+    def add_output(name: str, spec: CrySLSpec, kind: str, path: str, loc: Loc | None) -> None:
+        file_name = f"{name}.crysl"
         if file_name in file_names:
             diags.append(
-                error_at(origin, None,
+                error_at(path, loc,
                          f"output file '{file_name}' already produced by {file_names[file_name]}")
             )
             return
-        file_names[file_name] = origin
+        file_names[file_name] = f"{kind} '{name}'"
         generated.append((file_name, spec))
 
     for refinement in registry.refinements.values():
@@ -352,20 +303,20 @@ def resolve(registry: SpecRegistry) -> BuildResult:
                 error_at(path, refinement.loc, f"base spec not found: '{refinement.base_name}'")
             )
             continue
-        targeted.add(base_key)
+        base_bound = bound.setdefault(base_key, set())
         try:
-            spec, newly_bound = _apply(base, refinement, frozenset(bound.get(base_key, set())))
+            spec = apply_refinement(base, refinement, frozenset(base_bound))
         except RefinementError as exc:
             diags.append(exc.diagnostic)
             continue
-        bound.setdefault(base_key, set()).update(newly_bound)
+        base_bound.update(op.name for op in refinement.ops if isinstance(op, DefineLiteralSet))
         unbound = variation_points(spec)
         if unbound:
             diags.append(
                 error_at(path, refinement.loc, f"unbound {', '.join(unbound)} in '{refinement.name}'")
             )
             continue
-        concrete = to_concrete(spec)
+        concrete = spec_as(CrySLSpec, spec)
         rule_diags = validate_spec(concrete)
         if rule_diags:
             diags.extend(rule_diags)
@@ -375,10 +326,10 @@ def resolve(registry: SpecRegistry) -> BuildResult:
             )
             continue
         applied += 1
-        add_output(f"{refinement.name}.crysl", concrete, f"refinement '{refinement.name}'")
+        add_output(refinement.name, concrete, "refinement", path, refinement.loc)
 
     for key, spec in registry.specs.items():
-        if key in targeted:
+        if key in bound:
             continue
         path = spec.source_path or "<rule>"
         unbound = variation_points(spec)
@@ -388,7 +339,7 @@ def resolve(registry: SpecRegistry) -> BuildResult:
                          f"unbound {', '.join(unbound)} in '{key}' (no covering refinement)")
             )
             continue
-        add_output(f"{key}.crysl", to_concrete(spec), f"spec '{key}'")
+        add_output(key, spec_as(CrySLSpec, spec), "spec", path, spec.loc)
 
     stats = BuildStats(
         specs_loaded=len(registry.specs),

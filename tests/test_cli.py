@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cryslkit.cli import main
+from cryslkit.parsing import SourceFile
 
 from conftest import REPO_ROOT, wide_rule_text
 
@@ -109,6 +112,31 @@ def test_build_records_a_rule_file_that_is_not_utf8_and_goes_on(tmp_path, capsys
     assert code == 1
     assert f"{latin1}:2:7: error: byte 0xe9 is not valid UTF-8" in err.splitlines()
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["Y.crysl"]
+
+
+def test_build_locates_an_output_name_collision_at_the_colliding_spec(tmp_path, capsys):
+    (tmp_path / "base").mkdir()
+    (tmp_path / "base" / "X.crysl").write_text(
+        "SPEC X\nOBJECTS\n    int a;\nEVENTS\n    e : go(a);\nORDER\n    e\n", encoding="utf-8"
+    )
+    cipher = tmp_path / "base" / "Cipher.crysl"
+    cipher.write_text(
+        "// the cipher rule\n\nSPEC javax.crypto.Cipher\nOBJECTS\n    int a;\n"
+        "EVENTS\n    e : go(a);\nORDER\n    e\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "refs").mkdir()
+    (tmp_path / "refs" / "c.ref").write_text("SPEC Cipher REFINES X;\n", encoding="utf-8")
+    conf = tmp_path / "clash.conf"
+    conf.write_text(
+        "config clash {\n  src = .;\n  out = out/;\n  load spec base/;\n"
+        "  load refinement refs/;\n}",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "build", str(conf))
+    assert code == 1
+    assert err.splitlines()[0] == (f"{cipher}:3:1: error: output file 'Cipher.crysl' "
+                                   "already produced by refinement 'Cipher'")
 
 
 def test_build_stdout_is_reproducible(corpus_copy, capsys):
@@ -288,9 +316,29 @@ def test_metrics_reports_a_meta_file_that_is_not_utf8_and_goes_on(corpus_copy, c
     latin1 = root / "notes.mcsl"
     latin1.write_bytes(b"// caf\xe9\n")
     code, out, err = run_cli(capsys, "metrics", "--meta", str(root), "--configs", conf, "--json")
-    assert code == 0
+    assert code == 1
     assert out == expected
     assert err == f"{latin1}:1:7: error: byte 0xe9 is not valid UTF-8\n"
+
+
+def test_metrics_names_an_unreadable_meta_file_and_exits_1(corpus_copy, capsys, monkeypatch):
+    root = corpus_copy / "jca-android"
+    conf = str(root / "base0108.conf")
+    _, expected, _ = run_cli(capsys, "metrics", "--meta", str(root), "--configs", conf)
+    locked = root / "locked.ref"
+    locked.write_text("// hand-written\n", encoding="utf-8")
+    from_path = SourceFile.from_path.__func__
+
+    def refuse_locked(cls, path):
+        if Path(path) == locked:
+            raise PermissionError(13, "Permission denied", str(path))
+        return from_path(cls, path)
+
+    monkeypatch.setattr(SourceFile, "from_path", classmethod(refuse_locked))
+    code, out, err = run_cli(capsys, "metrics", "--meta", str(root), "--configs", conf)
+    assert code == 1
+    assert out == expected
+    assert err == f"{locked}: unreadable: [Errno 13] Permission denied: '{locked}'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +440,15 @@ def test_module_entry_point_matches_in_process(corpus_copy):
 def test_cli_imports_no_dataclasses():
     # Records share one base; a dataclass anywhere on the import path of
     # the command line would pay dataclass code generation at every start.
+    # The runtime is stdlib-only: -S keeps site's .pth imports out of the count.
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cryslkit.cli; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-S", "-c",
+         "import sys, cryslkit.cli; print('dataclasses' in sys.modules); "
+         "print(sorted({name.partition('.')[0] for name in sys.modules}"
+         " - set(sys.stdlib_module_names)))"],
         capture_output=True, text=True, cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "False\n['__main__', 'cryslkit']\n", ""
+    )

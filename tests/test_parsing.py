@@ -281,11 +281,13 @@ SPEC Extended REFINES com.example.Api {
     kinds = [type(op).__name__ for op in ops]
     assert kinds == [
         "DefineLiteralSet", "AddEvent", "RemoveEvent", "AddConstraint",
-        "RemoveConstraint", "ReplaceOrder", "AddEnsures", "AddRequires",
+        "RemoveConstraint", "ReplaceOrder", "AddPredicate", "AddPredicate",
         "RemovePredicate", "RemovePredicate",
     ]
     assert ops[1].aggregate == "Gets"
     assert ops[5].order == Seq((Atom("g1"), Plus(Atom("g3"))))
+    assert (ops[6].kind, ops[6].predicate.name) == ("ensures", "done")
+    assert (ops[7].kind, ops[7].predicate.name) == ("requires", "ready")
     assert (ops[8].kind, ops[8].name) == ("ensures", "old")
     assert (ops[9].kind, ops[9].name) == ("requires", "stale")
 

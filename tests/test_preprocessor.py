@@ -151,14 +151,37 @@ def test_remove_and_replace_ops():
         'SPEC MD REFINES java.security.MessageDigest {'
         ' define AlgSet = {"SHA-256"};'
         ' remove event g2;'
-        ' replace order g1, u1+, d1;'
-        ' remove ensures digested;'
-        ' add ensures hashed[out]; }'
+        ' replace order g1, u1+, d1; }'
     )[0]
     refined = apply_refinement(base, refinement)
     assert [e.label for e in refined.events] == ["g1", "u1", "d1"]
     assert refined.aggregates[0].alternatives == ("g1",)
-    assert [p.name for p in refined.ensures] == ["hashed"]
+
+
+@pytest.mark.parametrize(
+    "kind, present, other", [("ensures", "digested", "requires"), ("requires", "seeded", "ensures")]
+)
+def test_predicate_ops_edit_their_own_section(kind, present, other):
+    base = mcsl(ABSTRACT_MESSAGEDIGEST.replace("ENSURES\n", "REQUIRES\n    seeded[data];\nENSURES\n"))
+    refinement = refs(
+        'SPEC MD REFINES java.security.MessageDigest {'
+        ' define AlgSet = {"SHA-256"};'
+        f' add {kind} hashed[out];'
+        f' remove {kind} {present}; }}'
+    )[0]
+    refined = apply_refinement(base, refinement)
+    assert [(p.name, p.args) for p in getattr(refined, kind)] == [("hashed", ("out",))]
+    assert getattr(refined, other) == getattr(base, other)
+
+    twice = refs(
+        f"SPEC MD REFINES java.security.MessageDigest {{\n"
+        f"    remove {kind} {present};\n    remove {kind} {present};\n}}"
+    )[0]
+    with pytest.raises(RefinementError) as err:
+        apply_refinement(base, twice)
+    assert err.value.diagnostic.render() == (
+        f"r.ref:3:5: error: no {kind} predicate named '{present}'"
+    )
 
 
 def test_remove_constraint_matches_structurally():
@@ -291,6 +314,32 @@ def test_same_base_refinements_keep_load_order():
     ) == dict((n, pretty_print(s)) for n, s in backward.generated)
 
 
+def test_meta_variables_stay_bound_across_refinements_of_one_base():
+    base = mcsl(ABSTRACT_MESSAGEDIGEST.replace(
+        "algorithm in $AlgSet;", "algorithm in $AlgSet;\n    digestAlg in $Other;"
+    ))
+
+    def build(*bodies):
+        text = "\n".join(
+            f"SPEC MD{i} REFINES java.security.MessageDigest {{ {body} }}"
+            for i, body in enumerate(bodies, 1)
+        )
+        result = resolve(registry_of([base], refs(text)))
+        return [n for n, _ in result.generated], [d.render() for d in result.diagnostics]
+
+    keep_alg = 'define AlgSet = {"SHA-256"}; remove constraint digestAlg in $Other;'
+    keep_other = 'define Other = {"SHA-1"}; remove constraint algorithm in $AlgSet;'
+    assert build(keep_alg, keep_alg) == (
+        ["MD1.crysl"],
+        ["r.ref:2:48: error: meta-variable '$AlgSet' is already bound for 'MessageDigest'"],
+    )
+    assert build(keep_alg, keep_other) == (["MD1.crysl", "MD2.crysl"], [])
+    # A refinement that fails binds nothing.
+    assert build(keep_alg + " remove event nope;", keep_alg) == (
+        ["MD2.crysl"], ["r.ref:1:116: error: unknown event 'nope'"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # load
 # ---------------------------------------------------------------------------
@@ -328,6 +377,32 @@ def test_loading_same_refinement_directory_twice_is_duplicate_error(tmp_path):
     registry, diags = load(config)
     assert any("duplicate refinement name" in d.message for d in diags)
     assert len(registry.refinements) == 1
+
+
+def test_loading_same_spec_directory_twice_reports_each_duplicate_once(tmp_path):
+    (tmp_path / "base").mkdir()
+    bad = tmp_path / "base" / "bad.crysl"
+    bad.write_text(
+        "\nSPEC org.example.Bad\nOBJECTS\n    int a;\nEVENTS\n    e : go(b);\nORDER\n    e, f\n",
+        encoding="utf-8",
+    )
+    ok = tmp_path / "base" / "ok.crysl"
+    ok.write_text(
+        "SPEC org.example.Ok\nOBJECTS\n    int a;\nEVENTS\n    e : go(a);\nORDER\n    e\n",
+        encoding="utf-8",
+    )
+    config = _config(
+        "config x {\n  src = .;\n  out = out/;\n  load spec base/;\n  load spec base/;\n}",
+        tmp_path / "x.conf",
+    )
+    registry, diags = load(config)
+    assert [d.render() for d in diags] == [
+        f"{bad}:6:5: error: parameter 'b' is not a declared object",
+        f"{bad}:8:8: error: unresolved label 'f'",
+        f"{bad}:2:1: error: duplicate spec name 'Bad' (already loaded from {bad})",
+        f"{ok}:1:1: error: duplicate spec name 'Ok' (already loaded from {ok})",
+    ]
+    assert list(registry.specs) == ["Bad", "Ok"]
 
 
 def test_missing_src_directory_is_reported(tmp_path):
