@@ -31,7 +31,6 @@ from .metrics import (
     savings,
 )
 from .model import (
-    AbstractSpec,
     AggregateDecl,
     BuildConfig,
     CrySLSpec,
@@ -42,10 +41,9 @@ from .model import (
     ObjectDecl,
     PredicateRef,
     RefinementSpec,
-    has_variation_points,
-    to_concrete,
     validate_rule_set,
     validate_spec,
+    variation_points,
 )
 from .parsing import (
     ParseError,

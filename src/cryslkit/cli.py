@@ -28,6 +28,7 @@ from .parsing import (
     ParseError,
     SourceFile,
     parse_config,
+    parse_crysl,
     read_rule,
     rule_files,
 )
@@ -49,14 +50,14 @@ def _is_file(path: Path) -> bool:
     return False
 
 
-def _read_rules(files: list[Path], concrete: bool = False) -> tuple[list, list[Diagnostic]]:
+def _read_rules(files: list[Path]) -> tuple[list, list[Diagnostic]]:
     """Parse and validate each rule file; a file that fails to parse is
     reported and left out."""
     specs = []
     diags: list[Diagnostic] = []
     for path in files:
         try:
-            spec = read_rule(path, concrete)
+            spec = read_rule(path)
         except ParseError as exc:
             diags.append(exc.diagnostic)
             continue
@@ -201,11 +202,11 @@ def _cmd_fsm(args: argparse.Namespace) -> int:
     path = Path(args.rule)
     if not _is_file(path):
         return 2
-    specs, diags = _read_rules([path], concrete=True)
+    spec = parse_crysl(SourceFile.from_path(path))
+    diags = validate_spec(spec)
     _print_diagnostics(diags)
     if has_errors(diags):
         return 1
-    spec = specs[0]
     try:
         automaton = compile_order(spec.order, spec.aggregates)
     except StateLimitError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from .model import (
-    AbstractSpec,
     Atom,
     ConstraintExpr,
     CrySLSpec,
@@ -29,7 +28,7 @@ from .model import (
     Star,
     VarRef,
     Wildcard,
-    has_variation_points,
+    variation_points,
 )
 
 _INDENT = "    "
@@ -101,19 +100,11 @@ def render_order(expr: OrderExpr, _prec: int = _PREC_ALT) -> str:
 
 
 def pretty_print(spec: CrySLSpec) -> str:
-    """Render a rule in canonical form.
-
-    Accepts abstract rules (variation points are rendered back as written);
-    a plain :class:`CrySLSpec` that smuggles variation-point tokens is a
-    programming error and is rejected.
-    """
-    if not isinstance(spec, AbstractSpec) and has_variation_points(spec):
-        raise ValueError(f"concrete rule {spec.name} contains variation-point tokens")
-
-    type_params = spec.type_params if isinstance(spec, AbstractSpec) else ()
+    """Render a rule in canonical form; variation points are rendered back as
+    written, and type parameters make an ``ABSTRACT`` header."""
     header = f"SPEC {spec.class_name}"
-    if type_params:
-        header = f"ABSTRACT {header}<{', '.join(type_params)}>"
+    if spec.type_params:
+        header = f"ABSTRACT {header}<{', '.join(spec.type_params)}>"
 
     sections: list[list[str]] = [[header]]
 
@@ -145,7 +136,8 @@ def emit(result, out: str | Path) -> list[Path]:
 
     Creates the output root if absent and returns the written paths in
     emission order. File names come from the build result and never contain
-    path separators, so emission cannot escape the output root.
+    path separators, so emission cannot escape the output root. A rule that
+    still has variation points is a ``ValueError`` before it is written.
     """
     root = Path(out)
     root.mkdir(parents=True, exist_ok=True)
@@ -153,6 +145,9 @@ def emit(result, out: str | Path) -> list[Path]:
     for file_name, spec in result.generated:
         if Path(file_name).name != file_name:
             raise ValueError(f"output file name '{file_name}' escapes the output root")
+        leftovers = variation_points(spec)
+        if leftovers:
+            raise ValueError(f"rule {spec.name} still has variation points: {', '.join(leftovers)}")
         target = root / file_name
         target.write_text(pretty_print(spec), encoding="utf-8", newline="\n")
         written.append(target)

@@ -2,11 +2,11 @@
 
 Four surface languages share these types:
 
-* concrete CrySL rules (``.crysl``) parse to :class:`CrySLSpec`,
-* abstract CrySL rules (``.mcsl``) parse to :class:`AbstractSpec`, which adds
-  type parameters and permits meta-variables (``$Name``) in literal-set
-  positions and type-parameter placeholders (``<T>``) in type and method
-  positions,
+* CrySL rules (``.crysl``) and abstract rules (``.mcsl``) both parse to
+  :class:`CrySLSpec`. An abstract rule may declare type parameters and use
+  meta-variables (``$Name``) in literal-set positions and type-parameter
+  placeholders (``<T>``) in type and method positions; a rule is abstract
+  exactly while :func:`variation_points` finds any of them,
 * refinement files (``.ref``) parse to :class:`RefinementSpec`,
 * build configurations (``.conf``) parse to :class:`BuildConfig`.
 
@@ -170,7 +170,8 @@ class PredicateRef(Record):
 
 
 class CrySLSpec(Record):
-    """One concrete usage rule for a single class."""
+    """One usage rule for a single class. ``type_params`` makes it a template
+    that cannot be emitted until every parameter is bound to a class name."""
 
     class_name: str
     objects: tuple[ObjectDecl, ...]
@@ -183,6 +184,7 @@ class CrySLSpec(Record):
     source_path: str | None = None
     loc: Loc | None = None
     order_loc: Loc | None = None  # ORDER keyword
+    type_params: tuple[str, ...] = ()
 
     @property
     def name(self) -> str:
@@ -197,16 +199,6 @@ class CrySLSpec(Record):
 
     def declared_vars(self) -> set[str]:
         return {o.var_name for o in self.objects}
-
-
-class AbstractSpec(CrySLSpec):
-    """A rule with variation points: meta-variables and type parameters.
-
-    A spec with a nonempty ``type_params`` list is a template and cannot be
-    emitted until every parameter is bound to a qualified class name.
-    """
-
-    type_params: tuple[str, ...] = ()
 
 
 def constraint_memberships(constraint: ConstraintExpr) -> Iterator[Membership]:
@@ -254,33 +246,8 @@ def variation_points(spec: CrySLSpec) -> list[str]:
     (``$Name``), then placeholders and type parameters (``<T>``)."""
     points = [f"${name}" for name in meta_var_names(spec)]
     points += [f"<{name}>" for name in placeholder_names(spec)]
-    if isinstance(spec, AbstractSpec):
-        points += [f"<{name}>" for name in spec.type_params]
+    points += [f"<{name}>" for name in spec.type_params]
     return list(dict.fromkeys(points))
-
-
-def has_variation_points(spec: CrySLSpec) -> bool:
-    return bool(variation_points(spec))
-
-
-def spec_as(spec_type: type[CrySLSpec], spec: CrySLSpec) -> CrySLSpec:
-    """``spec`` itself if it is a ``spec_type``, else a ``spec_type`` with its
-    :class:`CrySLSpec` fields (an :class:`AbstractSpec` gets no type parameters)."""
-    if type(spec) is spec_type:
-        return spec
-    return spec_type(**{name: getattr(spec, name) for name in CrySLSpec._fields})
-
-
-def to_concrete(spec: CrySLSpec) -> CrySLSpec:
-    """Strip an abstract rule with no remaining variation points down to a
-    plain :class:`CrySLSpec`. Raises ``ValueError`` if variation points remain.
-    """
-    leftovers = variation_points(spec)
-    if leftovers:
-        raise ValueError(
-            f"rule {spec.name} still has variation points: {', '.join(leftovers)}"
-        )
-    return spec_as(CrySLSpec, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +357,7 @@ def validate_spec(spec: CrySLSpec) -> list[Diagnostic]:
     """All structural problems of a single rule, ordered by source location.
 
     Validation never stops at the first problem; an empty result means the
-    rule is well formed. Works on both concrete and abstract rules.
+    rule is well formed. Works on abstract rules as well.
     """
     path = spec.source_path or "<rule>"
     diags: list[Diagnostic] = []
@@ -432,7 +399,6 @@ def validate_spec(spec: CrySLSpec) -> list[Diagnostic]:
         if atom.label not in resolvable:
             err(atom.loc, f"unresolved label '{atom.label}'")
 
-    type_params = spec.type_params if isinstance(spec, AbstractSpec) else ()
     for constraint in spec.constraints:
         if isinstance(constraint, Implication):
             for side in (constraint.lhs, constraint.rhs):
@@ -450,7 +416,7 @@ def validate_spec(spec: CrySLSpec) -> list[Diagnostic]:
                 err(pred.loc, f"predicate argument '{arg}' is not a declared object")
 
     for placeholder in placeholder_names(spec):
-        if placeholder not in type_params:
+        if placeholder not in spec.type_params:
             err(spec.loc, f"type parameter '{placeholder}' is not declared")
 
     diags.sort(key=_sort_key)

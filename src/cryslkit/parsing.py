@@ -1,14 +1,14 @@
 """Parsers for the four surface languages.
 
-Dispatch is by file extension: ``.crysl`` concrete rules, ``.mcsl`` abstract
-rules, ``.ref`` refinement files, ``.conf`` build configurations. The grammar
+Dispatch is by file extension: ``.crysl`` rules, ``.mcsl`` abstract rules,
+``.ref`` refinement files, ``.conf`` build configurations. The grammar
 reference in ``docs/grammar.md`` is normative for this toolchain; all four
 languages share ``//`` end-of-line comments, double-quoted string literals and
 decimal integer literals.
 
-The abstract grammar is a strict superset of the concrete one: any ``.crysl``
-text also parses as ``.mcsl``, yielding an :class:`~cryslkit.model.AbstractSpec`
-without variation points.
+Both rule grammars yield a :class:`~cryslkit.model.CrySLSpec`. The abstract
+grammar is a strict superset of the ``.crysl`` one: any ``.crysl`` text also
+parses as ``.mcsl``, to an equal rule without variation points.
 
 Parsers are pure functions of the input text. The first syntax error aborts
 the file and is raised as :class:`ParseError`, which carries a diagnostic
@@ -24,7 +24,6 @@ from typing import NoReturn
 
 from .diagnostics import Loc, LocatedError, Record
 from .model import (
-    AbstractSpec,
     AddConstraint,
     AddEvent,
     AddPredicate,
@@ -145,12 +144,12 @@ def rule_files(path: Path, suffixes: tuple[str, ...]) -> list[Path]:
     return sorted(files, key=lambda p: p.as_posix())
 
 
-def read_rule(path: str | Path, concrete: bool = False) -> CrySLSpec:
-    """Parse a rule file by its language: ``.crysl`` as a concrete rule, any
-    other extension as ``.mcsl`` (only ``.crysl`` when ``concrete``); an
-    extension of the wrong language is a ``ValueError``."""
+def read_rule(path: str | Path) -> CrySLSpec:
+    """Parse a rule file by its language: ``.crysl`` as a CrySL rule, any other
+    extension as ``.mcsl``; an extension of the wrong language is a
+    ``ValueError``."""
     source = SourceFile.from_path(path)
-    if concrete or source.language == "crysl":
+    if source.language == "crysl":
         return parse_crysl(source)
     return parse_abstract(source)
 
@@ -496,8 +495,7 @@ def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
     if not sc.eof():
         sc.error(f"unexpected text after rule: {sc._describe_next()}")
 
-    spec_type, extra = (AbstractSpec, {"type_params": params}) if abstract else (CrySLSpec, {})
-    return spec_type(
+    return CrySLSpec(
         class_name=class_name,
         objects=tuple(objects),
         events=tuple(events),
@@ -509,24 +507,22 @@ def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
         source_path=source.path,
         loc=spec_loc,
         order_loc=order_loc,
-        **extra,
+        type_params=params,
     )
 
 
 def parse_crysl(source: SourceFile) -> CrySLSpec:
-    """Parse one concrete rule. Raises :class:`ParseError` on bad syntax."""
+    """Parse one CrySL rule. Raises :class:`ParseError` on bad syntax."""
     if source.language != "crysl":
         raise ValueError(f"{source.path}: expected a .crysl source, got {source.language}")
     return _parse_rule(source, abstract=False)
 
 
-def parse_abstract(source: SourceFile) -> AbstractSpec:
-    """Parse one abstract rule; accepts every concrete rule as well."""
+def parse_abstract(source: SourceFile) -> CrySLSpec:
+    """Parse one abstract rule; accepts every ``.crysl`` rule as well."""
     if source.language != "abstract":
         raise ValueError(f"{source.path}: expected a .mcsl source, got {source.language}")
-    spec = _parse_rule(source, abstract=True)
-    assert isinstance(spec, AbstractSpec)
-    return spec
+    return _parse_rule(source, abstract=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .diagnostics import Diagnostic, Loc, LocatedError, Record, error_at
 from .model import (
-    AbstractSpec,
     AddConstraint,
     AddEvent,
     AddPredicate,
@@ -36,7 +35,6 @@ from .model import (
     ReplaceOrder,
     meta_var_names,
     simple_name,
-    spec_as,
     validate_spec,
     variation_points,
 )
@@ -48,13 +46,15 @@ class RefinementError(LocatedError):
 
 
 class SpecRegistry:
-    """Everything a build loaded, keyed by name, in load order."""
+    """Everything a build loaded, keyed by name, in load order; ``invalid``
+    names the specs whose validation reported errors."""
 
-    __slots__ = ("specs", "refinements")
+    __slots__ = ("specs", "refinements", "invalid")
 
     def __init__(self) -> None:
-        self.specs: dict[str, AbstractSpec] = {}
+        self.specs: dict[str, CrySLSpec] = {}
         self.refinements: dict[str, RefinementSpec] = {}
+        self.invalid: set[str] = set()
 
 
 class BuildStats(Record):
@@ -105,7 +105,7 @@ def load(config) -> tuple[SpecRegistry, list[Diagnostic]]:
         for file_path in rule_files(target, suffixes):
             try:
                 if directive.kind == "spec":
-                    loaded = [spec_as(AbstractSpec, read_rule(file_path))]
+                    loaded = [read_rule(file_path)]
                 else:
                     loaded = parse_refinement(SourceFile.from_path(file_path))
             except ParseError as exc:
@@ -122,7 +122,10 @@ def load(config) -> tuple[SpecRegistry, list[Diagnostic]]:
                     continue
                 table[item.name] = item
                 if directive.kind == "spec":
-                    diags.extend(validate_spec(item))
+                    problems = validate_spec(item)
+                    if problems:
+                        registry.invalid.add(item.name)
+                    diags.extend(problems)
 
     return registry, diags
 
@@ -133,8 +136,8 @@ def load(config) -> tuple[SpecRegistry, list[Diagnostic]]:
 
 
 def _apply_type_binding(
-    spec: AbstractSpec, param: str, fqn: str, renames_header: bool
-) -> AbstractSpec:
+    spec: CrySLSpec, param: str, fqn: str, renames_header: bool
+) -> CrySLSpec:
     """Substitute one type parameter everywhere it can occur.
 
     Object types take the fully qualified name; method-name positions take
@@ -162,7 +165,7 @@ def _apply_type_binding(
     )
 
 
-def _resolve_meta_vars(spec: AbstractSpec, env: dict[str, LiteralSet]) -> AbstractSpec:
+def _resolve_meta_vars(spec: CrySLSpec, env: dict[str, LiteralSet]) -> CrySLSpec:
     def resolve_constraint(c: ConstraintExpr) -> ConstraintExpr:
         if isinstance(c, Implication):
             return c.replace(lhs=resolve_constraint(c.lhs), rhs=resolve_constraint(c.rhs))
@@ -174,10 +177,10 @@ def _resolve_meta_vars(spec: AbstractSpec, env: dict[str, LiteralSet]) -> Abstra
 
 
 def apply_refinement(
-    base: AbstractSpec,
+    base: CrySLSpec,
     refinement: RefinementSpec,
     already_bound: frozenset[str] = frozenset(),
-) -> AbstractSpec:
+) -> CrySLSpec:
     """Apply one refinement to a copy of its base rule.
 
     Operations run in listed order; the result is renamed after the
@@ -271,11 +274,11 @@ def apply_refinement(
 def resolve(registry: SpecRegistry) -> BuildResult:
     """Generate concrete rules from a loaded registry.
 
-    Refinements run in load order, each against the pristine base; abstract
-    rules never targeted by a refinement pass through unchanged when they
-    have no variation points and are an error otherwise. Every rule a
-    refinement generates is validated before it enters the result (``load``
-    validated the others).
+    Refinements run in load order, each against the pristine base; rules
+    never targeted by a refinement pass through unchanged when they have no
+    variation points and are an error otherwise. Every rule a refinement
+    generates is validated before it enters the result; an untargeted rule
+    enters it only if ``load`` found it valid.
     """
     diags: list[Diagnostic] = []
     generated: list[tuple[str, CrySLSpec]] = []
@@ -283,7 +286,7 @@ def resolve(registry: SpecRegistry) -> BuildResult:
     bound: dict[str, set[str]] = {}  # targeted base -> meta-variables bound so far
     applied = 0
 
-    def add_output(name: str, spec: CrySLSpec, kind: str, path: str, loc: Loc | None) -> None:
+    def add_output(name: str, spec: CrySLSpec | None, kind: str, path: str, loc: Loc | None) -> None:
         file_name = f"{name}.crysl"
         if file_name in file_names:
             diags.append(
@@ -292,7 +295,8 @@ def resolve(registry: SpecRegistry) -> BuildResult:
             )
             return
         file_names[file_name] = f"{kind} '{name}'"
-        generated.append((file_name, spec))
+        if spec is not None:
+            generated.append((file_name, spec))
 
     for refinement in registry.refinements.values():
         path = refinement.source_path or "<refinement>"
@@ -316,8 +320,7 @@ def resolve(registry: SpecRegistry) -> BuildResult:
                 error_at(path, refinement.loc, f"unbound {', '.join(unbound)} in '{refinement.name}'")
             )
             continue
-        concrete = spec_as(CrySLSpec, spec)
-        rule_diags = validate_spec(concrete)
+        rule_diags = validate_spec(spec)
         if rule_diags:
             diags.extend(rule_diags)
             diags.append(
@@ -326,7 +329,7 @@ def resolve(registry: SpecRegistry) -> BuildResult:
             )
             continue
         applied += 1
-        add_output(refinement.name, concrete, "refinement", path, refinement.loc)
+        add_output(refinement.name, spec, "refinement", path, refinement.loc)
 
     for key, spec in registry.specs.items():
         if key in bound:
@@ -339,7 +342,8 @@ def resolve(registry: SpecRegistry) -> BuildResult:
                          f"unbound {', '.join(unbound)} in '{key}' (no covering refinement)")
             )
             continue
-        add_output(key, spec_as(CrySLSpec, spec), "spec", path, spec.loc)
+        # An invalid spec is never emitted, but still claims its file name.
+        add_output(key, None if key in registry.invalid else spec, "spec", path, spec.loc)
 
     stats = BuildStats(
         specs_loaded=len(registry.specs),

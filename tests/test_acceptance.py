@@ -202,21 +202,22 @@ def test_automaton_against_oracle():
 
 
 def _bundled_rule_sources():
+    """Each bundled rule with the language it round-trips through: ``.mcsl``
+    sources as abstract rules, generated rules as CrySL rules."""
     for path in sorted(CORPUS.rglob("*.mcsl")):
-        yield parse_abstract(SourceFile.from_path(path))
+        yield "abstract", parse_abstract(SourceFile.from_path(path))
     for conf in sorted(CORPUS.rglob("*.conf")):
         _, result = build_config(conf)
         for _, spec in result.generated:
-            yield spec
+            yield "crysl", spec
 
 
 @criterion(7, "parse/pretty-print round trip holds on the corpus and 500 random rules")
 def test_round_trip_property():
     failures = 0
     checked = 0
-    for spec in _bundled_rule_sources():
+    for language, spec in _bundled_rule_sources():
         text = pretty_print(spec)
-        language = "abstract" if type(spec).__name__ == "AbstractSpec" else "crysl"
         parse = parse_abstract if language == "abstract" else parse_crysl
         again = parse(SourceFile.for_text(text, language, "roundtrip"))
         if again != spec or pretty_print(again) != text:

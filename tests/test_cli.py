@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cryslkit.cli import main
-from cryslkit.parsing import SourceFile
+from cryslkit.parsing import ParseError, SourceFile, parse_config
 
 from conftest import REPO_ROOT, wide_rule_text
 
@@ -137,6 +141,53 @@ def test_build_locates_an_output_name_collision_at_the_colliding_spec(tmp_path, 
     assert code == 1
     assert err.splitlines()[0] == (f"{cipher}:3:1: error: output file 'Cipher.crysl' "
                                    "already produced by refinement 'Cipher'")
+
+
+def test_build_never_lists_or_writes_a_spec_that_failed_validation(tmp_path, capsys, monkeypatch):
+    import cryslkit.preprocessor as preprocessor
+    from cryslkit.model import validate_spec
+
+    (tmp_path / "base").mkdir()
+    bad = tmp_path / "base" / "Bad.crysl"
+    bad.write_text(
+        "\nSPEC org.example.Bad\nOBJECTS\n    int a;\nEVENTS\n    e : go(b);\nORDER\n    e, f\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "base" / "Ok.crysl").write_text(
+        "SPEC org.example.Ok\nOBJECTS\n    int a;\nEVENTS\n    e : go(a);\nORDER\n    e\n",
+        encoding="utf-8",
+    )
+    conf = tmp_path / "fam.conf"
+    conf.write_text(
+        "config fam {\n  src = .;\n  out = out/;\n  load spec base/;\n}", encoding="utf-8"
+    )
+    diagnostics = [f"{bad}:6:5: error: parameter 'b' is not a declared object",
+                   f"{bad}:8:8: error: unresolved label 'f'"]
+    validated = []
+
+    def counting_validate(spec):
+        validated.append(spec.name)
+        return validate_spec(spec)
+
+    monkeypatch.setattr(preprocessor, "validate_spec", counting_validate)
+    code, out, err = run_cli(capsys, "build", str(conf))
+    assert code == 1
+    assert out == f"{tmp_path / 'out' / 'Ok.crysl'}\n"
+    assert err.splitlines() == diagnostics + ["fam: wrote 1 file(s)"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["Ok.crysl"]
+    assert sorted(validated) == ["Bad", "Ok"]  # each spec validated once
+
+    code, out, err = run_cli(capsys, "build", str(conf), "--dry-run", "--json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["files"] == [str(tmp_path / "out" / "Ok.crysl")]
+    assert payload["stats"]["specs_emitted"] == 1
+
+    code, out, err = run_cli(capsys, "metrics", "--meta", str(tmp_path / "base"),
+                             "--configs", str(conf))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[:2] == diagnostics
 
 
 def test_build_stdout_is_reproducible(corpus_copy, capsys):
@@ -394,6 +445,18 @@ def test_fsm_rule_that_is_a_directory_exits_2(tmp_path, capsys):
     assert err == f"{tmp_path}: is a directory, expected a file\n"
 
 
+@pytest.mark.parametrize("suffix, problem", [
+    (".mcsl", "expected a .crysl source, got abstract"),
+    (".txt", "unknown rule-file extension '.txt'"),
+])
+def test_fsm_takes_only_crysl_rules(tmp_path, capsys, suffix, problem):
+    rule = tmp_path / f"X{suffix}"
+    rule.write_text("SPEC X\nOBJECTS\n    int a;\nEVENTS\n    e : go(a);\nORDER\n    e\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "fsm", "--rule", str(rule))
+    assert (code, out, err) == (2, "", f"error: {rule}: {problem}\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "fsm"])
 def test_long_postfix_chain_is_a_located_parse_error(tmp_path, capsys, command):
     rule = tmp_path / "Chain.crysl"
@@ -452,3 +515,78 @@ def test_cli_imports_no_dataclasses():
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "False\n['__main__', 'cryslkit']\n", ""
     )
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any files, any subcommand, an exit code and no traceback
+# ---------------------------------------------------------------------------
+
+STANDARDS = REPO_ROOT / "corpus" / "standards"
+
+
+def _fuzz_seeds() -> dict[str, bytes]:
+    """The fips family of the standards corpus, its emitted rule and a trace,
+    keyed by their place in the fuzzed tree."""
+    from cryslkit import pretty_print, run_build
+
+    seeds = {
+        name: (STANDARDS / name).read_bytes()
+        for name in ("fips.conf", "base/messagedigest.mcsl", "fips/messagedigest.ref")
+    }
+    [(_, rule)] = run_build(parse_config(SourceFile.from_path(STANDARDS / "fips.conf"))).generated
+    seeds["rules/MessageDigest.crysl"] = pretty_print(rule).encode()
+    seeds["trace.jsonl"] = (REPO_ROOT / "corpus" / "traces" / "standards"
+                            / "md5_digest.jsonl").read_bytes()
+    return seeds
+
+
+FUZZ_SEEDS = _fuzz_seeds()
+FUZZ_COMMANDS = (
+    ("build", "{root}/fips.conf"),
+    ("build", "{root}/fips.conf", "--dry-run", "--json"),
+    ("validate", "{root}"),
+    ("check", "--rules", "{root}/rules", "--trace", "{root}/trace.jsonl", "--format", "json"),
+    ("metrics", "--meta", "{root}", "--configs", "{root}/fips.conf", "--json"),
+    ("fsm", "--rule", "{root}/rules/MessageDigest.crysl", "--dot"),
+)
+FUZZ_TOKENS = [
+    b"", b"$", b"<T>", b"{", b"}", b"(", b")", b"*", b"|", b";", b",", b"=>", b"_", b"\n",
+    b'"', b"\xff", b"\xc3", b"9" * 4400, b"SPEC", b"ORDER", b"REFINES", b"define", b"load",
+    b"{\"seq\": 0}", b"[", b"]", b"null", b"-1", b"1e999",
+]
+_mutations = st.lists(
+    st.tuples(st.sampled_from(sorted(FUZZ_SEEDS)), st.integers(0, 10 ** 6), st.integers(0, 12),
+              st.sampled_from(FUZZ_TOKENS) | st.binary(max_size=4)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mutations)
+def test_cli_main_answers_any_mutated_corpus_with_an_exit_code(mutations):
+    files = dict(FUZZ_SEEDS)
+    for name, at, cut, insert in mutations:
+        data = files[name]
+        at %= len(data) + 1
+        files[name] = data[:at] + insert + data[at + cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+        commands = FUZZ_COMMANDS
+        try:
+            config = parse_config(SourceFile.from_path(root / "fips.conf"))
+        except (ParseError, ValueError):
+            pass
+        else:
+            # Keep the reads and writes of a build inside the tree.
+            paths = [config.src, config.out] + [load.path for load in config.loads]
+            if any(Path(path).is_absolute() for path in paths):
+                commands = [c for c in commands if "{root}/fips.conf" not in c]
+        for command in commands:
+            argv = [arg.format(root=root) for arg in command]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv

@@ -79,7 +79,7 @@ def test_abstract_rule_renders_its_variation_points():
     assert pretty_print(again) == text
 
 
-def test_concrete_rule_with_smuggled_meta_variable_is_rejected():
+def test_emit_rejects_a_rule_with_variation_points(tmp_path):
     spec = CrySLSpec(
         class_name="com.example.Api",
         objects=(ObjectDecl("int", "x"),),
@@ -88,8 +88,9 @@ def test_concrete_rule_with_smuggled_meta_variable_is_rejected():
         order=Atom("a"),
         constraints=(Membership("x", MetaVarRef("Hole")),),
     )
-    with pytest.raises(ValueError):
-        pretty_print(spec)
+    with pytest.raises(ValueError, match=r"\$Hole"):
+        emit(_result(spec), tmp_path / "out")
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_round_trip_on_randomized_rules():

@@ -11,9 +11,8 @@ from cryslkit.model import (
     ObjectDecl,
     PredicateRef,
     Seq,
-    has_variation_points,
     simple_name,
-    to_concrete,
+    variation_points,
 )
 
 from conftest import ABSTRACT_FACTORY, MESSAGEDIGEST_RULE
@@ -125,10 +124,10 @@ def test_rule_set_with_matched_requires_is_clean():
         objects=(ObjectDecl("com.google.crypto.tink.KeysetHandle", "ksh"),),
         ensures=(PredicateRef("generatedKeySet", ("ksh",)),),
     )
-    assert validate_rule_set([to_concrete_like(factory), producer]) == []
+    assert validate_rule_set([without_type_parameter(factory), producer]) == []
 
 
-def to_concrete_like(spec):
+def without_type_parameter(spec):
     # AbstractFactory still has a type parameter; rule-set checks only look
     # at class names and predicates, so strip the variation point crudely.
     return spec.replace(type_params=(), objects=tuple(
@@ -182,17 +181,19 @@ def test_simple_name_and_registry_name():
     assert _spec(MESSAGEDIGEST_RULE).name == "MessageDigest"
 
 
-def test_to_concrete_rejects_variation_points():
+def test_a_template_is_abstract_until_its_type_parameter_is_bound():
     from cryslkit import parse_abstract
 
     spec = parse_abstract(SourceFile.for_text(ABSTRACT_FACTORY, "abstract", "f.mcsl"))
-    assert has_variation_points(spec)
-    try:
-        to_concrete(spec)
-    except ValueError as exc:
-        assert "<T>" in str(exc)
-    else:
-        raise AssertionError("expected ValueError")
+    assert type(spec) is CrySLSpec and spec.type_params == ("T",)
+    assert variation_points(spec) == ["<T>"]
+    assert variation_points(spec.replace(type_params=())) == ["<T>"]  # the placeholder
+    bound = spec.replace(
+        type_params=(),
+        objects=tuple(o.replace(type_name="com.example.Aead") if o.type_name == "<T>" else o
+                      for o in spec.objects),
+    )
+    assert variation_points(bound) == []
 
 
 def test_loc_dataclass_is_one_based():
@@ -201,9 +202,7 @@ def test_loc_dataclass_is_one_based():
 
 
 def test_validation_catches_undeclared_placeholder_in_hand_built_ast():
-    from cryslkit.model import AbstractSpec
-
-    spec = AbstractSpec(
+    spec = CrySLSpec(
         class_name="Factory",
         objects=(ObjectDecl("<T>", "primitive"),),
         events=(EventDecl("g", None, "make", ()),),

@@ -12,6 +12,8 @@ from cryslkit import (
     parse_config,
     parse_crysl,
     parse_refinement,
+    pretty_print,
+    run_build,
 )
 from cryslkit.diagnostics import Loc
 from cryslkit.model import (
@@ -24,7 +26,6 @@ from cryslkit.model import (
     MetaVarRef,
     Plus,
     Seq,
-    to_concrete,
 )
 
 from conftest import (
@@ -181,11 +182,21 @@ def test_type_parameter_template():
     assert spec.requires[0].name == "generatedKeySet"
 
 
-def test_abstract_grammar_is_a_superset_of_concrete():
+def test_abstract_grammar_is_a_superset_of_concrete(corpus_dir, golden_dir):
     abstract = mcsl(MESSAGEDIGEST_RULE)
     concrete = crysl(MESSAGEDIGEST_RULE)
     assert abstract.type_params == ()
-    assert to_concrete(abstract) == concrete
+    assert abstract == concrete
+
+    # Every bundled .crysl rule: the committed goldens and each rule that a
+    # bundled configuration generates, as emitted.
+    texts = [p.read_text(encoding="utf-8") for p in sorted(golden_dir.glob("*.crysl"))]
+    for path in sorted(corpus_dir.rglob("*.conf")):
+        result = run_build(parse_config(SourceFile.from_path(path)))
+        texts += [pretty_print(spec) for _, spec in result.generated]
+    assert len(texts) >= 2 + 81
+    for text in texts:
+        assert mcsl(text) == crysl(text)
 
 
 def test_placeholder_method_name_in_template():

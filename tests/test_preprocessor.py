@@ -14,7 +14,7 @@ from cryslkit import (
     run_build,
 )
 from cryslkit.diagnostics import has_errors
-from cryslkit.model import LiteralSet, has_variation_points
+from cryslkit.model import LiteralSet, variation_points
 from cryslkit.preprocessor import RefinementError, SpecRegistry
 
 from conftest import (
@@ -55,7 +55,7 @@ def test_meta_variable_binding_resolves_constraint_set():
     base = mcsl(ABSTRACT_MESSAGEDIGEST)
     refinement = refs(PROVIDER_REFINEMENTS)[0]
     refined = apply_refinement(base, refinement)
-    assert not has_variation_points(refined)
+    assert variation_points(refined) == []
     assert refined.constraints[0].values == LiteralSet(BC_ALGS)
     assert refined.class_name == "java.security.MessageDigest"
 
@@ -68,7 +68,7 @@ def test_type_parameter_binding_produces_concrete_copy():
     refined = apply_refinement(base, refinement)
     assert refined.class_name == "com.google.crypto.tink.Aead"
     assert refined.objects[1].type_name == "com.google.crypto.tink.Aead"
-    assert not has_variation_points(refined)
+    assert variation_points(refined) == []
     assert "<T>" not in pretty_print(refined)
 
 
