@@ -26,7 +26,6 @@ from .metrics import (
     LineStats,
     SavingsReport,
     count_lines,
-    count_text_lines,
     normalize_lines,
     savings,
 )
@@ -66,14 +65,12 @@ from .preprocessor import (
 from .tracecheck import (
     CheckResult,
     Ref,
-    RuleSet,
     TraceEvent,
     UNKNOWN,
     Violation,
     check_trace,
     compile_rules,
     load_trace,
-    match_event,
     parse_trace_lines,
     report,
 )

@@ -144,7 +144,7 @@ class TypestateAutomaton:
     first time it is asked for and caches it, the error sink (``None``)
     included. The automaton is therefore not immutable: ``subsets``,
     ``accepting`` and the cache grow with every new transition taken, also
-    while a ``RuleSet`` is reused across checks.
+    while rules from ``compile_rules`` are reused across checks.
     """
 
     initial = 0

@@ -51,8 +51,8 @@ def _is_file(path: Path) -> bool:
 
 
 def _read_rules(files: list[Path]) -> tuple[list, list[Diagnostic]]:
-    """Parse and validate each rule file; a file that fails to parse is
-    reported and left out."""
+    """Parse and validate each rule file, then the set; a file that fails to
+    parse is reported and left out."""
     specs = []
     diags: list[Diagnostic] = []
     for path in files:
@@ -63,6 +63,7 @@ def _read_rules(files: list[Path]) -> tuple[list, list[Diagnostic]]:
             continue
         diags.extend(validate_spec(spec))
         specs.append(spec)
+    diags.extend(validate_rule_set(specs))
     return specs, diags
 
 
@@ -107,7 +108,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             return 2
         files.extend(rule_files(path, RULE_SUFFIXES))
     specs, diags = _read_rules(files)
-    diags.extend(validate_rule_set(specs))
 
     _print_diagnostics(diags)
     errors = sum(d.severity is Severity.ERROR for d in diags)
@@ -125,7 +125,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"{rules_dir}: not a directory", file=sys.stderr)
         return 2
     specs, diags = _read_rules(rule_files(rules_dir, (".crysl",)))
-    diags.extend(validate_rule_set(specs))
     _print_diagnostics(diags)
     if has_errors(diags):
         return 1
@@ -175,7 +174,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         result = savings(meta_paths, configs, on_error)
     except BuildFailure as exc:
         _print_diagnostics(exc.diagnostics)
-        print(str(exc), file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
     if args.csv:
@@ -192,7 +191,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
               f"({result.meta.duplicate_lines} duplicates)")
         print(f"generated: {result.generated.total_lines} lines in {result.generated.files} files "
               f"({result.generated.duplicate_lines} duplicates)")
-        print(f"savings:   {payload['savings_ratio']:.2f}")
+        ratio = payload["savings_ratio"]
+        print("savings:   " + ("none (nothing generated)" if ratio is None else f"{ratio:.2f}"))
         breakeven = "none yet" if result.breakeven is None else f"configuration {result.breakeven}"
         print(f"breakeven: {breakeven}")
     return 1 if unread else 0

@@ -40,8 +40,7 @@ class BuildFailure(Exception):
     """A configuration failed to build while computing metrics."""
 
     def __init__(self, config_name: str, diagnostics: list[Diagnostic]):
-        rendered = "; ".join(d.render() for d in diagnostics[:3])
-        super().__init__(f"configuration '{config_name}' failed to build: {rendered}")
+        super().__init__(f"configuration '{config_name}' failed to build")
         self.config_name = config_name
         self.diagnostics = diagnostics
 
@@ -54,11 +53,6 @@ def normalize_lines(text: str) -> list[str]:
             continue
         kept.append(stripped)
     return kept
-
-
-def count_text_lines(texts: Sequence[str]) -> LineStats:
-    """Line statistics over in-memory documents (one counter for the set)."""
-    return _line_stats([normalize_lines(text) for text in texts])
 
 
 def _line_stats(documents: Sequence[list[str]]) -> LineStats:
@@ -80,17 +74,19 @@ def count_lines(
     on_error: Callable[[Path, OSError | ParseError], None] | None = None,
 ) -> LineStats:
     """Line statistics over rule-language files, read as every stage reads
-    them (:meth:`SourceFile.from_path`); a file that cannot be read
-    (``OSError``) or is not UTF-8 (``ParseError`` at its first bad byte) is
-    reported via ``on_error`` and the remaining files are still counted."""
-    texts = []
+    them (:meth:`SourceFile.from_path`). A file that cannot be read
+    (``OSError``) or is not UTF-8 (``ParseError`` at its first bad byte)
+    raises; with ``on_error`` it is reported there instead and the remaining
+    files are still counted."""
+    documents = []
     for path in map(Path, paths):
         try:
-            texts.append(SourceFile.from_path(path).text)
+            documents.append(normalize_lines(SourceFile.from_path(path).text))
         except (OSError, ParseError) as exc:
-            if on_error is not None:
-                on_error(path, exc)
-    return count_text_lines(texts)
+            if on_error is None:
+                raise
+            on_error(path, exc)
+    return _line_stats(documents)
 
 
 def savings_ratio(meta_total: int, generated_total: int) -> float:
@@ -149,7 +145,8 @@ def report_as_dict(report: SavingsReport) -> dict:
     """JSON-ready view of a savings report (schema in ``docs/formats.md``).
 
     The ratio is rounded to two decimals here; the in-memory report keeps
-    full precision.
+    full precision. With no generated lines it is ``None`` (JSON ``null``),
+    since JSON has no ``-Infinity``.
     """
     def stats(s: LineStats) -> dict:
         return {name: getattr(s, name) for name in s._fields}
@@ -157,7 +154,7 @@ def report_as_dict(report: SavingsReport) -> dict:
     return {
         "meta": stats(report.meta),
         "generated": stats(report.generated),
-        "savings_ratio": round(report.savings_ratio, 2),
+        "savings_ratio": round(report.savings_ratio, 2) if report.generated.total_lines else None,
         "cumulative": list(report.cumulative),
         "breakeven": report.breakeven,
     }

@@ -209,18 +209,14 @@ def constraint_memberships(constraint: ConstraintExpr) -> Iterator[Membership]:
         yield from constraint_memberships(constraint.rhs)
 
 
-def constraint_set_exprs(constraint: ConstraintExpr) -> Iterator[SetExpr]:
-    for membership in constraint_memberships(constraint):
-        yield membership.values
-
-
 def meta_var_names(spec: CrySLSpec) -> list[str]:
     """Names of unresolved meta-variables, in first-occurrence order."""
     seen: list[str] = []
     for constraint in spec.constraints:
-        for set_expr in constraint_set_exprs(constraint):
-            if isinstance(set_expr, MetaVarRef) and set_expr.name not in seen:
-                seen.append(set_expr.name)
+        for membership in constraint_memberships(constraint):
+            values = membership.values
+            if isinstance(values, MetaVarRef) and values.name not in seen:
+                seen.append(values.name)
     return seen
 
 

@@ -201,7 +201,7 @@ def load_trace(path: str | Path) -> tuple[list[TraceEvent], list[Diagnostic]]:
 
 
 # ---------------------------------------------------------------------------
-# Rule compilation and event matching
+# Rule compilation
 # ---------------------------------------------------------------------------
 
 
@@ -252,12 +252,9 @@ def _compile_rule(spec: CrySLSpec) -> CompiledRule:
     )
 
 
-class RuleSet(Record):
-    rules: dict[str, CompiledRule]  # keyed by fully qualified class name
-
-
-def compile_rules(specs: Iterable[CrySLSpec]) -> RuleSet:
-    """Compile validated rules for checking. Duplicate classes are rejected.
+def compile_rules(specs: Iterable[CrySLSpec]) -> dict[str, CompiledRule]:
+    """Compile validated rules for checking, keyed by fully qualified class
+    name. Duplicate classes are rejected.
 
     Each rule's automaton starts with its initial state only; checking builds
     the states its traces reach.
@@ -267,24 +264,7 @@ def compile_rules(specs: Iterable[CrySLSpec]) -> RuleSet:
         if spec.class_name in rules:
             raise ValueError(f"duplicate rule for class '{spec.class_name}'")
         rules[spec.class_name] = _compile_rule(spec)
-    return RuleSet(rules)
-
-
-def match_event(rules: RuleSet, event: TraceEvent) -> tuple[CompiledRule | None, str | None]:
-    """Match a trace event against the rule set.
-
-    Returns ``(None, None)`` for classes with no rule (the event is ignored),
-    ``(rule, None)`` for an undeclared method on a ruled class (which breaks
-    the protocol via the automaton sink), and ``(rule, label)`` on a match.
-    Matching is by class name, then method name and arity; wildcard
-    parameters match anything. When declarations share a method name and
-    arity, the first one declared matches.
-    """
-    rule = rules.rules.get(event.class_name)
-    if rule is None:
-        return None, None
-    plan = rule.dispatch.get((event.method_name, len(event.args)))
-    return rule, None if plan is None else plan.decl.label
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +324,13 @@ def _value_key(value: ArgValue):
     return value
 
 
-def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
-    """Check one trace against the rule set.
+def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> CheckResult:
+    """Check one trace against the compiled rules.
 
+    An event matches by class name, then by method name and arity; wildcard
+    parameters match anything, and when declarations share a method name and
+    arity the first one declared matches. Events of a class with no rule are
+    ignored; an undeclared method on a ruled class breaks the call order.
     Events are evaluated in ``seq`` order. Per object the rule's automaton
     tracks call order (the first break is reported, the object then stays in
     the sink); a constraint is judged whenever all its variables are bound
@@ -414,7 +398,7 @@ def check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
                 pending_requires.append((run, pred.name, pred.args, tuple(keys), seq))
 
     for event in sorted(trace, key=attrgetter("seq")):
-        rule = rules.rules.get(event.class_name)
+        rule = rules.get(event.class_name)
         if rule is None:
             continue
         key = (event.object_id, event.class_name)

@@ -43,8 +43,8 @@ from cryslkit.model import (
 from cryslkit.tracecheck import (
     UNKNOWN,
     CheckResult,
+    CompiledRule,
     Ref,
-    RuleSet,
     TraceEvent,
     Violation,
     _eval_constraint,
@@ -325,7 +325,7 @@ class _Run:
         self.requires_checked = False
 
 
-def reference_check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResult:
+def reference_check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> CheckResult:
     """``check_trace`` as it was before the per-rule dispatch and constraint
     index: the findings and warnings of both must be identical."""
     violations: list[Violation] = []
@@ -381,7 +381,7 @@ def reference_check_trace(rules: RuleSet, trace: list[TraceEvent]) -> CheckResul
                 pending_requires.append((run, pred.name, pred.args, tuple(keys), event.seq))
 
     for event in sorted(trace, key=lambda e: e.seq):
-        rule = rules.rules.get(event.class_name)
+        rule = rules.get(event.class_name)
         if rule is None:
             continue
         key = (event.object_id, rule.spec.class_name)

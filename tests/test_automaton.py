@@ -199,7 +199,7 @@ def test_checking_a_wide_rule_builds_one_state_per_event_at_most():
         )
     ]
     found = [(v.kind, v.object_id) for v in check_trace(rules, trace).violations]
-    assert rules.rules[spec.class_name].automaton.state_count <= len(trace) + 1
+    assert rules[spec.class_name].automaton.state_count <= len(trace) + 1
     expected = [
         ("incomplete", object_id)
         for object_id, word in words.items()

@@ -392,6 +392,44 @@ def test_metrics_names_an_unreadable_meta_file_and_exits_1(corpus_copy, capsys, 
     assert err == f"{locked}: unreadable: [Errno 13] Permission denied: '{locked}'\n"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_metrics_with_nothing_generated_reports_null_savings(tmp_path, capsys):
+    (tmp_path / "base").mkdir()
+    conf = tmp_path / "x.conf"
+    conf.write_text("config x {\n  src = .;\n  out = _gen/x;\n  load spec base/;\n}\n",
+                    encoding="utf-8")
+    argv = ("metrics", "--meta", str(tmp_path), "--configs", str(conf))
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["savings_ratio"] is None
+    assert payload["generated"]["total_lines"] == 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "savings:   none (nothing generated)\n" in out
+
+
+def test_metrics_prints_each_build_error_once(tmp_path, capsys):
+    (tmp_path / "base").mkdir()
+    (tmp_path / "base" / "messagedigest.mcsl").write_bytes(
+        (STANDARDS / "base" / "messagedigest.mcsl").read_bytes()
+    )
+    conf = tmp_path / "y.conf"
+    conf.write_text("config y {\n  src = .;\n  out = _gen/y;\n  load spec base/;\n"
+                    "  load refinement nope/;\n}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "metrics", "--meta", str(tmp_path), "--configs", str(conf))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"{conf}:5:3: error: missing path: '{tmp_path / 'nope'}'",
+        f"{tmp_path / 'base' / 'messagedigest.mcsl'}:3:1: error: unbound $AlgSet in "
+        "'MessageDigest' (no covering refinement)",
+        "error: configuration 'y' failed to build",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # fsm
 # ---------------------------------------------------------------------------
@@ -584,6 +622,57 @@ def test_cli_main_answers_any_mutated_corpus_with_an_exit_code(mutations):
             paths = [config.src, config.out] + [load.path for load in config.loads]
             if any(Path(path).is_absolute() for path in paths):
                 commands = [c for c in commands if "{root}/fips.conf" not in c]
+        for command in commands:
+            argv = [arg.format(root=root) for arg in command]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+
+
+FUZZ_PATHS = ("fips.conf", "base/messagedigest.mcsl", "fips/messagedigest.ref",
+              "rules/MessageDigest.crysl", "trace.jsonl", ".", "rules", "missing",
+              "missing/x.conf")
+FUZZ_CSV_PATHS = ("curve.csv", "rules", "missing/curve.csv")
+
+
+@st.composite
+def _argv_shapes(draw) -> list[str]:
+    """One subcommand whose every path slot holds, half the time, what the
+    slot expects, and otherwise a file of any language, a directory or a
+    missing path (relative to the tree)."""
+    def path(expected: str, choices=FUZZ_PATHS) -> str:
+        return "{root}/" + draw(st.just(expected) | st.sampled_from(choices))
+
+    def flag(name: str) -> list[str]:
+        return [name] if draw(st.booleans()) else []
+
+    def some_paths(expected: str) -> list[str]:
+        return [path(expected) for _ in range(draw(st.integers(1, 3)))]
+
+    command = draw(st.sampled_from(("build", "validate", "check", "metrics", "fsm")))
+    if command == "build":
+        return ["build", path("fips.conf"), *flag("--dry-run"), *flag("--json")]
+    if command == "validate":
+        return ["validate", *some_paths(".")]
+    if command == "check":
+        return ["check", "--rules", path("rules"), "--trace", path("trace.jsonl"),
+                "--format", draw(st.sampled_from(("json", "table")))]
+    if command == "metrics":
+        csv = ["--csv", path("curve.csv", FUZZ_CSV_PATHS)] if draw(st.booleans()) else []
+        return ["metrics", "--meta", path("."), "--configs", *some_paths("fips.conf"),
+                *flag("--json"), *csv]
+    return ["fsm", "--rule", path("rules/MessageDigest.crysl"), *flag("--dot")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_argv_shapes(), min_size=1, max_size=4))
+def test_cli_main_answers_any_argv_shape_with_an_exit_code(commands):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in FUZZ_SEEDS.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
         for command in commands:
             argv = [arg.format(root=root) for arg in command]
             with contextlib.redirect_stdout(io.StringIO()), \

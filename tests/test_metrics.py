@@ -5,11 +5,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cryslkit import SourceFile, metrics, parse_config
+from cryslkit import ParseError, SourceFile, metrics, parse_config
 from cryslkit.metrics import (
     BuildFailure,
+    _line_stats,
     count_lines,
-    count_text_lines,
     normalize_lines,
     savings,
     savings_ratio,
@@ -69,8 +69,8 @@ def test_count_is_permutation_invariant(tmp_path):
 @given(st.lists(st.text(alphabet="ab;x ", max_size=8), max_size=30))
 def test_doubling_a_document_set_doubles_totals(lines):
     text = "\n".join(lines)
-    single = count_text_lines([text])
-    doubled = count_text_lines([text, text])
+    single = _line_stats([normalize_lines(text)])
+    doubled = _line_stats([normalize_lines(text)] * 2)
     assert doubled.total_lines == 2 * single.total_lines
     assert doubled.duplicate_lines >= single.total_lines if single.total_lines else True
 
@@ -84,6 +84,19 @@ def test_unreadable_file_is_reported_and_skipped(tmp_path):
     assert stats.files == 1
     assert stats.total_lines == 1
     assert seen == [missing]
+
+
+def test_without_on_error_an_unreadable_or_non_utf8_file_raises(tmp_path, corpus_dir):
+    missing = tmp_path / "missing.crysl"
+    latin1 = tmp_path / "latin1.crysl"
+    latin1.write_bytes(b"// caf\xe9\n")
+    with pytest.raises(OSError):
+        count_lines([missing])
+    with pytest.raises(ParseError):
+        count_lines([latin1])
+    config = parse_config(SourceFile.from_path(corpus_dir / "standards" / "fips.conf"))
+    with pytest.raises(OSError):
+        savings([missing], [config])
 
 
 def test_savings_ratio_formula():

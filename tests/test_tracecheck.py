@@ -12,7 +12,6 @@ from cryslkit import (
     TraceEvent,
     check_trace,
     compile_rules,
-    match_event,
     parse_crysl,
     parse_trace_lines,
     report,
@@ -51,25 +50,31 @@ def digest_trace(alg, *, updates=1, finish=True, obj="md1", start=1):
 
 
 # ---------------------------------------------------------------------------
-# match_event
+# matching: class, then method name and arity
 # ---------------------------------------------------------------------------
 
 
 def test_match_by_class_method_and_arity(digest_rules):
-    rule, label = match_event(digest_rules, ev(1, "o", MD, "getInstance", ["SHA-256"]))
-    assert rule is not None and label == "g1"
-    rule, label = match_event(digest_rules, ev(1, "o", MD, "getInstance", ["SHA-256", "BC"]))
-    assert label == "g2"
+    # getInstance/1 is g1, whose `algorithm` the constraint restricts;
+    # getInstance/2 is g2, which binds only `digestAlg`.
+    def run(*get_args):
+        return check_trace(digest_rules, [ev(1, "o", MD, "getInstance", get_args, ret="o"),
+                                          ev(2, "o", MD, "update", [UNKNOWN]),
+                                          ev(3, "o", MD, "digest", [], ret="out")]).violations
+
+    [violation] = run("MD5")
+    assert (violation.kind, violation.seq) == ("constraint", 1)
+    assert violation.message.startswith('algorithm = "MD5"')
+    assert run("MD5", "BC") == []
 
 
 def test_unruled_class_is_ignored(digest_rules):
-    rule, label = match_event(digest_rules, ev(1, "o", "java.util.List", "add", ["x"]))
-    assert rule is None and label is None
+    result = check_trace(digest_rules, [ev(1, "o", "java.util.List", "add", ["x"]),
+                                        ev(2, "o", "java.util.List", "zap", [])])
+    assert (result.violations, result.warnings) == ([], [])
 
 
 def test_undeclared_method_on_ruled_class_feeds_sink(digest_rules):
-    rule, label = match_event(digest_rules, ev(1, "o", MD, "reset", []))
-    assert rule is not None and label is None
     result = check_trace(digest_rules, digest_trace("SHA-256")[:1] + [ev(9, "md1", MD, "reset", [])])
     assert [v.kind for v in result.violations if v.object_id == "md1"] == ["order"]
 
@@ -127,7 +132,7 @@ def test_constraint_violations_cite_checkable_events(digest_rules):
     for violation in result.violations:
         assert violation.kind == "constraint"
         cited = by_seq[violation.seq]
-        rule = digest_rules.rules[violation.rule_class]
+        rule = digest_rules[violation.rule_class]
         membership = rule.spec.constraints[0]
         assert isinstance(membership, Membership)
         assert cited.args[0] not in membership.values.values
