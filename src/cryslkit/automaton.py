@@ -4,13 +4,15 @@ Aggregates are inlined as alternations and the expression is compiled into
 an epsilon-NFA (Thompson construction). The DFA over it is determinized on
 demand, as in RE2: a subset state is built the first time a word reaches it,
 so checking a trace costs at most one NFA subset step per event, however
-large the full DFA would be. ``compile_order`` explores the whole DFA with
-that same step, breadth-first over the sorted alphabet, for ``fsm`` and DOT
-output; it stops at ``MAX_DFA_STATES``. The DFA keeps an implicit error sink:
-a missing transition means the protocol is broken at that event. No
-minimization is performed; in an explored DFA, state numbering is
-breadth-first from the initial state, which keeps DOT output stable and
-explainable.
+large the full DFA would be. The automaton caches each transition it builds
+and, per NFA state and label, the epsilon-closure of where that move leads,
+so a new transition costs one union of cached closures. ``compile_order``
+explores the whole DFA with that same step, breadth-first over the sorted
+alphabet, for ``fsm`` and DOT output; it stops at ``MAX_DFA_STATES``. The
+DFA keeps an implicit error sink: a missing transition means the protocol
+is broken at that event. No minimization is performed; in an explored DFA,
+state numbering is breadth-first from the initial state, which keeps DOT
+output stable and explainable.
 
 Every Thompson NFA state can reach the final state, so every subset state,
 whenever it is built, can still reach acceptance. ``accepts`` relies on
@@ -63,18 +65,6 @@ class Nfa(Record):
                     seen.add(nxt)
                     stack.append(nxt)
         return frozenset(seen)
-
-    def step(self, states: frozenset[int], label: str) -> frozenset[int]:
-        reached = [t for s in states for t in self.moves[s].get(label, ())]
-        return self.closure(reached) if reached else frozenset()
-
-    def accepts(self, word: Sequence[str]) -> bool:
-        current = self.closure({self.start})
-        for label in word:
-            current = self.step(current, label)
-            if not current:
-                return False
-        return self.accept in current
 
 
 def build_nfa(expr: OrderExpr) -> Nfa:
@@ -142,9 +132,11 @@ class TypestateAutomaton:
     A state is the index of an NFA subset in ``subsets``; ``initial`` is 0,
     the closure of the NFA's start. ``step`` builds a missing transition the
     first time it is asked for and caches it, the error sink (``None``)
-    included. The automaton is therefore not immutable: ``subsets``,
-    ``accepting`` and the cache grow with every new transition taken, also
-    while rules from ``compile_rules`` are reused across checks.
+    included. A miss unions the members' entries in ``_after``, which maps a
+    label and an NFA state to the epsilon-closure of that labelled move, at
+    most one entry per labelled NFA state. The automaton is therefore not
+    immutable: ``subsets``, ``accepting`` and both caches grow with every new
+    transition taken, also while rules from ``compile_rules`` are reused.
     """
 
     initial = 0
@@ -157,6 +149,7 @@ class TypestateAutomaton:
         self.accepting: set[int] = {0} if nfa.accept in start else set()
         self._ids = {start: 0}
         self._moves: dict[tuple[int, str], int | None] = {}
+        self._after: dict[str, dict[int, frozenset[int]]] = {}
 
     @property
     def state_count(self) -> int:
@@ -172,7 +165,15 @@ class TypestateAutomaton:
             return self._moves[state, label]
         except KeyError:
             pass
-        target = self.nfa.step(self.subsets[state], label)
+        moves, after = self.nfa.moves, self._after.setdefault(label, {})
+        reached = []
+        for member in self.subsets[state]:
+            if label in moves[member]:
+                closure = after.get(member)
+                if closure is None:
+                    closure = after[member] = self.nfa.closure(moves[member][label])
+                reached.append(closure)
+        target = frozenset().union(*reached)
         dst = None
         if target:
             dst = self._ids.get(target)

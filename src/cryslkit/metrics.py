@@ -41,7 +41,6 @@ class BuildFailure(Exception):
 
     def __init__(self, config_name: str, diagnostics: list[Diagnostic]):
         super().__init__(f"configuration '{config_name}' failed to build")
-        self.config_name = config_name
         self.diagnostics = diagnostics
 
 

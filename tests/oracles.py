@@ -3,7 +3,9 @@
 The language oracle enumerates the set of words an order expression denotes
 (up to a length bound) directly from the expression tree; the derivative
 matcher decides membership and prefix viability structurally. Neither goes
-anywhere near the NFA/DFA construction they are used to check.
+anywhere near the NFA/DFA construction they are used to check. The NFA
+simulation does use the Thompson NFA, but recomputes every subset and
+epsilon-closure from scratch, so it checks the lazy DFA's caches.
 
 The reference checker re-judges every constraint of a rule at every matched
 event and matches events by a linear scan over the declarations; the
@@ -18,6 +20,7 @@ import json
 import random
 import string
 
+from cryslkit.automaton import Nfa
 from cryslkit.emitter import render_constraint
 from cryslkit.model import (
     AggregateDecl,
@@ -195,6 +198,33 @@ def derivative_verdict(expr: OrderExpr, word) -> tuple[str, int | None]:
     if _nullable(node):
         return "accepted", None
     return "incomplete", None
+
+
+# ---------------------------------------------------------------------------
+# NFA simulation: subset steps recomputed from scratch, nothing cached
+# ---------------------------------------------------------------------------
+
+
+def nfa_closure(nfa: Nfa, states) -> frozenset[int]:
+    """Every NFA state reachable from ``states`` over epsilon edges alone."""
+    seen = set(states)
+    frontier = list(seen)
+    while frontier:
+        frontier = [t for s in frontier for t in nfa.eps[s] if t not in seen]
+        seen.update(frontier)
+    return frozenset(seen)
+
+
+def nfa_step(nfa: Nfa, states: frozenset[int], label: str) -> frozenset[int]:
+    """The closure of every state one ``label`` move away from ``states``."""
+    return nfa_closure(nfa, [t for s in states for t in nfa.moves[s].get(label, ())])
+
+
+def nfa_accepts(nfa: Nfa, word) -> bool:
+    current = nfa_closure(nfa, [nfa.start])
+    for label in word:
+        current = nfa_step(nfa, current, label)
+    return nfa.accept in current
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ from cryslkit import (
     parse_crysl,
     to_dot,
 )
-from cryslkit.automaton import MAX_DFA_STATES, StateLimitError, VerdictKind, inline_aggregates
+from cryslkit.automaton import (
+    MAX_DFA_STATES,
+    Nfa,
+    StateLimitError,
+    VerdictKind,
+    inline_aggregates,
+)
 from cryslkit.model import Alt, Atom, Opt, Plus, Seq, Star
 from cryslkit.tracecheck import TraceEvent
 
@@ -26,6 +32,9 @@ from oracles import (
     all_words,
     derivative_verdict,
     enumerate_language,
+    nfa_accepts,
+    nfa_closure,
+    nfa_step,
     random_label_alphabet,
     random_order_expr,
 )
@@ -114,7 +123,7 @@ def test_nfa_and_dfa_agree_on_exhaustive_word_sets():
         nfa = build_nfa(expr)
         dfa = compile_order(expr)
         for word in all_words(alphabet, 5):
-            assert nfa.accepts(word) == (accepts(dfa, list(word)).kind is VerdictKind.ACCEPTED)
+            assert nfa_accepts(nfa, word) == (accepts(dfa, list(word)).kind is VerdictKind.ACCEPTED)
 
 
 def test_three_way_verdict_matches_derivative_oracle():
@@ -166,6 +175,36 @@ def test_on_demand_steps_agree_with_explored_dfa_and_oracle(expr, word_list):
             assert verdict.reject_index == index, (expr, word)
     # State numbers follow the order of discovery; the subsets themselves agree.
     assert set(lazy.subsets) <= set(explored.subsets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_trees, st.lists(words, min_size=1, max_size=5))
+def test_lazy_subsets_are_the_closures_an_uncached_simulation_builds(expr, word_list):
+    lazy = lazy_automaton(expr)
+    for word in word_list:
+        accepts(lazy, word)
+    nfa = lazy.nfa
+    assert lazy.subsets[lazy.initial] == nfa_closure(nfa, [nfa.start])
+    assert len(set(lazy.subsets)) == len(lazy.subsets)
+    for (src, label), dst in lazy._moves.items():
+        expected = nfa_step(nfa, lazy.subsets[src], label)
+        assert (lazy.subsets[dst] if dst is not None else frozenset()) == expected, (expr, label)
+
+
+def test_exploration_closes_each_labelled_nfa_state_once(monkeypatch):
+    calls = []
+    closure = Nfa.closure
+
+    def counting_closure(nfa, states):
+        calls.append(states)
+        return closure(nfa, states)
+
+    monkeypatch.setattr(Nfa, "closure", counting_closure)
+    expr = Seq((Star(Alt((Atom("e"), Atom("f")))), Atom("e")) + (Alt((Atom("e"), Atom("f"))),) * 10)
+    automaton = compile_order(expr)
+    assert automaton.state_count == 2 ** 11 + 1
+    labelled = sum(1 for moves in automaton.nfa.moves if moves)
+    assert len(calls) <= labelled + 1 == 24
 
 
 def test_lazy_automaton_builds_only_the_initial_state():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -460,6 +461,21 @@ def test_fsm_stops_at_the_state_limit(tmp_path, capsys):
     assert err.startswith(f"{rule}:7:1: error: ORDER of org.example.Wide13: ")
     assert "more than 10000 states" in err
     assert "Traceback" not in err
+
+
+def test_fsm_dot_of_a_wide_rule_keeps_its_bytes(tmp_path, capsys):
+    rule = tmp_path / "Wide12.crysl"  # 8,193 DFA states
+    rule.write_text(
+        "SPEC org.example.Wide12\nOBJECTS\n    int n;\nEVENTS\n    e : push(n);\n"
+        "    f : skip();\nORDER\n    (e | f)*, e" + ", (e | f)" * 12 + "\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "fsm", "--rule", str(rule), "--dot")
+    assert (code, err) == (0, "")
+    assert out.count("shape=doublecircle") == 2 ** 12
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "0daa9ab608f947a69a5af58605d6ff319470585d5b5b10ef396ca4482a2561d9"
+    )
 
 
 def test_fsm_reports_deep_order_nesting(tmp_path, capsys):

@@ -15,6 +15,10 @@ changes only with an intended output change, documented in
 ``docs/formats.md``. Regenerate it with::
 
     PYTHONPATH=src python tests/test_contract.py
+
+The benchmark history is a contract too: every ``BENCH_*.json`` at the root
+of the repository must name only workloads and end-to-end metrics that
+``BENCHMARK.json`` declares, and record correct runs on both sides.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from pathlib import Path
 from cryslkit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def _run(corpus: Path, argv: list[str]) -> tuple[str, str]:
@@ -147,6 +152,26 @@ def test_fsm_metrics_and_validate_outputs_match_the_manifest(corpus_copy):
     _assert_slice(fsm, "fsm", 81)
     _assert_slice(fsm, "fsm --dot", 81)
     _assert_slice(metrics_outputs(corpus_copy), "metrics --json", 1)
+
+
+def test_bench_history_names_declared_workloads_and_passes_on_both_sides():
+    """Each ``BENCH_*.json`` at the root keeps, for the parent and the change,
+    the details and result lines of ``perfbench/run.py`` per workload."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {workload["name"] for workload in benchmark["workloads"]}
+    metrics = {metric["name"] for metric in benchmark["end_to_end"]}
+    histories = sorted(ROOT.glob("BENCH_*.json"))
+    assert histories
+    for path in histories:
+        history = json.loads(path.read_text(encoding="utf-8"))
+        for side in ("parent", "change"):
+            runs = history[side]
+            assert runs and set(runs) <= workloads, (path.name, side)
+            for name, run in runs.items():
+                where = (path.name, side, name)
+                assert run["details"]["workload"] == name, where
+                assert run["result"]["correct"] is True and run["result"]["failed"] == 0, where
+                assert run["result"]["metrics"] and set(run["result"]["metrics"]) <= metrics, where
 
 
 if __name__ == "__main__":
