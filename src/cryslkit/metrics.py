@@ -107,15 +107,16 @@ def savings(
     generated line totals in the given configuration order, and the
     breakeven index is the first configuration after which the cumulative
     total exceeds the hand-written total. Any failing build aborts with its
-    diagnostics.
+    diagnostics. A file that several configurations load is parsed once.
     """
     meta = count_lines(meta_paths, on_error)
 
     documents: list[list[str]] = []
     cumulative: list[int] = []
     running = 0
+    parsed: dict = {}
     for config in configs:
-        result = run_build(config)
+        result = run_build(config, parsed)
         if has_errors(result.diagnostics):
             raise BuildFailure(config.name, result.diagnostics)
         for _, spec in result.generated:

@@ -10,15 +10,26 @@ Both rule grammars yield a :class:`~cryslkit.model.CrySLSpec`. The abstract
 grammar is a strict superset of the ``.crysl`` one: any ``.crysl`` text also
 parses as ``.mcsl``, to an equal rule without variation points.
 
+Each file is tokenised once, by one ``findall`` of a master regex: a token is
+an identifier, an integer, a whole string literal (one left open runs to the
+end of its line) or any other single character, and the whitespace and
+comments before it are dropped on the way. The recursive-descent functions
+walk the token list by index and return the index after what they parsed.
+The pairs ``:=``, ``=>`` and ``[]`` are two tokens that must be adjacent in
+the text. A ``.conf`` path is the one context-sensitive token: it runs to
+whitespace, ``;``, ``{`` or ``}``, so it can take in a ``//``, and the text
+after it is tokenised again until the new tokens line up with the old.
+
 Parsers are pure functions of the input text. The first syntax error aborts
 the file and is raised as :class:`ParseError`, which carries a diagnostic
-pointing into the input.
+pointing into the input; a location is worked out from a token's offset.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_right
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import NoReturn
 
@@ -70,15 +81,24 @@ RULE_SUFFIXES = (".crysl", ".mcsl")
 SECTION_KEYWORDS = ("OBJECTS", "EVENTS", "ORDER", "CONSTRAINTS", "REQUIRES", "ENSURES")
 RESERVED_WORDS = frozenset(SECTION_KEYWORDS) | {"SPEC", "ABSTRACT"}
 
-_TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+# A string element is one character other than a quote, backslash or
+# newline, or a backslash and the character after it. Elements are one
+# character wide and start differently, so a failed match takes linear time
+# and cannot backtrack an escaped quote into a closing one.
+_STRING = r'"(?:[^"\\\n]|\\.)*"'
+_STRING_RE = re.compile(_STRING)
+# The trivia before a token (whitespace and // comments) and the token: an
+# identifier, an integer, a string literal, a string left open, which runs to
+# the end of its line, any other character but a newline, or "" at the end of
+# the text. Trivia always matches up to the next token, so nothing backtracks
+# into it, and no token spans a line end. A configuration has no string
+# literals, so there a quote is a character like any other.
+_TRIVIA = r"([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)"
+_TOKEN_RE = re.compile(rf'{_TRIVIA}([A-Za-z_][A-Za-z0-9_]*|[0-9]+|{_STRING}|"[^\n]*|.|\Z)')
+_CONFIG_TOKEN_RE = re.compile(rf"{_TRIVIA}([A-Za-z_][A-Za-z0-9_]*|[0-9]+|.|\Z)")
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_SECTION_END = RESERVED_WORDS | {""}
 _PATH_RE = re.compile(r"[^\s;{}]+")
-# An element is one character other than a quote, backslash or newline, or a
-# backslash and the character after it. Elements are one character wide and
-# start differently, so a failed match takes linear time and cannot backtrack
-# an escaped quote into a closing one.
-_STRING_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _UNDECODABLE_RE = re.compile("[\udc80-\udcff]")  # a byte escaped by "surrogateescape"
 
@@ -154,217 +174,213 @@ def read_rule(path: str | Path) -> CrySLSpec:
     return parse_abstract(source)
 
 
-class _Scanner:
-    """Cursor over one file's text.
+class _Tokens:
+    """One file's tokens: ``t[i]`` is the text of token ``i`` and ``at[i]``
+    its offset. The last token is "", at the end of the text.
 
-    All ``take_*`` helpers skip whitespace and ``//`` comments first. A
-    location is computed only when asked for, from the newline offsets.
+    A location is computed only when asked for, from the offsets of the
+    line starts.
     """
 
-    def __init__(self, text: str, path: str):
-        self.text = text
-        self.path = path
-        self.pos = 0
-        self._newlines = [m.start() for m in re.finditer("\n", text)]
+    __slots__ = ("t", "at", "text", "path", "_line_starts")
 
-    def error(self, message: str, loc: Loc | None = None) -> NoReturn:
-        raise ParseError(self.path, loc or self.loc(), message)
+    def __init__(self, source: SourceFile, pattern: re.Pattern = _TOKEN_RE):
+        self.text, self.path = source.text, source.path
+        pairs = pattern.findall(source.text)  # (trivia, token)
+        self.t = [token for _, token in pairs]
+        self.at = list(accumulate(map(len, chain.from_iterable(pairs))))[::2]
+        lines = source.text.split("\n")
+        self._line_starts = list(accumulate((len(line) + 1 for line in lines), initial=0))
 
-    def loc(self, at: int | None = None) -> Loc:
-        """1-based line and column of offset ``at``, by default of the next token."""
-        if at is None:
-            at = self.skip_trivia()
-        line = bisect_left(self._newlines, at)
-        return Loc(line + 1, at - self._newlines[line - 1] if line else at + 1)
+    def loc(self, i: int) -> Loc:
+        """1-based line and column of token ``i``."""
+        at = self.at[i]
+        line = bisect_right(self._line_starts, at)
+        return Loc(line, at - self._line_starts[line - 1] + 1)
 
-    def skip_trivia(self) -> int:
-        self.pos = _TRIVIA_RE.match(self.text, self.pos).end()
-        return self.pos
+    def fail(self, i: int, message: str) -> NoReturn:
+        raise ParseError(self.path, self.loc(i), message)
 
-    def eof(self) -> bool:
-        return self.skip_trivia() >= len(self.text)
+    def found(self, i: int) -> str:
+        """Token ``i`` for a message: its first character, or end of file."""
+        return f"'{self.t[i][0]}'" if self.t[i] else "end of file"
 
-    def peek_char(self) -> str | None:
-        pos = self.skip_trivia()
-        return self.text[pos] if pos < len(self.text) else None
+    def pair(self, i: int, first: str, second: str) -> bool:
+        """Whether tokens ``i`` and ``i + 1`` are ``first`` and ``second``
+        with nothing between them."""
+        t = self.t
+        return t[i] == first and t[i + 1] == second and self.at[i + 1] == self.at[i] + 1
 
-    def peek_word(self) -> str | None:
-        match = _WORD_RE.match(self.text, self.skip_trivia())
-        return match.group() if match else None
-
-    def take(self, pattern: re.Pattern, what: str) -> str:
-        match = pattern.match(self.text, self.skip_trivia())
-        if not match:
-            self.error(f"expected {what}")
-        self.pos = match.end()
-        return match.group()
-
-    def take_word(self, what: str = "identifier") -> str:
-        return self.take(_WORD_RE, what)
-
-    def try_word(self, word: str) -> bool:
-        if self.peek_word() == word:
-            self.pos += len(word)
-            return True
-        return False
-
-    def expect_word(self, word: str) -> None:
-        if not self.try_word(word):
-            self.error(f"expected '{word}', found {self.peek_word() or self._describe_next()}")
-
-    def try_punct(self, punct: str) -> bool:
-        if self.text.startswith(punct, self.skip_trivia()):
-            self.pos += len(punct)
-            return True
-        return False
-
-    def expect_punct(self, punct: str) -> None:
-        if not self.try_punct(punct):
-            self.error(f"expected '{punct}', found {self._describe_next()}")
-
-    def take_int(self) -> int:
-        digits = self.take(_INT_RE, "integer literal")
-        try:
-            return int(digits)
-        except ValueError:  # more digits than sys.get_int_max_str_digits(), 4300 by default
-            self.error(f"integer literal of {len(digits)} digits is too long",
-                       self.loc(self.pos - len(digits)))
-
-    def take_string(self) -> str:
-        """The string literal that starts at the next token's quote."""
-        match = _STRING_RE.match(self.text, self.skip_trivia())
-        if not match:
-            self.error("unterminated string literal")
-        self.pos = match.end()
-        return _ESCAPE_RE.sub(r"\1", match.group(1))
-
-    def _describe_next(self) -> str:
-        ch = self.peek_char()
-        return "end of file" if ch is None else f"'{ch}'"
+    def resume(self, i: int, end: int) -> None:
+        """Make token ``i`` the first one after offset ``end``, which lies in
+        or after token ``i - 1``, in a configuration. The text from ``end`` is
+        tokenised again up to the first token that starts where an old one
+        does: the token at an offset does not depend on the text before it,
+        so from there on the old tokens stand."""
+        t, at = self.t, self.at
+        j, tokens, offsets = i, [], []
+        for match in _CONFIG_TOKEN_RE.finditer(self.text, end):
+            while at[j] < match.start(2):
+                j += 1
+            if at[j] == match.start(2):
+                break
+            tokens.append(match.group(2))
+            offsets.append(match.start(2))
+        t[i:j], at[i:j] = tokens, offsets
 
 
 # ---------------------------------------------------------------------------
 # Shared pieces
+#
+# Each function takes the tokens and the index of its first token, and
+# returns what it parsed with the index after it.
 # ---------------------------------------------------------------------------
 
 
-def _separated(sc: _Scanner, item, separator: str = ",") -> tuple:
-    """One or more ``item()`` results with ``separator`` between them."""
-    items = [item()]
-    while sc.try_punct(separator):
-        items.append(item())
-    return tuple(items)
+def _word(w: _Tokens, i: int, what: str) -> tuple[str, int]:
+    if w.t[i][:1] not in _WORD_START:
+        w.fail(i, f"expected {what}")
+    return w.t[i], i + 1
 
 
-def _qualified_ident(sc: _Scanner, what: str = "name") -> str:
-    parts = [sc.take_word(what)]
-    while sc.try_punct("."):
-        parts.append(sc.take_word("name segment"))
-    return ".".join(parts)
+def _expect(w: _Tokens, i: int, token: str) -> int:
+    """The index after token ``i``, which must be ``token``."""
+    found = w.t[i]
+    if found != token:
+        if not (token[0] in _WORD_START and found[:1] in _WORD_START):
+            found = w.found(i)  # only a word in place of a word is named in full
+        w.fail(i, f"expected '{token}', found {found}")
+    return i + 1
 
 
-def _placeholder(sc: _Scanner, type_params: tuple[str, ...]) -> str:
-    at = sc.skip_trivia()
-    sc.expect_punct("<")
-    param = sc.take_word("type parameter")
-    sc.expect_punct(">")
+def _separated(w: _Tokens, i: int, item, separator: str = ",") -> tuple[tuple, int]:
+    """One or more ``item(w, i)`` results with ``separator`` between them."""
+    value, i = item(w, i)
+    items = [value]
+    while w.t[i] == separator:
+        value, i = item(w, i + 1)
+        items.append(value)
+    return tuple(items), i
+
+
+def _words(w: _Tokens, i: int, what: str, separator: str = ",",
+           then: str | None = None) -> tuple[tuple[str, ...], int]:
+    """One or more identifiers with ``separator`` between them; ``then``
+    names those after the first, when they differ."""
+    t, start = w.t, i
+    while True:
+        if t[i][:1] not in _WORD_START:
+            w.fail(i, f"expected {then if then and i > start else what}")
+        if t[i + 1] != separator:
+            return tuple(t[start:i + 1:2]), i + 1
+        i += 2
+
+
+def _qualified_ident(w: _Tokens, i: int, what: str = "name") -> tuple[str, int]:
+    parts, i = _words(w, i, what, ".", "name segment")
+    return ".".join(parts), i
+
+
+def _placeholder(w: _Tokens, i: int, type_params: tuple[str, ...]) -> tuple[str, int]:
+    param, j = _word(w, _expect(w, i, "<"), "type parameter")
+    j = _expect(w, j, ">")
     if param not in type_params:
-        sc.error(f"type parameter '{param}' is not declared", sc.loc(at))
-    return f"<{param}>"
+        w.fail(i, f"type parameter '{param}' is not declared")
+    return f"<{param}>", j
 
 
-def _type_ref(sc: _Scanner, abstract: bool, type_params: tuple[str, ...] = ()) -> str:
-    if abstract and sc.peek_char() == "<":
-        base = _placeholder(sc, type_params)
+def _type_ref(w: _Tokens, i: int, abstract: bool,
+              type_params: tuple[str, ...] = ()) -> tuple[str, int]:
+    if abstract and w.t[i] == "<":
+        base, i = _placeholder(w, i, type_params)
     else:
-        base = _qualified_ident(sc, "type name")
-    while sc.try_punct("[]"):
+        base, i = _qualified_ident(w, i, "type name")
+    while w.pair(i, "[", "]"):
         base += "[]"
-    return base
+        i += 2
+    return base, i
 
 
-def _literal(sc: _Scanner):
-    ch = sc.peek_char()
-    if ch == '"':
-        return sc.take_string()
-    if ch is not None and ch.isdigit():
-        return sc.take_int()
-    sc.error("expected string or integer literal")
+def _literal(w: _Tokens, i: int):
+    token = w.t[i]
+    if token[:1] == '"':
+        if not _STRING_RE.fullmatch(token):
+            w.fail(i, "unterminated string literal")
+        return (_ESCAPE_RE.sub(r"\1", token[1:-1]) if "\\" in token else token[1:-1]), i + 1
+    if token[:1].isdigit():
+        if token[0] not in "0123456789":
+            w.fail(i, "expected integer literal")
+        try:
+            return int(token), i + 1
+        except ValueError:  # more digits than sys.get_int_max_str_digits(), 4300 by default
+            w.fail(i, f"integer literal of {len(token)} digits is too long")
+    w.fail(i, "expected string or integer literal")
 
 
-def _literal_set(sc: _Scanner) -> LiteralSet:
-    sc.expect_punct("{")
-    values = _separated(sc, lambda: _literal(sc))
-    sc.expect_punct("}")
-    return LiteralSet(frozenset(values))
+def _literal_set(w: _Tokens, i: int) -> tuple[LiteralSet, int]:
+    values, i = _separated(w, _expect(w, i, "{"), _literal)
+    return LiteralSet(frozenset(values)), _expect(w, i, "}")
 
 
-def _set_expr(sc: _Scanner, abstract: bool):
-    if sc.peek_char() == "$":
+def _set_expr(w: _Tokens, i: int, abstract: bool):
+    if w.t[i] == "$":
         if not abstract:
-            sc.error("meta-variables are only allowed in abstract rules")
-        sc.expect_punct("$")
-        return MetaVarRef(sc.take_word("meta-variable name"))
-    return _literal_set(sc)
+            w.fail(i, "meta-variables are only allowed in abstract rules")
+        name, i = _word(w, i + 1, "meta-variable name")
+        return MetaVarRef(name), i
+    return _literal_set(w, i)
 
 
-def _membership(sc: _Scanner, abstract: bool) -> Membership:
-    loc = sc.loc()
-    var = sc.take_word("variable")
-    sc.expect_word("in")
-    return Membership(var, _set_expr(sc, abstract), loc=loc)
+def _membership(w: _Tokens, i: int, abstract: bool) -> tuple[Membership, int]:
+    var, j = _word(w, i, "variable")
+    values, j = _set_expr(w, _expect(w, j, "in"), abstract)
+    return Membership(var, values, loc=w.loc(i)), j
 
 
-def _constraint(sc: _Scanner, abstract: bool) -> ConstraintExpr:
-    lhs = _membership(sc, abstract)
-    if sc.try_punct("=>"):
-        rhs = _membership(sc, abstract)
-        return Implication(lhs, rhs, loc=lhs.loc)
-    return lhs
+def _constraint(w: _Tokens, i: int, abstract: bool) -> tuple[ConstraintExpr, int]:
+    lhs, i = _membership(w, i, abstract)
+    if w.pair(i, "=", ">"):
+        rhs, i = _membership(w, i + 2, abstract)
+        return Implication(lhs, rhs, loc=lhs.loc), i
+    return lhs, i
 
 
-def _predicate(sc: _Scanner) -> PredicateRef:
-    loc = sc.loc()
-    name = sc.take_word("predicate name")
-    sc.expect_punct("[")
-    args = _separated(sc, lambda: sc.take_word("predicate argument"))
-    sc.expect_punct("]")
-    return PredicateRef(name, args, loc=loc)
+def _predicate(w: _Tokens, i: int) -> tuple[PredicateRef, int]:
+    name, j = _word(w, i, "predicate name")
+    args, j = _words(w, _expect(w, j, "["), "predicate argument")
+    return PredicateRef(name, args, loc=w.loc(i)), _expect(w, j, "]")
 
 
-def _param(sc: _Scanner) -> ParamRef:
-    ch = sc.peek_char()
-    if ch == '"' or (ch is not None and ch.isdigit()):
-        return LiteralArg(_literal(sc))
-    word = sc.take_word("parameter")
-    if word == "_":
-        return Wildcard()
-    return VarRef(word)
+def _param(w: _Tokens, i: int) -> tuple[ParamRef, int]:
+    token = w.t[i]
+    if token[:1] == '"' or token[:1].isdigit():
+        value, i = _literal(w, i)
+        return LiteralArg(value), i
+    word, i = _word(w, i, "parameter")
+    return (Wildcard() if word == "_" else VarRef(word)), i
 
 
-def _event_decl(sc: _Scanner, abstract: bool, type_params: tuple[str, ...] = ()) -> EventDecl:
-    loc = sc.loc()
-    label = sc.take_word("event label")
-    sc.expect_punct(":")
+def _event_decl(w: _Tokens, i: int, abstract: bool,
+                type_params: tuple[str, ...] = ()) -> tuple[EventDecl, int]:
+    t = w.t
+    label, j = _word(w, i, "event label")
+    j = _expect(w, j, ":")
     return_binding = None
-    if abstract and sc.peek_char() == "<":
-        method = _placeholder(sc, type_params)
+    if abstract and t[j] == "<":
+        method, j = _placeholder(w, j, type_params)
     else:
-        word = sc.take_word("method name")
-        if sc.try_punct("="):
-            return_binding = word
-            if abstract and sc.peek_char() == "<":
-                method = _placeholder(sc, type_params)
+        method, j = _word(w, j, "method name")
+        if t[j] == "=":
+            return_binding = method
+            if abstract and t[j + 1] == "<":
+                method, j = _placeholder(w, j + 1, type_params)
             else:
-                method = sc.take_word("method name")
-        else:
-            method = word
-    sc.expect_punct("(")
+                method, j = _word(w, j + 1, "method name")
+    j = _expect(w, j, "(")
     params: tuple[ParamRef, ...] = ()
-    if sc.peek_char() != ")":
-        params = _separated(sc, lambda: _param(sc))
-    sc.expect_punct(")")
-    return EventDecl(label, return_binding, method, params, loc=loc)
+    if t[j] != ")":
+        params, j = _separated(w, j, _param)
+    return EventDecl(label, return_binding, method, params, loc=w.loc(i)), _expect(w, j, ")")
 
 
 # ---------------------------------------------------------------------------
@@ -377,54 +393,45 @@ def _event_decl(sc: _Scanner, abstract: bool, type_params: tuple[str, ...] = ())
 # the recursion of this parser and of the walks over its tree.
 MAX_ORDER_DEPTH = 100
 
-# Each function below returns the expression it parsed and the deepest
-# nesting level inside it, the enclosing ``depth`` included.
+_POSTFIX = {"?": Opt, "*": Star, "+": Plus}
 
 
-def _order_primary(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
-    if sc.try_punct("("):
-        if depth == MAX_ORDER_DEPTH:
-            sc.error(f"ORDER nests parentheses deeper than {MAX_ORDER_DEPTH} levels",
-                     sc.loc(sc.pos - 1))
-        inner = _order_alt(sc, depth + 1)
-        sc.expect_punct(")")
-        return inner
-    word = sc.peek_word()
-    if word is None or word in RESERVED_WORDS:
-        sc.error("expected event label or aggregate name")
-    loc = sc.loc()
-    return Atom(sc.take_word(), loc=loc), depth
-
-
-def _order_postfix(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
-    expr, level = _order_primary(sc, depth)
+def _order_expr(w: _Tokens, i: int, depth: int = 0) -> tuple[OrderExpr, int, int]:
+    """An ORDER expression inside ``depth`` levels of nesting, the deepest
+    level inside it, and the index after it."""
+    t = w.t
+    alternatives, level = [], depth
     while True:
-        if sc.try_punct("?"):
-            expr = Opt(expr)
-        elif sc.try_punct("*"):
-            expr = Star(expr)
-        elif sc.try_punct("+"):
-            expr = Plus(expr)
-        else:
-            return expr, level
-        level += 1
-        if level > MAX_ORDER_DEPTH:
-            sc.error(f"ORDER nests ?, * and + operators and parentheses deeper than "
-                     f"{MAX_ORDER_DEPTH} levels", sc.loc(sc.pos - 1))
-
-
-def _order_seq(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
-    parts, levels = zip(*_separated(sc, lambda: _order_postfix(sc, depth)))
-    return (parts[0] if len(parts) == 1 else Seq(parts)), max(levels)
-
-
-def _order_alt(sc: _Scanner, depth: int) -> tuple[OrderExpr, int]:
-    parts, levels = zip(*_separated(sc, lambda: _order_seq(sc, depth), "|"))
-    return (parts[0] if len(parts) == 1 else Alt(parts)), max(levels)
-
-
-def _order_expr(sc: _Scanner) -> OrderExpr:
-    return _order_alt(sc, 0)[0]
+        parts = []
+        while True:
+            token = t[i]
+            if token == "(":
+                if depth == MAX_ORDER_DEPTH:
+                    w.fail(i, f"ORDER nests parentheses deeper than {MAX_ORDER_DEPTH} levels")
+                expr, deepest, i = _order_expr(w, i + 1, depth + 1)
+                i = _expect(w, i, ")")
+            elif token[:1] in _WORD_START and token not in RESERVED_WORDS:
+                expr, deepest = Atom(token, loc=w.loc(i)), depth
+                i += 1
+            else:
+                w.fail(i, "expected event label or aggregate name")
+            while t[i] in _POSTFIX:
+                expr = _POSTFIX[t[i]](expr)
+                deepest += 1
+                if deepest > MAX_ORDER_DEPTH:
+                    w.fail(i, f"ORDER nests ?, * and + operators and parentheses deeper than "
+                              f"{MAX_ORDER_DEPTH} levels")
+                i += 1
+            parts.append(expr)
+            level = max(level, deepest)
+            if t[i] != ",":
+                break
+            i += 1
+        alternatives.append(parts[0] if len(parts) == 1 else Seq(tuple(parts)))
+        if t[i] != "|":
+            expr = alternatives[0] if len(alternatives) == 1 else Alt(tuple(alternatives))
+            return expr, level, i
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -432,83 +439,66 @@ def _order_expr(sc: _Scanner) -> OrderExpr:
 # ---------------------------------------------------------------------------
 
 
-def _at_section(sc: _Scanner) -> bool:
-    return sc.peek_word() in RESERVED_WORDS
-
-
-def _section(sc: _Scanner, keyword: str, item) -> tuple:
+def _section(w: _Tokens, i: int, keyword: str, item) -> tuple[tuple, int]:
     """The items of an optional trailing section, each ended by ';'."""
     items = []
-    if sc.try_word(keyword):
-        while not sc.eof() and not _at_section(sc):
-            items.append(item())
-            sc.expect_punct(";")
-    return tuple(items)
+    if w.t[i] == keyword:
+        i += 1
+        while w.t[i] not in _SECTION_END:
+            value, i = item(w, i)
+            items.append(value)
+            i = _expect(w, i, ";")
+    return tuple(items), i
 
 
 def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
-    sc = _Scanner(source.text, source.path)
+    w = _Tokens(source)
+    t = w.t
 
-    spec_loc = sc.loc()
-    if abstract:
-        sc.try_word("ABSTRACT")  # optional marker, not recorded in the AST
-    if not sc.try_word("SPEC"):
-        sc.error("missing SPEC header", spec_loc if sc.eof() else None)
-    class_name = _qualified_ident(sc, "class name")
+    i = 1 if abstract and t[0] == "ABSTRACT" else 0  # optional marker, not in the AST
+    if t[i] != "SPEC":
+        w.fail(i if t[i] else 0, "missing SPEC header")
+    class_name, i = _qualified_ident(w, i + 1, "class name")
     params: tuple[str, ...] = ()
-    if abstract and sc.try_punct("<"):
-        params = _separated(sc, lambda: sc.take_word("type parameter"))
-        sc.expect_punct(">")
+    if abstract and t[i] == "<":
+        params, i = _words(w, i + 1, "type parameter")
+        i = _expect(w, i, ">")
 
-    sc.expect_word("OBJECTS")
+    i = _expect(w, i, "OBJECTS")
     objects: list[ObjectDecl] = []
-    while not sc.eof() and not _at_section(sc):
-        loc = sc.loc()
-        type_name = _type_ref(sc, abstract, params)
-        var_name = sc.take_word("object name")
-        sc.expect_punct(";")
-        objects.append(ObjectDecl(type_name, var_name, loc=loc))
+    while t[i] not in _SECTION_END:
+        start = i
+        type_name, i = _type_ref(w, i, abstract, params)
+        var_name, i = _word(w, i, "object name")
+        i = _expect(w, i, ";")
+        objects.append(ObjectDecl(type_name, var_name, loc=w.loc(start)))
 
-    sc.expect_word("EVENTS")
+    i = _expect(w, i, "EVENTS")
     events: list[EventDecl] = []
     aggregates: list[AggregateDecl] = []
-    while not sc.eof() and not _at_section(sc):
-        if sc.peek_word() is None:
-            sc.error("expected event or aggregate declaration")
+    while t[i] not in _SECTION_END:
+        if t[i][:1] not in _WORD_START:
+            w.fail(i, "expected event or aggregate declaration")
         # Lookahead past the name decides between 'label :' and 'name :='.
-        loc, start = sc.loc(), sc.pos
-        name = sc.take_word("declaration name")
-        if sc.try_punct(":="):
-            alternatives = _separated(sc, lambda: sc.take_word("event label"), "|")
-            aggregates.append(AggregateDecl(name, alternatives, loc=loc))
+        if w.pair(i + 1, ":", "="):
+            alternatives, j = _words(w, i + 3, "event label", "|")
+            aggregates.append(AggregateDecl(t[i], alternatives, loc=w.loc(i)))
         else:
-            sc.pos = start
-            events.append(_event_decl(sc, abstract, params))
-        sc.expect_punct(";")
+            event, j = _event_decl(w, i, abstract, params)
+            events.append(event)
+        i = _expect(w, j, ";")
 
-    order_loc = sc.loc()
-    sc.expect_word("ORDER")
-    order = _order_expr(sc)
-    constraints = _section(sc, "CONSTRAINTS", lambda: _constraint(sc, abstract))
-    requires = _section(sc, "REQUIRES", lambda: _predicate(sc))
-    ensures = _section(sc, "ENSURES", lambda: _predicate(sc))
-    if not sc.eof():
-        sc.error(f"unexpected text after rule: {sc._describe_next()}")
+    order_loc = w.loc(i)
+    order, _, i = _order_expr(w, _expect(w, i, "ORDER"))
+    constraints, i = _section(w, i, "CONSTRAINTS", lambda w, i: _constraint(w, i, abstract))
+    requires, i = _section(w, i, "REQUIRES", _predicate)
+    ensures, i = _section(w, i, "ENSURES", _predicate)
+    if t[i]:
+        w.fail(i, f"unexpected text after rule: {w.found(i)}")
 
-    return CrySLSpec(
-        class_name=class_name,
-        objects=tuple(objects),
-        events=tuple(events),
-        aggregates=tuple(aggregates),
-        order=order,
-        constraints=constraints,
-        requires=requires,
-        ensures=ensures,
-        source_path=source.path,
-        loc=spec_loc,
-        order_loc=order_loc,
-        type_params=params,
-    )
+    return CrySLSpec(class_name, tuple(objects), tuple(events), tuple(aggregates), order,
+                     constraints, requires, ensures, source_path=source.path, loc=w.loc(0),
+                     order_loc=order_loc, type_params=params)
 
 
 def parse_crysl(source: SourceFile) -> CrySLSpec:
@@ -530,83 +520,82 @@ def parse_abstract(source: SourceFile) -> CrySLSpec:
 # ---------------------------------------------------------------------------
 
 
-def _refinement_op(sc: _Scanner) -> RefinementOp:
+def _refinement_op(w: _Tokens, start: int) -> tuple[RefinementOp, int]:
     """One operation of a refinement body, without its closing ';'."""
-    loc = sc.loc()
-    word = sc.take_word("refinement operation")
+    t = w.t
+    loc = w.loc(start)
+    word, i = _word(w, start, "refinement operation")
+    kind = t[i] if t[i][:1] in _WORD_START else None
     if word == "define":
-        sc.try_punct("$")  # the sigil is optional on the defining side
-        name = sc.take_word("meta-variable name")
-        sc.expect_punct("=")
-        return DefineLiteralSet(name, _literal_set(sc), loc=loc)
+        if t[i] == "$":  # the sigil is optional on the defining side
+            i += 1
+        name, i = _word(w, i, "meta-variable name")
+        values, i = _literal_set(w, _expect(w, i, "="))
+        return DefineLiteralSet(name, values, loc=loc), i
     if word == "add":
-        kind = sc.peek_word()
         if kind == "event":
-            sc.take_word()
-            event = _event_decl(sc, abstract=False)
-            aggregate = sc.take_word("aggregate name") if sc.try_word("to") else None
-            return AddEvent(event, aggregate, loc=loc)
+            event, i = _event_decl(w, i + 1, abstract=False)
+            aggregate = None
+            if t[i] == "to":
+                aggregate, i = _word(w, i + 1, "aggregate name")
+            return AddEvent(event, aggregate, loc=loc), i
         if kind == "constraint":
-            sc.take_word()
-            return AddConstraint(_constraint(sc, abstract=True), loc=loc)
+            constraint, i = _constraint(w, i + 1, abstract=True)
+            return AddConstraint(constraint, loc=loc), i
         if kind in ("ensures", "requires"):
-            sc.take_word()
-            return AddPredicate(kind, _predicate(sc), loc=loc)
-        sc.error(f"unknown op keyword 'add {kind}'", loc)
+            predicate, i = _predicate(w, i + 1)
+            return AddPredicate(kind, predicate, loc=loc), i
+        w.fail(start, f"unknown op keyword 'add {kind}'")
     if word == "remove":
-        kind = sc.peek_word()
         if kind == "event":
-            sc.take_word()
-            return RemoveEvent(sc.take_word("event label"), loc=loc)
+            label, i = _word(w, i + 1, "event label")
+            return RemoveEvent(label, loc=loc), i
         if kind == "constraint":
-            sc.take_word()
-            return RemoveConstraint(_constraint(sc, abstract=True), loc=loc)
+            constraint, i = _constraint(w, i + 1, abstract=True)
+            return RemoveConstraint(constraint, loc=loc), i
         if kind in ("ensures", "requires"):
-            sc.take_word()
-            return RemovePredicate(kind, sc.take_word("predicate name"), loc=loc)
-        sc.error(f"unknown op keyword 'remove {kind}'", loc)
+            name, i = _word(w, i + 1, "predicate name")
+            return RemovePredicate(kind, name, loc=loc), i
+        w.fail(start, f"unknown op keyword 'remove {kind}'")
     if word == "replace":
-        if sc.peek_word() != "order":
-            sc.error(f"unknown op keyword 'replace {sc.peek_word()}'", loc)
-        sc.take_word()
-        return ReplaceOrder(_order_expr(sc), loc=loc)
-    sc.error(f"unknown op keyword '{word}'", loc)
+        if kind != "order":
+            w.fail(start, f"unknown op keyword 'replace {kind}'")
+        order, _, i = _order_expr(w, i + 1)
+        return ReplaceOrder(order, loc=loc), i
+    w.fail(start, f"unknown op keyword '{word}'")
 
 
 def parse_refinement(source: SourceFile) -> list[RefinementSpec]:
     """Parse a refinement file; a single file may hold several refinements."""
     if source.language != "refinement":
         raise ValueError(f"{source.path}: expected a .ref source, got {source.language}")
-    sc = _Scanner(source.text, source.path)
+    w = _Tokens(source)
+    t = w.t
+    i = 0
     refinements: list[RefinementSpec] = []
-    while not sc.eof():
-        loc = sc.loc()
-        sc.expect_word("SPEC")
-        name = sc.take_word("refinement name")
-        sc.expect_word("REFINES")
-        base_name = _qualified_ident(sc, "base rule name")
+    while t[i]:
+        start = i
+        name, i = _word(w, _expect(w, i, "SPEC"), "refinement name")
+        base_name, i = _qualified_ident(w, _expect(w, i, "REFINES"), "base rule name")
         type_args: tuple[str, ...] = ()
-        if sc.try_punct("<"):
-            type_args = _separated(sc, lambda: _qualified_ident(sc, "type argument"))
-            sc.expect_punct(">")
+        if t[i] == "<":
+            type_args, i = _separated(w, i + 1,
+                                      lambda w, i: _qualified_ident(w, i, "type argument"))
+            i = _expect(w, i, ">")
         ops: list[RefinementOp] = []
-        if not sc.try_punct(";"):
-            sc.expect_punct("{")
-            while not sc.try_punct("}"):
-                if sc.eof():
-                    sc.error("unterminated refinement body")
-                ops.append(_refinement_op(sc))
-                sc.expect_punct(";")
-        refinements.append(
-            RefinementSpec(
-                name=name,
-                base_name=base_name,
-                type_args=type_args,
-                ops=tuple(ops),
-                source_path=source.path,
-                loc=loc,
-            )
-        )
+        if t[i] == ";":
+            i += 1
+        else:
+            i = _expect(w, i, "{")
+            while t[i] != "}":
+                if not t[i]:
+                    w.fail(i, "unterminated refinement body")
+                op, i = _refinement_op(w, i)
+                ops.append(op)
+                i = _expect(w, i, ";")
+            i += 1
+        refinements.append(RefinementSpec(name, base_name, type_args, tuple(ops),
+                                          source_path=source.path, loc=w.loc(start)))
     return refinements
 
 
@@ -615,12 +604,17 @@ def parse_refinement(source: SourceFile) -> list[RefinementSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _config_path(sc: _Scanner) -> str:
-    loc = sc.loc()
-    raw = sc.take(_PATH_RE, "path")
-    if ".." in Path(raw).parts and not Path(raw).is_absolute():
-        sc.error(f"parent-directory escape in path '{raw}'", loc)
-    return raw
+def _config_path(w: _Tokens, i: int) -> tuple[str, int]:
+    """The path that starts at token ``i``: any text up to whitespace, ';',
+    '{' or '}', so it may end inside a token."""
+    match = _PATH_RE.match(w.text, w.at[i])
+    if not match:
+        w.fail(i, "expected path")
+    raw = match.group()
+    if ".." in raw and ".." in Path(raw).parts and not Path(raw).is_absolute():
+        w.fail(i, f"parent-directory escape in path '{raw}'")
+    w.resume(i + 1, match.end())
+    return raw, i + 1
 
 
 def parse_config(source: SourceFile) -> BuildConfig:
@@ -632,53 +626,46 @@ def parse_config(source: SourceFile) -> BuildConfig:
     """
     if source.language != "config":
         raise ValueError(f"{source.path}: expected a .conf source, got {source.language}")
-    sc = _Scanner(source.text, source.path)
-    config_loc = sc.loc()
-    sc.expect_word("config")
-    name = sc.take_word("configuration name")
-    sc.expect_punct("{")
+    w = _Tokens(source, _CONFIG_TOKEN_RE)
+    t = w.t
+    name, i = _word(w, _expect(w, 0, "config"), "configuration name")
+    i = _expect(w, i, "{")
 
     paths: dict[str, str] = {}  # the 'src' and 'out' fields
     loads: list[LoadDirective] = []
-    while not sc.try_punct("}"):
-        if sc.eof():
-            sc.error("unterminated configuration block")
-        loc = sc.loc()
-        word = sc.take_word("configuration entry")
+    while t[i] != "}":
+        if not t[i]:
+            w.fail(i, "unterminated configuration block")
+        start = i
+        word, i = _word(w, i, "configuration entry")
         if word in ("src", "out"):
-            sc.expect_punct("=")
-            value = _config_path(sc)
+            value, i = _config_path(w, _expect(w, i, "="))
             if word in paths:
-                sc.error(f"duplicate field '{word}'", loc)
+                w.fail(start, f"duplicate field '{word}'")
             paths[word] = value
         elif word == "load":
-            kind = sc.take_word("load kind")
+            kind, i = _word(w, i, "load kind")
             if kind not in ("spec", "refinement"):
-                sc.error(f"expected 'spec' or 'refinement', found '{kind}'", loc)
-            loads.append(LoadDirective(kind, _config_path(sc), loc=loc))
+                w.fail(start, f"expected 'spec' or 'refinement', found '{kind}'")
+            path, i = _config_path(w, i)
+            loads.append(LoadDirective(kind, path, loc=w.loc(start)))
         else:
-            sc.error(f"unknown configuration entry '{word}'", loc)
-        sc.expect_punct(";")
+            w.fail(start, f"unknown configuration entry '{word}'")
+        i = _expect(w, i, ";")
 
-    if not sc.eof():
-        loc = sc.loc()
-        if sc.try_word("config"):
-            if sc.take_word("configuration name") == name:
-                sc.error(f"duplicate config name '{name}'", loc)
-            sc.error("multiple configurations per file are not supported", loc)
-        sc.error(f"unexpected text after configuration: {sc._describe_next()}", loc)
+    i += 1
+    if t[i]:
+        if t[i] == "config":
+            if _word(w, i + 1, "configuration name")[0] == name:
+                w.fail(i, f"duplicate config name '{name}'")
+            w.fail(i, "multiple configurations per file are not supported")
+        w.fail(i, f"unexpected text after configuration: {w.found(i)}")
 
     for field in ("src", "out"):
         if field not in paths:
-            sc.error(f"missing required field '{field}'", config_loc)
+            w.fail(0, f"missing required field '{field}'")
     if not any(load.kind == "spec" for load in loads):
-        sc.error("no specification sources (need at least one 'load spec')", config_loc)
+        w.fail(0, "no specification sources (need at least one 'load spec')")
 
-    return BuildConfig(
-        name=name,
-        src=paths["src"],
-        out=paths["out"],
-        loads=tuple(loads),
-        source_path=source.path,
-        loc=config_loc,
-    )
+    return BuildConfig(name, paths["src"], paths["out"], tuple(loads),
+                       source_path=source.path, loc=w.loc(0))

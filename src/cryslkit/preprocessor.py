@@ -69,14 +69,16 @@ class BuildResult(Record):
     stats: BuildStats
 
 
-def load(config) -> tuple[SpecRegistry, list[Diagnostic]]:
+def load(config, parsed: dict | None = None) -> tuple[SpecRegistry, list[Diagnostic]]:
     """Load every spec and refinement named by a configuration.
 
     ``src`` is relative to the directory of the file the configuration was
     parsed from (the working directory when it has none). Directory loads
     pick up files one subdirectory deep, sorted lexicographically; loading
-    the same spec or refinement name twice is an error.
+    the same spec or refinement name twice is an error. ``parsed`` keeps what
+    each file parsed to, by path, so that builds sharing it read a file once.
     """
+    parsed = {} if parsed is None else parsed
     config_dir = Path(config.source_path).parent if config.source_path else Path(".")
     src_root = config_dir / config.src
     registry = SpecRegistry()
@@ -103,13 +105,17 @@ def load(config) -> tuple[SpecRegistry, list[Diagnostic]]:
         table = registry.specs if directive.kind == "spec" else registry.refinements
         unnamed = "<rule>" if directive.kind == "spec" else "<refinement>"
         for file_path in rule_files(target, suffixes):
-            try:
-                if directive.kind == "spec":
-                    loaded = [read_rule(file_path)]
-                else:
-                    loaded = parse_refinement(SourceFile.from_path(file_path))
-            except ParseError as exc:
-                diags.append(exc.diagnostic)
+            if file_path not in parsed:
+                try:
+                    if directive.kind == "spec":
+                        parsed[file_path] = [read_rule(file_path)]
+                    else:
+                        parsed[file_path] = parse_refinement(SourceFile.from_path(file_path))
+                except ParseError as exc:
+                    parsed[file_path] = exc.diagnostic
+            loaded = parsed[file_path]
+            if isinstance(loaded, Diagnostic):
+                diags.append(loaded)
                 continue
             for item in loaded:
                 if item.name in table:
@@ -353,8 +359,8 @@ def resolve(registry: SpecRegistry) -> BuildResult:
     return BuildResult(generated=generated, diagnostics=diags, stats=stats)
 
 
-def run_build(config) -> BuildResult:
-    """Load and resolve a configuration in one step."""
-    registry, load_diags = load(config)
+def run_build(config, parsed: dict | None = None) -> BuildResult:
+    """Load and resolve a configuration in one step; ``parsed`` as for ``load``."""
+    registry, load_diags = load(config, parsed)
     result = resolve(registry)
     return result.replace(diagnostics=load_diags + result.diagnostics)

@@ -5,6 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from cryslkit.diagnostics import Record
+from cryslkit.parsing import (
+    ParseError,
+    SourceFile,
+    parse_abstract,
+    parse_config,
+    parse_crysl,
+    parse_refinement,
+)
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MESSAGEDIGEST_RULE = """\
@@ -119,6 +129,33 @@ def wide_rule_text(k: int) -> str:
         "ORDER\n"
         f"    {order}\n"
     )
+
+
+def dump(value) -> str:
+    """A value on one line with every field, locations and paths included;
+    set members in sorted order."""
+    if isinstance(value, Record):
+        fields = ", ".join(f"{name}={dump(getattr(value, name))}" for name in value._fields)
+        return f"{type(value).__name__}({fields})"
+    if isinstance(value, (tuple, list)):
+        return "[" + ", ".join(map(dump, value)) + "]"
+    if isinstance(value, frozenset):
+        return "{" + ", ".join(sorted(map(dump, value))) + "}"
+    return repr(value)
+
+
+SOURCE_PARSERS = {"crysl": parse_crysl, "abstract": parse_abstract,
+                  "refinement": parse_refinement, "config": parse_config}
+
+
+def parse_outcome(parsers: dict, language: str, text: str, path: str) -> str:
+    """What ``parsers[language]`` makes of ``text``: the dump of its result,
+    or the path, location and message of its ``ParseError``."""
+    try:
+        return dump(parsers[language](SourceFile.for_text(text, language, path)))
+    except ParseError as exc:
+        diag = exc.diagnostic
+        return f"ParseError {diag.path}:{diag.line}:{diag.column}: {diag.message!r}"
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cryslkit import ParseError, SourceFile, metrics, parse_config
+from cryslkit import ParseError, SourceFile, metrics, parse_config, preprocessor, run_build
 from cryslkit.metrics import (
     BuildFailure,
     _line_stats,
@@ -130,14 +130,21 @@ def test_savings_normalizes_each_text_once(corpus_dir, monkeypatch):
     assert len(calls) == report.meta.files + report.generated.files
 
 
+JCA_ANDROID_CONFIGS = [
+    "base0108", "base0116", "base25plus",
+    "bsi0108", "bsi0116", "bsi25plus",
+    "cognicrypt0108", "cognicrypt0116", "cognicrypt25plus",
+]
+
+
+def jca_android_configs(corpus_dir):
+    root = corpus_dir / "jca-android"
+    return [parse_config(SourceFile.from_path(root / f"{n}.conf")) for n in JCA_ANDROID_CONFIGS]
+
+
 def test_breakeven_and_monotone_cumulative_on_bundled_corpus(corpus_dir):
     root = corpus_dir / "jca-android"
-    names = [
-        "base0108", "base0116", "base25plus",
-        "bsi0108", "bsi0116", "bsi25plus",
-        "cognicrypt0108", "cognicrypt0116", "cognicrypt25plus",
-    ]
-    configs = [parse_config(SourceFile.from_path(root / f"{n}.conf")) for n in names]
+    configs = jca_android_configs(corpus_dir)
     meta = sorted(
         p for p in root.rglob("*")
         if p.is_file() and p.suffix in (".mcsl", ".crysl", ".ref", ".conf")
@@ -153,6 +160,24 @@ def test_breakeven_and_monotone_cumulative_on_bundled_corpus(corpus_dir):
         savings(meta, configs[:k]).savings_ratio for k in range(report.breakeven, len(configs) + 1)
     ]
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_savings_parses_each_distinct_file_once(corpus_dir, monkeypatch):
+    rules, refinements = [], []
+    read_rule, parse_refinement = preprocessor.read_rule, preprocessor.parse_refinement
+    monkeypatch.setattr(preprocessor, "read_rule", lambda path: rules.append(path) or read_rule(path))
+    monkeypatch.setattr(preprocessor, "parse_refinement",
+                        lambda source: refinements.append(source.path) or parse_refinement(source))
+    configs = jca_android_configs(corpus_dir)
+    savings([], configs)
+    assert len(rules) == len(set(rules)) == 8
+    assert refinements and len(refinements) == len(set(refinements))
+
+    # Builds that share nothing each parse the base rules again.
+    rules.clear()
+    for config in configs:
+        run_build(config)
+    assert len(rules) == 72
 
 
 def test_failed_build_aborts_with_diagnostics(tmp_path):

@@ -28,6 +28,7 @@ from cryslkit.model import (
     Seq,
 )
 
+import reference_parsing
 from conftest import (
     ABSTRACT_FACTORY,
     ABSTRACT_MESSAGEDIGEST,
@@ -35,6 +36,8 @@ from conftest import (
     MESSAGEDIGEST_RULE,
     PROVIDER_REFINEMENTS,
     SHA256_DIGEST_RULE,
+    SOURCE_PARSERS,
+    parse_outcome,
 )
 
 
@@ -522,3 +525,43 @@ def test_any_input_parses_or_raises_a_parse_error_inside_the_input(case):
         lines = text.split("\n")
         assert 1 <= diag.line <= len(lines)
         assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1
+
+
+# ---------------------------------------------------------------------------
+# The token walker against the character scanner it replaced
+# ---------------------------------------------------------------------------
+
+SCANNER = {"crysl": reference_parsing.parse_crysl, "abstract": reference_parsing.parse_abstract,
+           "refinement": reference_parsing.parse_refinement,
+           "config": reference_parsing.parse_config}
+CONSTRAINED_RULE = SMALL_RULE + "    e\nCONSTRAINTS\n    n in {{{}}};\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(parser_inputs())
+@example(("crysl", MESSAGEDIGEST_RULE.replace("Gets :=", "Gets : =")))
+@example(("abstract", MESSAGEDIGEST_RULE.replace("Gets :=", "Gets:= ")))
+@example(("refinement", PROVIDER_REFINEMENTS.replace("=>", "= >")))
+@example(("refinement", PROVIDER_REFINEMENTS.replace(" =>", "=>")))
+@example(("refinement", "SPEC A REFINES B { add event e := f(); }"))
+@example(("crysl", MESSAGEDIGEST_RULE.replace("out = digest", "out => digest")))
+@example(("crysl", MESSAGEDIGEST_RULE.replace("digested[out]", "digested[]")))
+@example(("crysl", MESSAGEDIGEST_RULE.replace("byte[] data", "byte[ ] data")))
+@example(("crysl", MESSAGEDIGEST_RULE.replace("byte[] out", "byte[][]out")))
+@example(("crysl", CONSTRAINED_RULE.format("1, \u0663")))
+@example(("crysl", SMALL_RULE.replace("push(n)", "push(\u00b2)") + "    e\n"))
+@example(("crysl", MESSAGEDIGEST_RULE.replace("\nORDER", "\f\nORDER")))
+@example(("crysl", CONSTRAINED_RULE.format('"a // b", "c // d\n"')))
+@example(("abstract", CONSTRAINED_RULE.format('"abc\\" // "')))
+@example(("config", CONFIG_TEXT.replace("base/;", "ba//se/;")))
+@example(("config", CONFIG_TEXT.replace("base/;", "ba//se/ ;")))
+@example(("config", CONFIG_TEXT.replace("samples/jca/base/", 'sam"ples/jca base/"')))
+@example(("config", CONFIG_TEXT.replace("samples/jca/base/", '"samples"')))
+@example(("config", CONFIG_TEXT.replace("samples/jca/base/", "a\fb")))
+@example(("crysl", SMALL_RULE + "    " + "(" * 101 + "e" + ")" * 101 + "\n"))
+@example(("refinement", "SPEC A REFINES B { replace order (e" + "*" * 100 + "); }"))
+def test_token_walker_parses_as_the_character_scanner_did(case):
+    language, text = case
+    path = f"input.{language}"
+    walker = parse_outcome(SOURCE_PARSERS, language, text, path)
+    assert walker == parse_outcome(SCANNER, language, text, path)
