@@ -74,10 +74,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
     _print_diagnostics(result.diagnostics)
 
     out_root = config_path.parent / config.out
+    emitted: list[Diagnostic] = []  # a warning about the output directory's manifest
     if args.dry_run:
         written = [str(out_root / name) for name, _ in result.generated]
     else:
-        written = [str(p) for p in emit(result, out_root)]
+        written = [str(p) for p in emit(result, out_root, emitted)]
+        _print_diagnostics(emitted)
+    diagnostics = result.diagnostics + emitted
 
     if args.json:
         payload = {
@@ -86,8 +89,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "dry_run": bool(args.dry_run),
             "files": written,
             "stats": {name: getattr(result.stats, name) for name in result.stats._fields},
-            "errors": sum(d.severity is Severity.ERROR for d in result.diagnostics),
-            "warnings": sum(d.severity is Severity.WARNING for d in result.diagnostics),
+            "errors": sum(d.severity is Severity.ERROR for d in diagnostics),
+            "warnings": sum(d.severity is Severity.WARNING for d in diagnostics),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -96,7 +99,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         verb = "planned" if args.dry_run else "wrote"
         print(f"{config.name}: {verb} {len(written)} file(s)", file=sys.stderr)
 
-    return 1 if has_errors(result.diagnostics) else 0
+    return 1 if has_errors(diagnostics) else 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -1,15 +1,20 @@
-"""Canonical rendering of rules and output-directory layout.
+"""Canonical rendering of rules, and the output directory of a build.
 
 The canonical form is a bit-exact contract: fixed section order, four-space
 indentation, one declaration per line, literal sets sorted by their rendered
 text, a single blank line between sections, ``\\n`` newlines and no trailing
-whitespace. Re-emitting an unchanged build result reproduces identical bytes.
+whitespace. Re-emitting an unchanged build result reproduces identical bytes,
+and ``emit`` then leaves every file as it was.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import stat
 from pathlib import Path
 
+from .diagnostics import Diagnostic, has_errors, warning_at
 from .model import (
     Atom,
     ConstraintExpr,
@@ -32,6 +37,10 @@ from .model import (
 )
 
 _INDENT = "    "
+
+# The names of the files a build wrote, kept in its output root; a name
+# without a rule suffix, so no rule-file walker reads it.
+MANIFEST = ".cryslkit-manifest.json"
 
 # Operator precedence for parenthesization: alternation < sequence < postfix.
 _PREC_ALT = 0
@@ -131,24 +140,124 @@ def pretty_print(spec: CrySLSpec) -> str:
     return "\n\n".join("\n".join(lines) for lines in sections) + "\n"
 
 
-def emit(result, out: str | Path) -> list[Path]:
-    """Write every generated rule of a build result under ``out``.
+def _plain_name(name: str) -> bool:
+    """Whether ``name`` names a file directly inside the output root, other
+    than the manifest."""
+    return (os.path.basename(name) == name and name not in ("", ".", "..", MANIFEST)
+            and "\0" not in name)
 
-    Creates the output root if absent and returns the written paths in
-    emission order. File names come from the build result and never contain
-    path separators, so emission cannot escape the output root. A rule that
-    still has variation points is a ``ValueError`` before it is written.
+
+def _holds(path: str, data: bytes) -> bool:
+    """Whether ``path`` is a regular file, not a symlink, holding ``data``."""
+    try:
+        info = os.lstat(path)
+        if not stat.S_ISREG(info.st_mode) or info.st_size != len(data):
+            return False
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            return os.read(fd, len(data) + 1) == data
+        finally:
+            os.close(fd)
+    except OSError:
+        return False
+
+
+def _temporary(name: str) -> str:
+    """The dot-named file beside ``name`` that new bytes for it go to."""
+    return f".{name}.{os.getpid()}.tmp"
+
+
+def _replace(root: Path, name: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``name`` in ``root`` that
+    then replaces it, so a reader sees the old file or the new one, and a
+    symlink in its place is replaced, not written through."""
+    temporary = os.path.join(root, _temporary(name))
+    try:
+        with open(temporary, "wb") as file:
+            file.write(data)
+        os.replace(temporary, os.path.join(root, name))
+    except BaseException:
+        Path(temporary).unlink(missing_ok=True)
+        raise
+
+
+def _put(root: Path, name: str, data: bytes) -> None:
+    """Make file ``name`` in ``root`` hold ``data``, leaving it untouched if
+    it already does."""
+    if not _holds(os.path.join(root, name), data):
+        _replace(root, name, data)
+
+
+def _manifest(names: list[str]) -> bytes:
+    return (json.dumps(names, indent=2) + "\n").encode("utf-8")
+
+
+def _previous_outputs(manifest: Path, diagnostics: list[Diagnostic] | None) -> list[str]:
+    """The file names that the manifest of the previous build lists: none
+    for a first build, and none, with a warning, for a manifest that is not
+    a JSON list of plain file names."""
+    try:
+        names = json.loads(manifest.read_bytes())
+    except FileNotFoundError:
+        return []
+    except (OSError, ValueError, RecursionError):
+        names = None
+    if isinstance(names, list) and all(isinstance(n, str) and _plain_name(n) for n in names):
+        return names
+    if diagnostics is not None:
+        diagnostics.append(warning_at(
+            str(manifest), None,
+            "not a JSON list of plain file names; no earlier output is deleted",
+        ))
+    return []
+
+
+def emit(result, out: str | Path, diagnostics: list[Diagnostic] | None = None) -> list[Path]:
+    """Bring the output root ``out`` in line with a build result, and return
+    the paths of its rules in emission order.
+
+    Every rule is rendered and checked first: a file name that is not a
+    plain name, or a rule that still has variation points, is a
+    ``ValueError`` before anything on disk changes. Then the root is created
+    if absent, each rule file whose bytes differ is replaced, and each file
+    that the previous build's manifest lists and this build did not produce
+    is deleted. The manifest, ``MANIFEST`` in the root, is a JSON list of
+    the names written. Before a file changes, it lists every name this call
+    may leave behind, so that a later build deletes what an interrupted one
+    made; at the end it lists exactly the names written. A result with
+    errors left rules out, so it deletes nothing and its manifest keeps the
+    previous build's names. No other file in the root is touched. A
+    manifest that cannot be read is a warning appended to ``diagnostics``,
+    when given, and then nothing earlier is deleted.
     """
-    root = Path(out)
-    root.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    rendered: list[tuple[str, bytes]] = []
     for file_name, spec in result.generated:
-        if Path(file_name).name != file_name:
+        if not _plain_name(file_name):
             raise ValueError(f"output file name '{file_name}' escapes the output root")
         leftovers = variation_points(spec)
         if leftovers:
             raise ValueError(f"rule {spec.name} still has variation points: {', '.join(leftovers)}")
-        target = root / file_name
-        target.write_text(pretty_print(spec), encoding="utf-8", newline="\n")
-        written.append(target)
-    return written
+        rendered.append((file_name, pretty_print(spec).encode("utf-8")))
+
+    root = Path(out)
+    root.mkdir(parents=True, exist_ok=True)
+    names = [file_name for file_name, _ in rendered]
+    produced = set(names)
+    stale = [name for name in _previous_outputs(root / MANIFEST, diagnostics)
+             if name not in produced]
+    if has_errors(result.diagnostics):
+        names, stale = names + stale, []
+    changed = [(name, data) for name, data in rendered
+               if not _holds(os.path.join(root, name), data)]
+    if changed:  # list what a write may leave behind before it is made
+        _put(root, MANIFEST, _manifest(
+            names + stale + [_temporary(name) for name, _ in changed] + [_temporary(MANIFEST)]))
+    for file_name, data in changed:
+        _replace(root, file_name, data)
+    for file_name in stale:
+        try:
+            os.unlink(root / file_name)
+        except (FileNotFoundError, IsADirectoryError):
+            pass  # gone already, or a directory made since
+    _put(root, MANIFEST, _manifest(names))
+    return [root / file_name for file_name, _ in rendered]

@@ -17,8 +17,9 @@ comments before it are dropped on the way. The recursive-descent functions
 walk the token list by index and return the index after what they parsed.
 The pairs ``:=``, ``=>`` and ``[]`` are two tokens that must be adjacent in
 the text. A ``.conf`` path is the one context-sensitive token: it runs to
-whitespace, ``;``, ``{`` or ``}``, so it can take in a ``//``, and the text
-after it is tokenised again until the new tokens line up with the old.
+whitespace, ``;``, ``{`` or ``}``, so it can take in a ``//``. A
+configuration is therefore tokenised as the walker reads it, and reading goes
+on from the end of each path.
 
 Parsers are pure functions of the input text. The first syntax error aborts
 the file and is raised as :class:`ParseError`, which carries a diagnostic
@@ -174,6 +175,11 @@ def read_rule(path: str | Path) -> CrySLSpec:
     return parse_abstract(source)
 
 
+def _line_starts(text: str) -> list[int]:
+    """The offset of each line's first character."""
+    return list(accumulate((len(line) + 1 for line in text.split("\n")), initial=0))
+
+
 class _Tokens:
     """One file's tokens: ``t[i]`` is the text of token ``i`` and ``at[i]``
     its offset. The last token is "", at the end of the text.
@@ -184,13 +190,12 @@ class _Tokens:
 
     __slots__ = ("t", "at", "text", "path", "_line_starts")
 
-    def __init__(self, source: SourceFile, pattern: re.Pattern = _TOKEN_RE):
+    def __init__(self, source: SourceFile):
         self.text, self.path = source.text, source.path
-        pairs = pattern.findall(source.text)  # (trivia, token)
+        pairs = _TOKEN_RE.findall(source.text)  # (trivia, token)
         self.t = [token for _, token in pairs]
         self.at = list(accumulate(map(len, chain.from_iterable(pairs))))[::2]
-        lines = source.text.split("\n")
-        self._line_starts = list(accumulate((len(line) + 1 for line in lines), initial=0))
+        self._line_starts = _line_starts(source.text)
 
     def loc(self, i: int) -> Loc:
         """1-based line and column of token ``i``."""
@@ -211,22 +216,42 @@ class _Tokens:
         t = self.t
         return t[i] == first and t[i + 1] == second and self.at[i + 1] == self.at[i] + 1
 
-    def resume(self, i: int, end: int) -> None:
-        """Make token ``i`` the first one after offset ``end``, which lies in
-        or after token ``i - 1``, in a configuration. The text from ``end`` is
-        tokenised again up to the first token that starts where an old one
-        does: the token at an offset does not depend on the text before it,
-        so from there on the old tokens stand."""
-        t, at = self.t, self.at
-        j, tokens, offsets = i, [], []
-        for match in _CONFIG_TOKEN_RE.finditer(self.text, end):
-            while at[j] < match.start(2):
-                j += 1
-            if at[j] == match.start(2):
-                break
-            tokens.append(match.group(2))
-            offsets.append(match.start(2))
-        t[i:j], at[i:j] = tokens, offsets
+
+class _Read(list):
+    """A token list that asks ``read`` for more tokens when indexed past its end."""
+
+    __slots__ = ("read",)
+
+    def __getitem__(self, i: int):
+        while i >= len(self):
+            self.read()
+        return list.__getitem__(self, i)
+
+
+class _ConfigTokens(_Tokens):
+    """A configuration's tokens, read from the text only as far as the walker
+    has asked for them. ``resume`` goes on reading after a path, which may
+    have taken in what a full tokenisation would have read as a comment;
+    text inside a path after its first token is never tokenised, so no
+    character is tokenised twice."""
+
+    __slots__ = ("_matches",)
+
+    def __init__(self, source: SourceFile):
+        self.text, self.path = source.text, source.path
+        self.t, self.at = _Read(), _Read()
+        self.t.read = self.at.read = self._read
+        self._line_starts = _line_starts(source.text)
+        self.resume(0)
+
+    def _read(self) -> None:
+        match = next(self._matches)
+        self.t.append(match.group(2))
+        self.at.append(match.start(2))
+
+    def resume(self, end: int) -> None:
+        """Read the next token from offset ``end`` on."""
+        self._matches = _CONFIG_TOKEN_RE.finditer(self.text, end)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +629,7 @@ def parse_refinement(source: SourceFile) -> list[RefinementSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _config_path(w: _Tokens, i: int) -> tuple[str, int]:
+def _config_path(w: _ConfigTokens, i: int) -> tuple[str, int]:
     """The path that starts at token ``i``: any text up to whitespace, ';',
     '{' or '}', so it may end inside a token."""
     match = _PATH_RE.match(w.text, w.at[i])
@@ -613,7 +638,7 @@ def _config_path(w: _Tokens, i: int) -> tuple[str, int]:
     raw = match.group()
     if ".." in raw and ".." in Path(raw).parts and not Path(raw).is_absolute():
         w.fail(i, f"parent-directory escape in path '{raw}'")
-    w.resume(i + 1, match.end())
+    w.resume(match.end())
     return raw, i + 1
 
 
@@ -626,7 +651,7 @@ def parse_config(source: SourceFile) -> BuildConfig:
     """
     if source.language != "config":
         raise ValueError(f"{source.path}: expected a .conf source, got {source.language}")
-    w = _Tokens(source, _CONFIG_TOKEN_RE)
+    w = _ConfigTokens(source)
     t = w.t
     name, i = _word(w, _expect(w, 0, "config"), "configuration name")
     i = _expect(w, i, "{")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryslkit.cli import main
+from cryslkit.emitter import MANIFEST
 from cryslkit.parsing import ParseError, SourceFile, parse_config
 
 from conftest import REPO_ROOT, wide_rule_text
@@ -36,7 +37,7 @@ def test_build_writes_rule_files(corpus_copy, capsys):
     assert code == 0
     out_dir = corpus_copy / "bouncycastle" / "_generated" / "digests"
     names = sorted(p.name for p in out_dir.iterdir())
-    assert names == ["SHA256.crysl", "SHA384.crysl", "SHA512.crysl", "SHA512t.crysl"]
+    assert names == [MANIFEST, "SHA256.crysl", "SHA384.crysl", "SHA512.crysl", "SHA512t.crysl"]
     assert [line.split("/")[-1] for line in out.splitlines()] == [
         "SHA256.crysl", "SHA384.crysl", "SHA512.crysl", "SHA512t.crysl",
     ]
@@ -116,7 +117,7 @@ def test_build_records_a_rule_file_that_is_not_utf8_and_goes_on(tmp_path, capsys
     code, out, err = run_cli(capsys, "build", str(conf))
     assert code == 1
     assert f"{latin1}:2:7: error: byte 0xe9 is not valid UTF-8" in err.splitlines()
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["Y.crysl"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [MANIFEST, "Y.crysl"]
 
 
 def test_build_locates_an_output_name_collision_at_the_colliding_spec(tmp_path, capsys):
@@ -175,7 +176,7 @@ def test_build_never_lists_or_writes_a_spec_that_failed_validation(tmp_path, cap
     assert code == 1
     assert out == f"{tmp_path / 'out' / 'Ok.crysl'}\n"
     assert err.splitlines() == diagnostics + ["fam: wrote 1 file(s)"]
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["Ok.crysl"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [MANIFEST, "Ok.crysl"]
     assert sorted(validated) == ["Bad", "Ok"]  # each spec validated once
 
     code, out, err = run_cli(capsys, "build", str(conf), "--dry-run", "--json")
@@ -197,6 +198,180 @@ def test_build_stdout_is_reproducible(corpus_copy, capsys):
     code2, out2, _ = run_cli(capsys, "build", str(conf), "--json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# A rebuild brings the output directory in line with the build.
+
+DIGESTS = ["SHA256.crysl", "SHA384.crysl", "SHA512.crysl", "SHA512t.crysl"]
+
+
+def build_digests(capsys, corpus_copy) -> tuple[int, str, Path]:
+    """Build the bouncycastle digests; the exit code, stderr and output directory."""
+    code, _, err = run_cli(capsys, "build", str(corpus_copy / "bouncycastle" / "digests.conf"))
+    return code, err, corpus_copy / "bouncycastle" / "_generated" / "digests"
+
+
+def listing(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_rebuild_deletes_the_rule_of_a_removed_refinement(corpus_copy, capsys):
+    code, err, out_dir = build_digests(capsys, corpus_copy)
+    assert (code, err) == (0, "bcdigests: wrote 4 file(s)\n")
+    refinements = corpus_copy / "bouncycastle" / "refinements" / "digests.ref"
+    text = refinements.read_text(encoding="utf-8")
+    sha512t = "SPEC SHA512t REFINES\n     Digest<org.bouncycastle.crypto.digests.SHA512tDigest>;\n"
+    assert sha512t in text
+    refinements.write_text(text.replace(sha512t, ""), encoding="utf-8")
+
+    code, err, out_dir = build_digests(capsys, corpus_copy)
+    assert (code, err) == (0, "bcdigests: wrote 3 file(s)\n")
+    assert listing(out_dir) == sorted([MANIFEST] + DIGESTS[:3])
+    assert json.loads((out_dir / MANIFEST).read_text(encoding="utf-8")) == DIGESTS[:3]
+    code, out, err = run_cli(capsys, "validate", str(out_dir))
+    assert (code, err) == (0, "3 file(s): 0 error(s), 0 warning(s)\n")
+
+
+def test_rebuild_keeps_a_file_it_did_not_write(corpus_copy, capsys):
+    out_dir = build_digests(capsys, corpus_copy)[2]
+    (out_dir / "Notes.crysl").write_text("hand-placed\n", encoding="utf-8")
+    (out_dir / "SHA384.crysl").unlink()
+    assert build_digests(capsys, corpus_copy)[:2] == (0, "bcdigests: wrote 4 file(s)\n")
+    assert listing(out_dir) == sorted([MANIFEST, "Notes.crysl"] + DIGESTS)
+    assert (out_dir / "Notes.crysl").read_text(encoding="utf-8") == "hand-placed\n"
+
+
+@pytest.mark.parametrize("manifest", [
+    b"", b"{", b"\xff\xfe[", pytest.param(b"[" * 100_000, id="deeply-nested"), b"{}",
+    b'["a", 1]', b"null",
+    b'["SHA256.crysl", "../Digest.mcsl"]', b'["Notes.crysl", "a/b"]',
+    b'["Notes.crysl", "."]', b'["Notes.crysl", ""]', b'["Notes.crysl", ".."]',
+    b'["Notes.crysl", "a\\u0000b"]', b'["Notes.crysl", ".cryslkit-manifest.json"]',
+])
+def test_rebuild_after_a_corrupt_manifest_warns_and_deletes_nothing_it_did_not_write(
+    corpus_copy, capsys, manifest
+):
+    out_dir = build_digests(capsys, corpus_copy)[2]
+    (out_dir / "Notes.crysl").write_text("hand-placed\n", encoding="utf-8")
+    (out_dir / "a").mkdir()
+    (out_dir / "a" / "b").write_text("hand-placed\n", encoding="utf-8")
+    (out_dir / MANIFEST).write_bytes(manifest)
+    before = {p.relative_to(corpus_copy.parent).as_posix() for p in corpus_copy.parent.rglob("*")}
+
+    code, err, _ = build_digests(capsys, corpus_copy)
+    assert code == 0
+    assert err.splitlines() == [
+        f"{out_dir / MANIFEST}:1:1: warning: not a JSON list of plain file names; "
+        "no earlier output is deleted",
+        "bcdigests: wrote 4 file(s)",
+    ]
+    after = {p.relative_to(corpus_copy.parent).as_posix() for p in corpus_copy.parent.rglob("*")}
+    assert after == before
+    assert json.loads((out_dir / MANIFEST).read_text(encoding="utf-8")) == DIGESTS
+    # The manifest is whole again, so the next build says nothing about it.
+    assert build_digests(capsys, corpus_copy)[:2] == (0, "bcdigests: wrote 4 file(s)\n")
+    (out_dir / MANIFEST).write_bytes(manifest)
+    code, out, _ = run_cli(capsys, "build", str(corpus_copy / "bouncycastle" / "digests.conf"),
+                           "--json")
+    assert (code, json.loads(out)["warnings"]) == (0, 1)
+
+
+def test_rebuild_deletes_only_files_its_manifest_lists(corpus_copy, capsys):
+    out_dir = build_digests(capsys, corpus_copy)[2]
+    (out_dir / "Old.crysl").write_text("stale\n", encoding="utf-8")
+    (out_dir / "Kept.crysl").write_text("hand-placed\n", encoding="utf-8")
+    (out_dir / "Made.crysl").mkdir()  # a directory where a listed file was
+    (out_dir / MANIFEST).write_text(json.dumps(["Old.crysl", "Made.crysl", "Gone.crysl"] + DIGESTS),
+                                    encoding="utf-8")
+    assert build_digests(capsys, corpus_copy)[:2] == (0, "bcdigests: wrote 4 file(s)\n")
+    assert listing(out_dir) == sorted([MANIFEST, "Kept.crysl", "Made.crysl"] + DIGESTS)
+
+
+def test_first_build_into_a_directory_without_a_manifest_says_nothing(corpus_copy, capsys):
+    out_dir = corpus_copy / "bouncycastle" / "_generated" / "digests"
+    out_dir.mkdir(parents=True)
+    (out_dir / "Notes.crysl").write_text("hand-placed\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "build", str(corpus_copy / "bouncycastle" / "digests.conf"),
+                             "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["warnings"] == 0
+    assert listing(out_dir) == sorted([MANIFEST, "Notes.crysl"] + DIGESTS)
+
+
+def test_unchanged_rebuild_leaves_every_output_file_alone(corpus_copy, capsys):
+    out_dir = build_digests(capsys, corpus_copy)[2]
+    stats = {name: os.stat(out_dir / name) for name in listing(out_dir)}
+    assert build_digests(capsys, corpus_copy)[:2] == (0, "bcdigests: wrote 4 file(s)\n")
+    assert listing(out_dir) == sorted(stats)
+    for name, before in stats.items():
+        after = os.stat(out_dir / name)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns), name
+
+
+def test_changed_rule_is_replaced_by_a_new_file_and_no_temporary_is_left(corpus_copy, capsys):
+    out_dir = build_digests(capsys, corpus_copy)[2]
+    inodes = {name: os.stat(out_dir / name).st_ino for name in DIGESTS}
+    reader = (out_dir / "SHA256.crysl").open("rb")  # holds the old file open
+    old = reader.read()
+    refinements = corpus_copy / "bouncycastle" / "refinements" / "digests.ref"
+    text = refinements.read_text(encoding="utf-8")
+    refinements.write_text(text.replace("SHA256Digest>", "SHA256Digest2>"), encoding="utf-8")
+
+    assert build_digests(capsys, corpus_copy)[:2] == (0, "bcdigests: wrote 4 file(s)\n")
+    assert listing(out_dir) == sorted([MANIFEST] + DIGESTS)
+    new = (out_dir / "SHA256.crysl").read_bytes()
+    assert new == old.replace(b"SHA256Digest", b"SHA256Digest2")
+    assert os.stat(out_dir / "SHA256.crysl").st_ino != inodes["SHA256.crysl"]
+    assert {name: os.stat(out_dir / name).st_ino for name in DIGESTS[1:]} == {
+        name: inodes[name] for name in DIGESTS[1:]
+    }
+    reader.seek(0)
+    assert reader.read() == old  # the old file was replaced, not rewritten
+    reader.close()
+
+
+def test_an_output_that_is_a_symlink_is_replaced_not_written_through(corpus_copy, capsys):
+    outside = corpus_copy.parent / "outside.crysl"
+    code, err, out_dir = build_digests(capsys, corpus_copy)
+    for content in (b"outside\n", (out_dir / "SHA512.crysl").read_bytes()):
+        outside.write_bytes(content)
+        (out_dir / "SHA512.crysl").unlink()
+        (out_dir / "SHA512.crysl").symlink_to(outside)
+        assert build_digests(capsys, corpus_copy)[:2] == (0, "bcdigests: wrote 4 file(s)\n")
+        assert not (out_dir / "SHA512.crysl").is_symlink()
+        assert outside.read_bytes() == content
+    assert (out_dir / "SHA512.crysl").read_bytes() == outside.read_bytes()
+
+
+def test_a_build_with_errors_deletes_nothing_and_keeps_the_earlier_names(corpus_copy, capsys):
+    out_dir = build_digests(capsys, corpus_copy)[2]
+    before = {name: (out_dir / name).read_bytes() for name in DIGESTS}
+    refinements = corpus_copy / "bouncycastle" / "refinements" / "digests.ref"
+    base = corpus_copy / "bouncycastle" / "base" / "digest.mcsl"
+    good_refinements = refinements.read_text(encoding="utf-8")
+    good_base = base.read_text(encoding="utf-8")
+    sha512t = "SPEC SHA512t REFINES\n     Digest<org.bouncycastle.crypto.digests.SHA512tDigest>;\n"
+    broken = [
+        # the SHA512t refinement gone, and a syntax error that drops every refinement
+        (good_refinements.replace(sha512t, "") + "garbage {\n", good_base),
+        # the SHA512t refinement gone, and one that names a missing base
+        (good_refinements.replace(sha512t, "SPEC X REFINES Nothing<a.B>;\n"), good_base),
+        # a syntax error in the shared base, so no rule is produced
+        (good_refinements, good_base + "SPEC\n"),
+    ]
+    for refinements_text, base_text in broken:
+        refinements.write_text(refinements_text, encoding="utf-8")
+        base.write_text(base_text, encoding="utf-8")
+        code, err, _ = build_digests(capsys, corpus_copy)
+        assert code == 1 and "error:" in err
+        assert listing(out_dir) == sorted([MANIFEST] + DIGESTS)
+        assert {name: (out_dir / name).read_bytes() for name in DIGESTS} == before
+        assert sorted(json.loads((out_dir / MANIFEST).read_text(encoding="utf-8"))) == DIGESTS
+
+    refinements.write_text(good_refinements.replace(sha512t, ""), encoding="utf-8")
+    base.write_text(good_base, encoding="utf-8")
+    assert build_digests(capsys, corpus_copy)[:2] == (0, "bcdigests: wrote 3 file(s)\n")
+    assert listing(out_dir) == sorted([MANIFEST] + DIGESTS[:3])
 
 
 # ---------------------------------------------------------------------------

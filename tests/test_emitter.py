@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
+import os
 import random
 
 import pytest
 
-from cryslkit import SourceFile, emit, parse_abstract, parse_crysl, pretty_print
+from cryslkit import SourceFile, emit, emitter, parse_abstract, parse_crysl, pretty_print
+from cryslkit.emitter import MANIFEST
 from cryslkit.model import (
     Atom,
     CrySLSpec,
@@ -88,8 +91,14 @@ def test_emit_rejects_a_rule_with_variation_points(tmp_path):
         order=Atom("a"),
         constraints=(Membership("x", MetaVarRef("Hole")),),
     )
+    valid = crysl(MESSAGEDIGEST_RULE)
     with pytest.raises(ValueError, match=r"\$Hole"):
-        emit(_result(spec), tmp_path / "out")
+        emit(_result(valid, spec), tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # not even the root, nor a manifest
+
+    (tmp_path / "out").mkdir()
+    with pytest.raises(ValueError, match=r"\$Hole"):
+        emit(_result(valid, spec), tmp_path / "out")
     assert not list((tmp_path / "out").iterdir())
 
 
@@ -132,6 +141,32 @@ def test_reemit_is_byte_identical(tmp_path):
     first = emit(result, out)[0].read_bytes()
     second = emit(result, out)[0].read_bytes()
     assert first == second
+
+
+def test_a_later_emit_deletes_what_an_interrupted_one_made(tmp_path, monkeypatch):
+    a, b = crysl(MESSAGEDIGEST_RULE), crysl(SHA256_DIGEST_RULE)
+    c = crysl(MESSAGEDIGEST_RULE.replace("SPEC java.security.MessageDigest", "SPEC C"))
+    out = tmp_path / "rules"
+    emit(_result(a), out)
+
+    replace = os.replace
+
+    def interrupted(source, target):
+        if os.path.basename(target) == "C.crysl":
+            raise KeyboardInterrupt
+        replace(source, target)
+
+    monkeypatch.setattr(emitter.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        emit(_result(a, b, c), out)
+    monkeypatch.setattr(emitter.os, "replace", replace)
+    listing = sorted(p.name for p in out.iterdir())
+    assert listing == [MANIFEST, "MessageDigest.crysl", "SHA256Digest.crysl"]
+    (out / emitter._temporary("C.crysl")).write_bytes(b"left by a kill\n")
+
+    emit(_result(a), out)
+    assert sorted(p.name for p in out.iterdir()) == [MANIFEST, "MessageDigest.crysl"]
+    assert json.loads((out / MANIFEST).read_text(encoding="utf-8")) == ["MessageDigest.crysl"]
 
 
 def test_emit_rejects_escaping_file_names(tmp_path):

@@ -29,6 +29,7 @@ from cryslkit.model import (
 )
 
 import reference_parsing
+from cryslkit import parsing
 from conftest import (
     ABSTRACT_FACTORY,
     ABSTRACT_MESSAGEDIGEST,
@@ -378,6 +379,36 @@ def test_duplicate_config_name_is_rejected():
     assert "duplicate config name" in str(err.value)
 
 
+class _CountingPattern:
+    """A compiled pattern whose ``finditer`` adds up the characters its
+    matches span."""
+
+    def __init__(self, pattern: re.Pattern):
+        self.pattern, self.chars = pattern, 0
+
+    def finditer(self, text, pos=0):
+        for match in self.pattern.finditer(text, pos):
+            self.chars += match.end() - match.start()
+            yield match
+
+    def __getattr__(self, name):
+        return getattr(self.pattern, name)
+
+
+@pytest.mark.parametrize("separator", [" ", "\n"])
+def test_a_configuration_tokenises_each_character_at_most_once(monkeypatch, separator):
+    # Each path swallows a '//' that a full tokenisation reads as a comment
+    # running to the end of the line.
+    counting = _CountingPattern(parsing._CONFIG_TOKEN_RE)
+    monkeypatch.setattr(parsing, "_CONFIG_TOKEN_RE", counting)
+    text = ("config c {\n    src = s//t; out = o;\n"
+            + separator.join(["load spec a//b;"] * 2000) + " // done\n}\n")
+    config = conf(text)
+    assert (config.src, config.out) == ("s//t", "o")
+    assert [load.path for load in config.loads] == ["a//b"] * 2000
+    assert counting.chars <= len(text)
+
+
 # ---------------------------------------------------------------------------
 # Locations
 # ---------------------------------------------------------------------------
@@ -555,6 +586,8 @@ CONSTRAINED_RULE = SMALL_RULE + "    e\nCONSTRAINTS\n    n in {{{}}};\n"
 @example(("abstract", CONSTRAINED_RULE.format('"abc\\" // "')))
 @example(("config", CONFIG_TEXT.replace("base/;", "ba//se/;")))
 @example(("config", CONFIG_TEXT.replace("base/;", "ba//se/ ;")))
+@example(("config", "config c { src = a//b; out = c//d; load spec e//f; } // g"))
+@example(("config", "config c {\n src = a//b; // c; d\n out = e; load spec f//;\n}"))
 @example(("config", CONFIG_TEXT.replace("samples/jca/base/", 'sam"ples/jca base/"')))
 @example(("config", CONFIG_TEXT.replace("samples/jca/base/", '"samples"')))
 @example(("config", CONFIG_TEXT.replace("samples/jca/base/", "a\fb")))
