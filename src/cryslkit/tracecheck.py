@@ -26,19 +26,27 @@ C JSON scanner once (``json.loads`` only for a line the scanner does not take
 whole, so diagnostics keep their text), events are ``__slots__`` records with
 a plain ``__init__``, and :func:`report` fills a fixed template per violation
 instead of running ``json.dumps``'s indenting encoder, which is pure Python.
+
+What a check holds in memory: the events, which share one object per
+distinct trace value (one ``str`` per distinct name, id and string literal,
+one :class:`Ref` per distinct reference id, for the length of one
+:func:`parse_trace_lines` call); per object, its state, its bindings and,
+once a constraint was judged for it, one list of judged signatures; and one
+message per distinct finding, shared by every violation that repeats it.
+:func:`load_trace` reads its file line by line, never the whole text.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring, encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Union
 
 from .automaton import TypestateAutomaton, lazy_automaton
 from .diagnostics import Diagnostic, Loc, Record, error_at
-from .emitter import render_constraint, render_literal
+from .emitter import render_constraint
 from .model import (
     ConstraintExpr,
     CrySLSpec,
@@ -93,18 +101,6 @@ class Violation(Record):
 # ---------------------------------------------------------------------------
 
 
-def _parse_arg(raw) -> ArgValue:
-    if isinstance(raw, str):
-        return UNKNOWN if raw == "?" else raw
-    if isinstance(raw, bool):
-        raise ValueError("boolean arguments are not part of the trace format")
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, dict) and set(raw) == {"ref"} and isinstance(raw["ref"], str):
-        return Ref(raw["ref"])
-    raise ValueError(f"unsupported argument value {raw!r}")
-
-
 _JSON_TYPE_NAMES = {
     bool: "a boolean", int: "an integer", float: "a number", str: "a string",
     list: "an array", dict: "an object", type(None): "null",
@@ -140,12 +136,37 @@ def parse_trace_lines(
 ) -> tuple[list[TraceEvent], list[Diagnostic]]:
     """Parse JSON-lines trace text; malformed lines are reported and skipped.
 
-    A byte that is not UTF-8 arrives as the code point ``surrogateescape``
-    gives it (``load_trace`` reads that way); a line holding one is malformed.
+    ``lines`` is any iterable of lines, a list or an open text file; the
+    whitespace around each line is ignored. A byte that is not UTF-8 arrives
+    as the code point ``surrogateescape`` gives it (``load_trace`` reads that
+    way); a line holding one is malformed.
+
+    A trace repeats its class and method names, object ids and literals on
+    line after line, so the events share them: the call returns one ``str``
+    per distinct string value and one :class:`Ref` per distinct reference id.
     """
     events: list[TraceEvent] = []
     diags: list[Diagnostic] = []
     last_seq: int | None = None
+    strings: dict[str, str] = {}
+    refs: dict[str, Ref] = {}
+    share = strings.setdefault
+
+    def parse_arg(raw) -> ArgValue:
+        if isinstance(raw, str):
+            return UNKNOWN if raw == "?" else share(raw, raw)
+        if isinstance(raw, bool):
+            raise ValueError("boolean arguments are not part of the trace format")
+        if isinstance(raw, int):
+            return raw
+        if isinstance(raw, dict) and set(raw) == {"ref"} and isinstance(raw["ref"], str):
+            ref = refs.get(raw["ref"])
+            if ref is None:
+                ref_id = share(raw["ref"], raw["ref"])
+                ref = refs[ref_id] = Ref(ref_id)
+            return ref
+        raise ValueError(f"unsupported argument value {raw!r}")
+
     for line_no, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -175,10 +196,13 @@ def parse_trace_lines(
             if type(args) is not list:
                 raise _wrong_type("args", "an array", args)
             return_id = record.get("return_id")
-            if return_id is not None and type(return_id) is not str:
-                raise _wrong_type("return_id", "a string or null", return_id)
-            event = TraceEvent(seq, object_id, class_name, method_name,
-                               tuple([_parse_arg(a) for a in args]), return_id)
+            if return_id is not None:
+                if type(return_id) is not str:
+                    raise _wrong_type("return_id", "a string or null", return_id)
+                return_id = share(return_id, return_id)
+            event = TraceEvent(seq, share(object_id, object_id), share(class_name, class_name),
+                               share(method_name, method_name),
+                               tuple([parse_arg(a) for a in args]), return_id)
         # RecursionError: the JSON decoder's answer to arrays or objects nested
         # too deeply.
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
@@ -196,8 +220,14 @@ def parse_trace_lines(
 
 
 def load_trace(path: str | Path) -> tuple[list[TraceEvent], list[Diagnostic]]:
-    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-    return parse_trace_lines(text.splitlines(), str(path))
+    """Parse the trace file at ``path`` as it is read.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, as in JSON
+    Lines, so a string value may hold U+2028 or any other character that
+    ``str.splitlines`` would also break at.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as lines:
+        return parse_trace_lines(lines, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +319,9 @@ class _ObjectRun:
         self.state = state
         self.broken = False  # order already violated; automaton is in the sink
         self.env: dict[str, ArgValue] = {}
-        self.evaluated: dict[int, tuple] = {}
+        # Per constraint index, the signature last judged: a list, smaller
+        # than a dict, made at the first judgement.
+        self.evaluated: list[tuple | None] | None = None
         self.constraint_ok = True
         self.requires_checked = False
 
@@ -350,6 +382,9 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
     # has been seen, so reordering events of unrelated objects cannot flip
     # the outcome.
     pending_requires: list[tuple[_ObjectRun, str, tuple, tuple, int]] = []
+    # (rule class, constraint index, signature) -> message: one text per
+    # distinct finding, however many objects make it.
+    messages: dict[tuple[str, int, tuple], str] = {}
 
     def found(kind: str, run: _ObjectRun, seq: int | None, message: str) -> None:
         violations.append(Violation(kind, run.object_id, seq, run.rule.spec.class_name, message))
@@ -360,14 +395,17 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
     def check_constraints(run: _ObjectRun, seq: int, indices: tuple[int, ...]) -> None:
         rule = run.rule
         env = run.env
+        evaluated = run.evaluated
         for index in indices:
             names = rule.constraint_vars[index]
             signature = tuple(map(env.get, names))
             if None in signature:
                 continue  # a variable is still unbound; no bound value is None
-            if run.evaluated.get(index) == signature:
+            if evaluated is None:
+                evaluated = run.evaluated = [None] * len(rule.constraint_vars)
+            elif evaluated[index] == signature:
                 continue  # same bindings were already judged at an earlier event
-            run.evaluated[index] = signature
+            evaluated[index] = signature
             outcome = _eval_constraint(rule.spec.constraints[index], env)
             if outcome is True:
                 continue
@@ -376,10 +414,14 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
                 warn(seq, run, f"decide '{rendered}'")
                 continue
             run.constraint_ok = False
-            bindings = ", ".join(
-                f"{name} = {_render_value(value)}" for name, value in zip(names, signature)
-            )
-            found("constraint", run, seq, f"{bindings} violates '{rendered}'")
+            key = (rule.spec.class_name, index, signature)
+            message = messages.get(key)
+            if message is None:
+                bindings = ", ".join(
+                    f"{name} = {_render_value(value)}" for name, value in zip(names, signature)
+                )
+                message = messages[key] = f"{bindings} violates '{rendered}'"
+            found("constraint", run, seq, message)
 
     def complete(run: _ObjectRun, seq: int) -> None:
         spec = run.rule.spec
@@ -438,22 +480,26 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
             found("missing-predicate", run, seq,
                   f"requires {name}[{', '.join(args)}] but no rule established it")
 
-    for key in sorted(runs):
-        run = runs[key]
-        if not (run.broken or run.state in run.rule.automaton.accepting):
-            found("incomplete", run, None,
-                  "object discarded before completing the declared protocol")
+    incomplete = [key for key, run in runs.items()
+                  if not (run.broken or run.state in run.rule.automaton.accepting)]
+    for key in sorted(incomplete):
+        found("incomplete", runs[key], None,
+              "object discarded before completing the declared protocol")
 
     violations.sort(key=lambda v: (v.seq is None, v.seq or 0, v.object_id, v.kind))
     return CheckResult(violations=violations, warnings=warnings)
 
 
 def _render_value(value: ArgValue) -> str:
+    """A bound value as a finding message shows it. A string gets JSON string
+    escapes, so a line break in it cannot split a row of the table report."""
     if isinstance(value, Ref):
         return f"ref:{value.id}"
     if value is UNKNOWN:
         return "?"
-    return render_literal(value)
+    if isinstance(value, str):
+        return encode_basestring(value)
+    return str(value)
 
 
 # ---------------------------------------------------------------------------

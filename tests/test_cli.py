@@ -491,6 +491,42 @@ def test_check_reports_a_trace_line_that_is_not_utf8_and_goes_on(
     assert out == expected
 
 
+def test_check_ends_trace_lines_only_at_line_breaks(fips_rules_dir, tmp_path, capsys):
+    # U+2028 is valid inside a JSON string and json.dumps(..., ensure_ascii=False)
+    # writes it raw; str.splitlines would break the first line at it.
+    lines = [
+        json.dumps({"seq": 1, "object_id": "l1", "class_name": "java.util.List",
+                    "method_name": "add", "args": ["a\u2028b\x85c"]}, ensure_ascii=False),
+        "not json",
+        json.dumps({"seq": 2, "object_id": "md1", "class_name": "java.security.MessageDigest",
+                    "method_name": "getInstance", "args": ["MD5"], "return_id": "md1"}),
+    ]
+    trace = tmp_path / "separators.jsonl"
+    trace.write_bytes(("\r\n".join(lines) + "\r").encode("utf-8"))
+    code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
+                             "--trace", str(trace), "--format", "json")
+    assert code == 1
+    assert err == (f"{trace}:2:1: error: malformed trace line: "
+                   "Expecting value: line 1 column 1 (char 0)\n")
+    assert json.loads(out)["by_kind"] == {"constraint": 1, "incomplete": 1,
+                                          "missing-predicate": 0, "order": 0}
+
+
+def test_check_table_keeps_a_value_with_a_line_break_on_its_row(fips_rules_dir, tmp_path, capsys):
+    trace = tmp_path / "newline.jsonl"
+    trace.write_text(json.dumps({"seq": 1, "object_id": "md1",
+                                 "class_name": "java.security.MessageDigest",
+                                 "method_name": "getInstance", "args": ["MD\n5\t\"x\\"],
+                                 "return_id": "md1"}) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
+                             "--trace", str(trace), "--format", "table")
+    assert code == 1
+    header, constraint, incomplete, total = out.splitlines()
+    assert constraint.startswith("constraint  md1")
+    assert 'algorithm = "MD\\n5\\t\\"x\\\\" violates' in constraint
+    assert incomplete.startswith("incomplete  md1") and total == "total: 2"
+
+
 def test_check_trace_that_is_a_directory_exits_2(fips_rules_dir, tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
                              "--trace", str(tmp_path))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from cryslkit import (
     TraceEvent,
     check_trace,
     compile_rules,
+    load_trace,
     parse_crysl,
     parse_trace_lines,
     report,
@@ -545,6 +547,86 @@ def test_records_compare_by_type_and_fields():
 
 
 # ---------------------------------------------------------------------------
+# Memory: what a trace repeats is held once
+# ---------------------------------------------------------------------------
+
+MEMORY_REPLICAS = 40
+# tracemalloc peak of load_trace plus check_trace, in bytes per event, over
+# MEMORY_REPLICAS replicas. Sharing values and finding messages and reading
+# the file line by line took it from 765 to 449 (Python 3.11.7); the bound
+# lies between the two.
+PEAK_BYTES_PER_EVENT = 610
+
+
+def replicated_trace(corpus_dir, replicas: int) -> list[str]:
+    """The jca-android traces, one replica after another, every object id,
+    return id and reference renamed per replica and ``seq`` renumbered."""
+    template = [
+        json.loads(line)
+        for path in sorted((corpus_dir / "traces" / "jca-android").glob("*.jsonl"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    ]
+
+    def fresh(value, suffix):
+        return {"ref": value["ref"] + suffix} if isinstance(value, dict) else value
+
+    lines = []
+    for replica in range(replicas):
+        suffix = f"_r{replica}"
+        for record in template:
+            record = dict(record, seq=len(lines) + 1, object_id=record["object_id"] + suffix,
+                          args=[fresh(arg, suffix) for arg in record.get("args", [])])
+            if record.get("return_id") is not None:
+                record["return_id"] += suffix
+            lines.append(json.dumps(record))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def android_trace(corpus_dir, tmp_path_factory):
+    config = parse_config(SourceFile.from_path(corpus_dir / "jca-android" / "bsi25plus.conf"))
+    rules = compile_rules([spec for _, spec in run_build(config).generated])
+    path = tmp_path_factory.mktemp("replicas") / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in replicated_trace(corpus_dir, MEMORY_REPLICAS)),
+                    encoding="utf-8")
+    return rules, path
+
+
+def test_equal_trace_values_are_one_object(android_trace):
+    _, path = android_trace
+    events, diags = load_trace(path)
+    assert not diags
+    replica_size = len(events) // MEMORY_REPLICAS
+    first, second = events[:replica_size], events[replica_size:2 * replica_size]
+    assert all(a.class_name is b.class_name and a.method_name is b.method_name
+               for a, b in zip(first, second))
+    strings, refs = {}, {}
+    for event in events:
+        values = [event.object_id, event.class_name, event.method_name, event.return_id]
+        for value in values + list(event.args):
+            if isinstance(value, Ref):
+                assert refs.setdefault(value, value) is value
+            elif isinstance(value, str):
+                assert strings.setdefault(value, value) is value
+    assert len(refs) > 100 and any(v.id is strings.get(v.id) for v in refs)
+
+
+def test_parse_and_check_peak_memory_per_event(android_trace):
+    rules, path = android_trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        events, _ = load_trace(path)
+        result = check_trace(rules, events)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(result.violations) == MEMORY_REPLICAS * 43  # 36 + 3 + 2 + 2 per replica
+    assert peak / len(events) < PEAK_BYTES_PER_EVENT, peak / len(events)
+
+
+# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
@@ -607,8 +689,6 @@ def test_json_report_matches_the_reference_report(violations):
 
 
 def test_blake_usage_clean_only_under_ecrypt(corpus_dir):
-    from cryslkit import load_trace
-
     rules = {}
     for name in ("fips", "bsi", "ecrypt"):
         config = parse_config(SourceFile.from_path(corpus_dir / "standards" / f"{name}.conf"))
