@@ -14,9 +14,10 @@ fabricate certainty. Predicates are tracked by value identity (reference id
 or literal value); there is no aliasing analysis.
 
 What a check costs: :func:`compile_rules` works out, once per rule, which
-declaration each ``(method, arity)`` pair matches, each constraint's sorted
-variables and rendered text, and one index per declaration: the constraints
-its parameters and its return binding reach. Checking then costs one dict
+declaration each ``(method, arity)`` pair matches, a slot number for every
+variable such a declaration binds, each constraint's slots, allowed values
+and rendered text, and one index per declaration: the constraints its
+parameters and its return binding reach. Checking then costs one dict
 lookup per event to find its declaration, one automaton step, and a walk
 over that index; the other constraints cannot have changed since the
 object's previous event, and one in the index whose bindings the event left
@@ -29,18 +30,22 @@ instead of running ``json.dumps``'s indenting encoder, which is pure Python.
 
 What a check holds in memory: the events, which share one object per
 distinct trace value (one ``str`` per distinct name, id and string literal,
-one :class:`Ref` per distinct reference id, for the length of one
-:func:`parse_trace_lines` call); per object, its state, its bindings and,
-once a constraint was judged for it, one list of judged signatures; and one
-message per distinct finding, shared by every violation that repeats it.
-:func:`load_trace` reads its file line by line, never the whole text.
+one :class:`Ref` per distinct reference id and one tuple per distinct
+argument list, for the length of one :func:`parse_trace_lines` call); per
+object, one run of fixed shape, in a dict per rule keyed by object id: its
+automaton state, two flags and one list holding the value bound in each slot
+and then the signature last judged per constraint (the value itself for a
+constraint on one variable); and one message per distinct finding, shared by
+every violation that repeats it. :func:`load_trace` reads its file line by
+line, never the whole text, and :func:`report` builds no string per
+violation that outlives its slice.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring, encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -48,12 +53,12 @@ from .automaton import TypestateAutomaton, lazy_automaton
 from .diagnostics import Diagnostic, Loc, Record, error_at
 from .emitter import render_constraint
 from .model import (
-    ConstraintExpr,
     CrySLSpec,
     EventDecl,
     Implication,
     LiteralSet,
     Membership,
+    PredicateRef,
     VarRef,
     constraint_memberships,
 )
@@ -113,6 +118,9 @@ def _wrong_type(field_name: str, expected: str, value) -> ValueError:
 
 _scan = json.JSONDecoder().scan_once
 
+# The only whitespace JSON allows around a value (RFC 8259, section 2).
+_JSON_WHITESPACE = " \t\r\n"
+
 
 def _decode(text: str):
     """``json.loads(text)`` for a line already stripped, through the C scanner.
@@ -136,20 +144,23 @@ def parse_trace_lines(
 ) -> tuple[list[TraceEvent], list[Diagnostic]]:
     """Parse JSON-lines trace text; malformed lines are reported and skipped.
 
-    ``lines`` is any iterable of lines, a list or an open text file; the
-    whitespace around each line is ignored. A byte that is not UTF-8 arrives
-    as the code point ``surrogateescape`` gives it (``load_trace`` reads that
-    way); a line holding one is malformed.
+    ``lines`` is any iterable of lines, a list or an open text file; JSON
+    whitespace (space, tab, CR and LF) around each line is ignored, and any
+    other character there makes the line malformed, as ``json.loads`` has it.
+    A byte that is not UTF-8 arrives as the code point ``surrogateescape``
+    gives it (``load_trace`` reads that way); a line holding one is malformed.
 
     A trace repeats its class and method names, object ids and literals on
     line after line, so the events share them: the call returns one ``str``
-    per distinct string value and one :class:`Ref` per distinct reference id.
+    per distinct string value, one :class:`Ref` per distinct reference id and
+    one tuple per distinct argument list.
     """
     events: list[TraceEvent] = []
     diags: list[Diagnostic] = []
     last_seq: int | None = None
     strings: dict[str, str] = {}
     refs: dict[str, Ref] = {}
+    arg_tuples: dict[tuple, tuple] = {}
     share = strings.setdefault
 
     def parse_arg(raw) -> ArgValue:
@@ -168,7 +179,7 @@ def parse_trace_lines(
         raise ValueError(f"unsupported argument value {raw!r}")
 
     for line_no, line in enumerate(lines, start=1):
-        text = line.strip()
+        text = line.strip(_JSON_WHITESPACE)
         if not text:
             continue
         try:
@@ -200,9 +211,10 @@ def parse_trace_lines(
                 if type(return_id) is not str:
                     raise _wrong_type("return_id", "a string or null", return_id)
                 return_id = share(return_id, return_id)
+            args = tuple([parse_arg(a) for a in args])
             event = TraceEvent(seq, share(object_id, object_id), share(class_name, class_name),
                                share(method_name, method_name),
-                               tuple([parse_arg(a) for a in args]), return_id)
+                               arg_tuples.setdefault(args, args), return_id)
         # RecursionError: the JSON decoder's answer to arrays or objects nested
         # too deeply.
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
@@ -239,8 +251,22 @@ class _EventPlan(Record):
     """What a matched event does to its object's run, worked out once."""
 
     decl: EventDecl
-    params: tuple[tuple[int, str], ...]  # (argument position, variable) per VarRef
+    params: tuple[tuple[int, int], ...]  # (argument position, slot) per VarRef
+    return_slot: int | None  # slot of the return binding, if one is declared
     constraints: tuple[int, ...]  # indices of constraints on a parameter or return variable
+
+
+class _ConstraintPlan(Record):
+    """One constraint, judged from the slots of a run."""
+
+    names: tuple[str, ...]  # its variables, sorted
+    # The bound values of ``names``: the value itself for one variable, a
+    # tuple for more; None or a tuple holding None while one is unbound.
+    signature: itemgetter
+    memo: int  # where a run keeps the signature last judged
+    premise: tuple[int, frozenset] | None  # (slot, allowed values) left of ``=>``
+    conclusion: tuple[int, frozenset]  # (slot, allowed values) that must hold
+    text: str  # as a finding quotes it
 
 
 class CompiledRule(Record):
@@ -248,37 +274,75 @@ class CompiledRule(Record):
     automaton: TypestateAutomaton
     # (method name, arity) -> plan of the first declaration with that key
     dispatch: dict[tuple[str, int], _EventPlan]
-    constraint_vars: tuple[tuple[str, ...], ...]  # sorted, per constraint
-    constraint_texts: tuple[str, ...]
+    # Per constraint; None for one with a variable that no event binds, which
+    # is never judged.
+    constraints: tuple[_ConstraintPlan | None, ...]
+    # Length of a run's list: one slot per variable an event binds, then the
+    # signature last judged per constraint.
+    size: int
+    # Per ENSURES and REQUIRES predicate, the slot of each argument (None
+    # when no event binds it).
+    ensures: tuple[tuple[PredicateRef, tuple[int | None, ...]], ...]
+    requires: tuple[tuple[PredicateRef, tuple[int | None, ...]], ...]
 
 
 def _compile_rule(spec: CrySLSpec) -> CompiledRule:
-    constraint_vars = tuple(
-        tuple(sorted({m.var for m in constraint_memberships(c)})) for c in spec.constraints
-    )
+    decls: dict[tuple[str, int], EventDecl] = {}
+    for decl in spec.events:
+        # An earlier declaration already matches the events of a repeated key.
+        decls.setdefault((decl.method_name, len(decl.params)), decl)
+    slots: dict[str, int] = {}
+    for decl in decls.values():
+        for param in decl.params:
+            if isinstance(param, VarRef):
+                slots.setdefault(param.name, len(slots))
+        if decl.return_binding is not None:
+            slots.setdefault(decl.return_binding, len(slots))
+
+    def test(membership: Membership) -> tuple[int, frozenset]:
+        assert isinstance(membership.values, LiteralSet)
+        return slots[membership.var], membership.values.values
+
+    constraints: list[_ConstraintPlan | None] = []
+    for index, constraint in enumerate(spec.constraints):
+        names = tuple(sorted({m.var for m in constraint_memberships(constraint)}))
+        if not slots.keys() >= set(names):
+            constraints.append(None)
+            continue
+        if isinstance(constraint, Implication):
+            premise, conclusion = test(constraint.lhs), test(constraint.rhs)
+        else:
+            premise, conclusion = None, test(constraint)
+        constraints.append(_ConstraintPlan(
+            names, itemgetter(*[slots[name] for name in names]), len(slots) + index,
+            premise, conclusion, render_constraint(constraint),
+        ))
 
     def reached(names: set[str]) -> tuple[int, ...]:
-        return tuple(i for i, used in enumerate(constraint_vars) if names.intersection(used))
+        return tuple(i for i, plan in enumerate(constraints)
+                     if plan is not None and names.intersection(plan.names))
 
-    dispatch: dict[tuple[str, int], _EventPlan] = {}
-    for decl in spec.events:
-        key = (decl.method_name, len(decl.params))
-        if key in dispatch:
-            continue  # an earlier declaration already matches these events
-        params = tuple(
-            (position, param.name)
-            for position, param in enumerate(decl.params)
-            if isinstance(param, VarRef)
-        )
+    dispatch = {}
+    for key, decl in decls.items():
+        named = [(position, param.name) for position, param in enumerate(decl.params)
+                 if isinstance(param, VarRef)]
         dispatch[key] = _EventPlan(
-            decl, params, reached({name for _, name in params} | {decl.return_binding})
+            decl, tuple((position, slots[name]) for position, name in named),
+            slots.get(decl.return_binding),
+            reached({name for _, name in named} | {decl.return_binding}),
         )
+
+    def arguments(preds: tuple[PredicateRef, ...]):
+        return tuple((pred, tuple(slots.get(arg) for arg in pred.args)) for pred in preds)
+
     return CompiledRule(
         spec,
         lazy_automaton(spec.order, spec.aggregates),
         dispatch,
-        constraint_vars,
-        tuple(render_constraint(c) for c in spec.constraints),
+        tuple(constraints),
+        len(slots) + len(constraints),
+        arguments(spec.ensures),
+        arguments(spec.requires),
     )
 
 
@@ -310,50 +374,51 @@ class CheckResult(Record):
 class _ObjectRun:
     """One object's progress through its rule; updated by every event."""
 
-    __slots__ = ("rule", "object_id", "state", "broken", "env", "evaluated",
-                 "constraint_ok", "requires_checked")
+    __slots__ = ("state", "constraint_ok", "requires_checked", "values")
 
-    def __init__(self, rule: CompiledRule, object_id: str, state: int):
-        self.rule = rule
-        self.object_id = object_id
-        self.state = state
-        self.broken = False  # order already violated; automaton is in the sink
-        self.env: dict[str, ArgValue] = {}
-        # Per constraint index, the signature last judged: a list, smaller
-        # than a dict, made at the first judgement.
-        self.evaluated: list[tuple | None] | None = None
+    def __init__(self, state: int, size: int):
+        self.state: int | None = state  # None once the call order broke
         self.constraint_ok = True
         self.requires_checked = False
+        # CompiledRule.size entries: the value bound per slot, then the
+        # signature last judged per constraint; None where there is none yet.
+        self.values: list = [None] * size
 
 
-def _membership_holds(membership: Membership, env: dict[str, ArgValue]):
-    """True/False when decidable, UNKNOWN when the bound value is unknown."""
-    value = env[membership.var]
-    if value is UNKNOWN or isinstance(value, Ref):
+def _holds(test: tuple[int, frozenset], values: list):
+    """True/False when decidable, UNKNOWN when the bound value is unknown or a
+    reference."""
+    slot, allowed = test
+    value = values[slot]
+    if value is UNKNOWN or type(value) is Ref:
         return UNKNOWN
-    assert isinstance(membership.values, LiteralSet)
-    return value in membership.values.values
+    return value in allowed
 
 
-def _eval_constraint(constraint: ConstraintExpr, env: dict[str, ArgValue]):
-    if isinstance(constraint, Implication):
-        lhs = _membership_holds(constraint.lhs, env)
-        if lhs is False:
-            return True
-        rhs = _membership_holds(constraint.rhs, env)
-        if lhs is UNKNOWN:
-            return True if rhs is True else UNKNOWN
-        return rhs
-    return _membership_holds(constraint, env)
+def _judge(plan: _ConstraintPlan, values: list):
+    """A constraint's outcome: True, False or UNKNOWN (see docs/grammar.md)."""
+    if plan.premise is None:
+        return _holds(plan.conclusion, values)
+    lhs = _holds(plan.premise, values)
+    if lhs is False:
+        return True
+    rhs = _holds(plan.conclusion, values)
+    if lhs is UNKNOWN:
+        return True if rhs is True else UNKNOWN
+    return rhs
 
 
-def _value_key(value: ArgValue):
-    """Identity used for predicate tracking: reference id or literal value."""
-    if isinstance(value, Ref):
-        return value.id
-    if value is UNKNOWN:
-        return None
-    return value
+def _identities(values: list, slots: tuple[int | None, ...]) -> tuple:
+    """Per predicate argument, the identity predicates are tracked by: the
+    reference id or the literal value; None when the value is unknown or no
+    event bound it."""
+    keys = []
+    for slot in slots:
+        value = None if slot is None else values[slot]
+        if type(value) is Ref:
+            value = value.id
+        keys.append(None if value is UNKNOWN else value)
+    return tuple(keys)
 
 
 def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> CheckResult:
@@ -375,115 +440,115 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
     """
     violations: list[Violation] = []
     warnings: list[str] = []
-    predicates: set[tuple[str, object]] = set()
-    runs: dict[tuple[str, str], _ObjectRun] = {}
-    # (rule, object, predicate, keys, completion seq): argument identities are
-    # fixed at completion, but the store lookup happens once the whole trace
-    # has been seen, so reordering events of unrelated objects cannot flip
-    # the outcome.
-    pending_requires: list[tuple[_ObjectRun, str, tuple, tuple, int]] = []
+    predicates: set[tuple[str, tuple]] = set()
+    # Per rule class, the rule and its runs keyed by object id.
+    tables = {class_name: (rule, {}) for class_name, rule in rules.items()}
+    # (object, rule, predicate, keys, completion seq): argument identities
+    # are fixed at completion, but the store lookup happens once the whole
+    # trace has been seen, so reordering events of unrelated objects cannot
+    # flip the outcome.
+    pending_requires: list[tuple[str, CompiledRule, PredicateRef, tuple, int]] = []
     # (rule class, constraint index, signature) -> message: one text per
     # distinct finding, however many objects make it.
-    messages: dict[tuple[str, int, tuple], str] = {}
+    messages: dict[tuple[str, int, object], str] = {}
 
-    def found(kind: str, run: _ObjectRun, seq: int | None, message: str) -> None:
-        violations.append(Violation(kind, run.object_id, seq, run.rule.spec.class_name, message))
+    def found(kind: str, object_id: str, rule: CompiledRule, seq: int | None, message: str) -> None:
+        violations.append(Violation(kind, object_id, seq, rule.spec.class_name, message))
 
-    def warn(seq: int, run: _ObjectRun, text: str) -> None:
-        warnings.append(f"seq {seq}: {run.object_id}: cannot {text} (unknown value)")
+    def warn(seq: int, object_id: str, text: str) -> None:
+        warnings.append(f"seq {seq}: {object_id}: cannot {text} (unknown value)")
 
-    def check_constraints(run: _ObjectRun, seq: int, indices: tuple[int, ...]) -> None:
-        rule = run.rule
-        env = run.env
-        evaluated = run.evaluated
+    def check_constraints(rule: CompiledRule, run: _ObjectRun, object_id: str, seq: int,
+                          indices: tuple[int, ...]) -> None:
+        values = run.values
         for index in indices:
-            names = rule.constraint_vars[index]
-            signature = tuple(map(env.get, names))
-            if None in signature:
+            plan = rule.constraints[index]
+            signature = plan.signature(values)
+            if signature is None or (type(signature) is tuple and None in signature):
                 continue  # a variable is still unbound; no bound value is None
-            if evaluated is None:
-                evaluated = run.evaluated = [None] * len(rule.constraint_vars)
-            elif evaluated[index] == signature:
+            if values[plan.memo] == signature:
                 continue  # same bindings were already judged at an earlier event
-            evaluated[index] = signature
-            outcome = _eval_constraint(rule.spec.constraints[index], env)
+            values[plan.memo] = signature
+            outcome = _judge(plan, values)
             if outcome is True:
                 continue
-            rendered = rule.constraint_texts[index]
             if outcome is UNKNOWN:
-                warn(seq, run, f"decide '{rendered}'")
+                warn(seq, object_id, f"decide '{plan.text}'")
                 continue
             run.constraint_ok = False
             key = (rule.spec.class_name, index, signature)
             message = messages.get(key)
             if message is None:
+                bound = signature if type(signature) is tuple else (signature,)
                 bindings = ", ".join(
-                    f"{name} = {_render_value(value)}" for name, value in zip(names, signature)
+                    f"{name} = {_render_value(value)}" for name, value in zip(plan.names, bound)
                 )
-                message = messages[key] = f"{bindings} violates '{rendered}'"
-            found("constraint", run, seq, message)
+                message = messages[key] = f"{bindings} violates '{plan.text}'"
+            found("constraint", object_id, rule, seq, message)
 
-    def complete(run: _ObjectRun, seq: int) -> None:
-        spec = run.rule.spec
+    def complete(rule: CompiledRule, run: _ObjectRun, object_id: str, seq: int) -> None:
         if run.constraint_ok:
-            for pred in spec.ensures:
-                keys = [_value_key(run.env.get(arg, UNKNOWN)) for arg in pred.args]
-                if all(k is not None for k in keys):
-                    predicates.add((pred.name, tuple(keys)))
+            for pred, slots in rule.ensures:
+                keys = _identities(run.values, slots)
+                if None not in keys:
+                    predicates.add((pred.name, keys))
         if not run.requires_checked:
             run.requires_checked = True
-            for pred in spec.requires:
-                keys = [_value_key(run.env.get(arg, UNKNOWN)) for arg in pred.args]
-                if any(k is None for k in keys):
-                    warn(seq, run, f"check requires {pred.name}[{', '.join(pred.args)}]")
+            for pred, slots in rule.requires:
+                keys = _identities(run.values, slots)
+                if None in keys:
+                    warn(seq, object_id, f"check requires {pred.name}[{', '.join(pred.args)}]")
                     continue
-                pending_requires.append((run, pred.name, pred.args, tuple(keys), seq))
+                pending_requires.append((object_id, rule, pred, keys, seq))
 
     for event in sorted(trace, key=attrgetter("seq")):
-        rule = rules.get(event.class_name)
-        if rule is None:
+        table = tables.get(event.class_name)
+        if table is None:
             continue
-        key = (event.object_id, event.class_name)
-        run = runs.get(key)
+        rule, runs = table
+        object_id = event.object_id
+        run = runs.get(object_id)
         if run is None:
-            run = runs[key] = _ObjectRun(rule, event.object_id, rule.automaton.initial)
+            run = runs[object_id] = _ObjectRun(rule.automaton.initial, rule.size)
         args = event.args
         plan = rule.dispatch.get((event.method_name, len(args)))
         if plan is None:
-            if not run.broken:
-                run.broken = True
-                found("order", run, event.seq, f"{event.method_name}() is not a declared event")
+            if run.state is not None:
+                run.state = None
+                found("order", object_id, rule, event.seq,
+                      f"{event.method_name}() is not a declared event")
             continue
-        env = run.env
-        for position, name in plan.params:
-            env[name] = args[position]
-        decl = plan.decl
-        if decl.return_binding is not None and event.return_id is not None:
-            env[decl.return_binding] = Ref(event.return_id)
+        values = run.values
+        for position, slot in plan.params:
+            values[slot] = args[position]
+        if plan.return_slot is not None and event.return_id is not None:
+            values[plan.return_slot] = Ref(event.return_id)
         # Without a return id the return binding keeps its earlier value, so
         # the constraints only it reaches are skipped by their signature.
         if plan.constraints:
-            check_constraints(run, event.seq, plan.constraints)
-        if run.broken:
+            check_constraints(rule, run, object_id, event.seq, plan.constraints)
+        if run.state is None:
             continue
-        next_state = rule.automaton.step(run.state, decl.label)
-        if next_state is None:
-            run.broken = True
-            found("order", run, event.seq, f"{event.method_name}() breaks the declared call order")
-            continue
-        run.state = next_state
-        if run.state in rule.automaton.accepting:
-            complete(run, event.seq)
+        state = run.state = rule.automaton.step(run.state, plan.decl.label)
+        if state is None:
+            found("order", object_id, rule, event.seq,
+                  f"{event.method_name}() breaks the declared call order")
+        elif state in rule.automaton.accepting:
+            complete(rule, run, object_id, event.seq)
 
-    for run, name, args, keys, seq in pending_requires:
-        if (name, keys) not in predicates:
-            found("missing-predicate", run, seq,
-                  f"requires {name}[{', '.join(args)}] but no rule established it")
+    for object_id, rule, pred, keys, seq in pending_requires:
+        if (pred.name, keys) not in predicates:
+            found("missing-predicate", object_id, rule, seq,
+                  f"requires {pred.name}[{', '.join(pred.args)}] but no rule established it")
 
-    incomplete = [key for key, run in runs.items()
-                  if not (run.broken or run.state in run.rule.automaton.accepting)]
-    for key in sorted(incomplete):
-        found("incomplete", runs[key], None,
+    incomplete = sorted(
+        (object_id, class_name)
+        for class_name, (rule, runs) in tables.items()
+        for object_id, run in runs.items()
+        if run.state is not None and run.state not in rule.automaton.accepting
+    )
+    for object_id, class_name in incomplete:
+        found("incomplete", object_id, rules[class_name], None,
               "object discarded before completing the declared protocol")
 
     violations.sort(key=lambda v: (v.seq is None, v.seq or 0, v.object_id, v.kind))
@@ -520,13 +585,27 @@ _VIOLATION_JSON = (
 )
 
 
+# Violations rendered per join. Joining a slice at a time holds the blocks of
+# one slice, not one string per violation, and joins the whole text once.
+_REPORT_SLICE = 256
+
+
+def _encodable(text: str) -> str:
+    """``text`` with each code point UTF-8 cannot encode, a lone surrogate
+    that a trace's JSON escape ``"\\ud800"`` can make, written as that escape."""
+    if text.isascii():
+        return text
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def report(violations: list[Violation], fmt: str = "json") -> str:
     """Render violations as a JSON document or an aligned text table.
 
     The JSON schema is documented in ``docs/formats.md``; identical input
     always yields identical output bytes. ``json.dumps`` with ``indent`` runs
     its encoder in Python, so only the short head goes through it; each
-    violation fills a fixed template, with strings escaped by the C encoder.
+    violation fills a fixed template, with strings escaped by the C encoder,
+    and the document is joined once from slices of ``_REPORT_SLICE`` of them.
     """
     if fmt == "json":
         by_kind = {kind: 0 for kind in VIOLATION_KINDS}
@@ -542,20 +621,25 @@ def report(violations: list[Violation], fmt: str = "json") -> str:
         if not violations:
             return head + ',\n  "violations": []\n}\n'
         quote = encode_basestring_ascii
-        blocks = ",\n".join([
-            _VIOLATION_JSON % (
-                quote(v.kind), quote(v.object_id), "null" if v.seq is None else int.__repr__(v.seq),
-                quote(v.rule_class), quote(v.message),
-            )
-            for v in violations
-        ])
-        return f'{head},\n  "violations": [\n{blocks}\n  ]\n}}\n'
+        parts = [f'{head},\n  "violations": [\n']
+        for start in range(0, len(violations), _REPORT_SLICE):
+            parts.append(",\n".join([
+                _VIOLATION_JSON % (
+                    quote(v.kind), quote(v.object_id), "null" if v.seq is None else int.__repr__(v.seq),
+                    quote(v.rule_class), quote(v.message),
+                )
+                for v in violations[start:start + _REPORT_SLICE]
+            ]))
+            parts.append(",\n")
+        parts[-1] = "\n  ]\n}\n"
+        return "".join(parts)
     if fmt != "table":
         raise ValueError(f"unknown report format '{fmt}'")
 
     headers = ("KIND", "OBJECT", "SEQ", "RULE", "MESSAGE")
     rows = [
-        (v.kind, v.object_id, "end" if v.seq is None else str(v.seq), v.rule_class, v.message)
+        tuple(map(_encodable, (v.kind, v.object_id, "end" if v.seq is None else str(v.seq),
+                               v.rule_class, v.message)))
         for v in violations
     ]
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)

@@ -9,7 +9,10 @@ epsilon-closure from scratch, so it checks the lazy DFA's caches.
 
 The reference checker re-judges every constraint of a rule at every matched
 event and matches events by a linear scan over the declarations; the
-checker in ``cryslkit.tracecheck`` must report exactly what it reports. The
+checker in ``cryslkit.tracecheck`` must report exactly what it reports. It
+keeps each object's bindings in a dict of names to values and judges,
+renders and identifies them by its own reading of docs/grammar.md and
+docs/formats.md; of the checker it uses only the record types. The
 reference report builds the whole JSON document and lets ``json.dumps``
 indent it; ``cryslkit.tracecheck.report`` must give the same bytes.
 """
@@ -50,9 +53,6 @@ from cryslkit.tracecheck import (
     Ref,
     TraceEvent,
     Violation,
-    _eval_constraint,
-    _render_value,
-    _value_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -341,6 +341,48 @@ def random_label_alphabet(rng: random.Random, max_size: int = 4) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _membership_outcome(membership: Membership, env: dict):
+    """``x in {…}`` as docs/grammar.md states it: unknown for a reference or
+    the unknown marker, else whether the set holds the value."""
+    value = env[membership.var]
+    if value is UNKNOWN or isinstance(value, Ref):
+        return UNKNOWN
+    return value in membership.values.values
+
+
+def _constraint_outcome(constraint, env: dict):
+    """True, False or UNKNOWN, by the three-valued ``p => q`` of
+    docs/grammar.md."""
+    if isinstance(constraint, Membership):
+        return _membership_outcome(constraint, env)
+    premise = _membership_outcome(constraint.lhs, env)
+    conclusion = _membership_outcome(constraint.rhs, env)
+    if premise is False:
+        return True
+    if premise is True:
+        return conclusion
+    return True if conclusion is True else UNKNOWN
+
+
+def _shown(value) -> str:
+    """A bound value as docs/formats.md says a finding message shows it."""
+    if isinstance(value, Ref):
+        return f"ref:{value.id}"
+    if value is UNKNOWN:
+        return "?"
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    return str(value)
+
+
+def _identity(env: dict, name: str):
+    """A predicate argument's identity, or None when it has none."""
+    value = env.get(name, UNKNOWN)
+    if value is UNKNOWN:
+        return None
+    return value.id if isinstance(value, Ref) else value
+
+
 class _Run:
     # A plain class: the benchmark loads this file by path, without the
     # sys.modules entry a dataclass needs.
@@ -374,7 +416,7 @@ def reference_check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent
             if run.evaluated.get(index) == signature:
                 continue
             run.evaluated[index] = signature
-            outcome = _eval_constraint(constraint, run.env)
+            outcome = _constraint_outcome(constraint, run.env)
             if outcome is True:
                 continue
             rendered = render_constraint(constraint)
@@ -386,7 +428,7 @@ def reference_check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent
                 continue
             run.constraint_ok = False
             bindings = ", ".join(
-                f"{name} = {_render_value(run.env[name])}" for name in sorted(names)
+                f"{name} = {_shown(run.env[name])}" for name in sorted(names)
             )
             violations.append(Violation("constraint", run.object_id, event.seq,
                                         spec.class_name, f"{bindings} violates '{rendered}'"))
@@ -395,13 +437,13 @@ def reference_check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent
         spec = run.rule.spec
         if run.constraint_ok:
             for pred in spec.ensures:
-                keys = [_value_key(run.env.get(arg, UNKNOWN)) for arg in pred.args]
+                keys = [_identity(run.env, arg) for arg in pred.args]
                 if all(k is not None for k in keys):
                     predicates.add((pred.name, tuple(keys)))
         if not run.requires_checked:
             run.requires_checked = True
             for pred in spec.requires:
-                keys = [_value_key(run.env.get(arg, UNKNOWN)) for arg in pred.args]
+                keys = [_identity(run.env, arg) for arg in pred.args]
                 if any(k is None for k in keys):
                     warnings.append(
                         f"seq {event.seq}: {run.object_id}: cannot check requires "

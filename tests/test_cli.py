@@ -527,6 +527,25 @@ def test_check_table_keeps_a_value_with_a_line_break_on_its_row(fips_rules_dir, 
     assert incomplete.startswith("incomplete  md1") and total == "total: 2"
 
 
+def test_check_table_escapes_what_utf8_cannot_encode(fips_rules_dir, tmp_path, capsys):
+    # The JSON escape "\ud800" is a lone surrogate once decoded, which the
+    # table used to hand to stdout's UTF-8 encoder as it was.
+    trace = tmp_path / "surrogate.jsonl"
+    trace.write_text(json.dumps({"seq": 1, "object_id": "md\udce9",
+                                 "class_name": "java.security.MessageDigest",
+                                 "method_name": "getInstance", "args": ["\ud800"],
+                                 "return_id": "md1"}) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
+                             "--trace", str(trace), "--format", "table")
+    assert code == 1
+    header, constraint, incomplete, total = out.splitlines()
+    assert constraint.startswith("constraint  md\\udce9  1")
+    assert constraint.endswith('  algorithm = "\\ud800" violates \'algorithm in {"SHA-224", '
+                               '"SHA-256", "SHA-384", "SHA-512", "SHA-512/224", "SHA-512/256", '
+                               '"SHA3-256", "SHA3-384", "SHA3-512", "SHAKE128", "SHAKE256"}\'')
+    assert incomplete.startswith("incomplete  md\\udce9  end") and total == "total: 2"
+
+
 def test_check_trace_that_is_a_directory_exits_2(fips_rules_dir, tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
                              "--trace", str(tmp_path))
@@ -906,3 +925,33 @@ def test_cli_main_answers_any_argv_shape_with_an_exit_code(commands):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2), argv
+
+
+_any_text = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["\ud800", "\udce9", "\n", "\x00", "\u2028", "é", ""])
+_check_records = st.fixed_dictionaries({
+    "object_id": st.sampled_from(["md1"]) | _any_text,
+    "class_name": st.sampled_from(["java.security.MessageDigest"]) | _any_text,
+    "method_name": st.sampled_from(["getInstance", "update", "digest"]) | _any_text,
+    "args": st.lists(_any_text | st.integers() | st.builds(lambda ref: {"ref": ref}, _any_text),
+                     max_size=2),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_check_records, min_size=1, max_size=4))
+def test_cli_check_prints_every_trace_in_both_formats(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "rules").mkdir()
+        (root / "rules" / "MessageDigest.crysl").write_bytes(FUZZ_SEEDS["rules/MessageDigest.crysl"])
+        (root / "trace.jsonl").write_text(
+            "".join(json.dumps(dict(record, seq=seq)) + "\n" for seq, record in enumerate(records)),
+            encoding="utf-8")
+        for fmt in ("json", "table"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["check", "--rules", str(root / "rules"),
+                             "--trace", str(root / "trace.jsonl"), "--format", fmt])
+            assert code in (0, 1), fmt
+            out.getvalue().encode("utf-8")

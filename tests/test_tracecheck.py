@@ -452,13 +452,49 @@ _typed_records = st.fixed_dictionaries(
 @example('{"seq": ' * 100_000)
 def test_any_trace_line_gives_an_event_or_a_located_diagnostic(line):
     events, diags = parse_trace_lines([line], "t.jsonl")
-    if not line.strip():
+    if not line.strip(" \t\r\n"):
         assert events == [] and diags == []
         return
     assert len(events) + len(diags) == 1
     for diag in diags:
         assert (diag.path, diag.line, diag.column) == ("t.jsonl", 1, 1)
         assert diag.message.startswith("malformed trace line: ")
+
+
+def test_only_json_whitespace_surrounds_a_trace_line():
+    record = {"seq": 1, "object_id": "o", "class_name": MD, "method_name": "digest"}
+    events, diags = parse_trace_lines([json.dumps(record) + " \x1c", " \t" + json.dumps(record)
+                                       + "\r\n", "\u2028", "\x85"], "t.jsonl")
+    assert [e.seq for e in events] == [1]
+    assert [d.render() for d in diags] == [
+        "t.jsonl:1:1: error: malformed trace line: Extra data: line 1 column 100 (char 99)",
+        "t.jsonl:3:1: error: malformed trace line: Expecting value: line 1 column 1 (char 0)",
+        "t.jsonl:4:1: error: malformed trace line: Expecting value: line 1 column 1 (char 0)",
+    ]
+
+
+# Records that parse_trace_lines turns into an event when they stand alone.
+_event_records = st.fixed_dictionaries(
+    {"seq": st.integers(), "object_id": st.text(), "class_name": st.text(),
+     "method_name": st.text()},
+    optional={"args": st.lists(st.one_of(st.integers(), st.text(),
+                                         st.builds(lambda ref: {"ref": ref}, st.text()))),
+              "return_id": st.none() | st.text()},
+)
+_around = st.text(st.sampled_from(" \t\r\n\x0b\x0c\x1c\x85\u2028\u3000\ufeff\ud800{}[],0\"")
+                  | st.characters(), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_around, _event_records, _around, st.booleans())
+def test_a_line_is_an_event_exactly_when_json_accepts_it(before, record, after, ascii_only):
+    line = before + json.dumps(record, ensure_ascii=ascii_only) + after
+    try:
+        accepted = json.loads(line) == record
+    except ValueError:
+        accepted = False
+    events, diags = parse_trace_lines([line], "t.jsonl")
+    assert len(events) == accepted and len(diags) == (not accepted)
 
 
 def _outcome(decode, text):
@@ -553,9 +589,18 @@ def test_records_compare_by_type_and_fields():
 MEMORY_REPLICAS = 40
 # tracemalloc peak of load_trace plus check_trace, in bytes per event, over
 # MEMORY_REPLICAS replicas. Sharing values and finding messages and reading
-# the file line by line took it from 765 to 449 (Python 3.11.7); the bound
-# lies between the two.
-PEAK_BYTES_PER_EVENT = 610
+# the file line by line took it from 765 to 449 (Python 3.11.7); keeping
+# each object's run in one slot-indexed list and sharing argument tuples took
+# it from 468 to 339. The bound lies between the last two.
+PEAK_BYTES_PER_EVENT = 400
+
+
+# tracemalloc peak of check_trace alone, in bytes per ruled object, over
+# MEMORY_REPLICAS replicas. Keeping a run's bindings and judged signatures in
+# one slot-indexed list, keyed by object id per rule, took it from 745 to 352
+# (Python 3.11.7); the bound lies between the two.
+PEAK_BYTES_PER_OBJECT = 550
+RULED_OBJECTS_PER_REPLICA = 61
 
 
 def replicated_trace(corpus_dir, replicas: int) -> list[str]:
@@ -626,6 +671,21 @@ def test_parse_and_check_peak_memory_per_event(android_trace):
     assert peak / len(events) < PEAK_BYTES_PER_EVENT, peak / len(events)
 
 
+def test_check_peak_memory_per_object(android_trace):
+    rules, path = android_trace
+    events, _ = load_trace(path)
+    objects = {(e.object_id, e.class_name) for e in events if e.class_name in rules}
+    assert len(objects) == MEMORY_REPLICAS * RULED_OBJECTS_PER_REPLICA
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        check_trace(rules, events)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / len(objects) < PEAK_BYTES_PER_OBJECT, peak / len(objects)
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -680,6 +740,21 @@ _violations = st.builds(
 @given(st.lists(_violations, max_size=6))
 @example([])
 def test_json_report_matches_the_reference_report(violations):
+    assert report(violations, "json") == oracles.reference_report(violations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_violations, max_size=6))
+def test_table_report_encodes_as_utf8(violations):
+    table = report(violations, "table")
+    table.encode("utf-8")
+    assert table.endswith(f"total: {len(violations)}\n")
+
+
+@pytest.mark.parametrize("count", [255, 256, 257, 513])
+def test_json_report_of_many_violations_matches_the_reference_report(count):
+    violations = [Violation(VIOLATION_KINDS[i % 4], f"o{i}", None if i % 5 == 0 else i, MD,
+                            f"message {i % 7}") for i in range(count)]
     assert report(violations, "json") == oracles.reference_report(violations)
 
 
