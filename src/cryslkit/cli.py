@@ -8,32 +8,18 @@ Exit codes: 0 success with no findings, 1 violations or error diagnostics,
 2 usage or I/O failure. Machine-readable output goes to stdout; diagnostics
 and progress go to stderr, so identical invocations produce identical stdout
 bytes.
+Each command imports only the modules it runs, so a cold ``validate`` never
+compiles the trace checker.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .automaton import StateLimitError, compile_order, to_dot
 from .diagnostics import Diagnostic, Severity, error_at, has_errors
-from .emitter import emit
-from .metrics import BuildFailure, curve_as_csv, report_as_dict, savings
-from .model import validate_rule_set, validate_spec
-from .parsing import (
-    LANGUAGE_BY_EXTENSION,
-    RULE_SUFFIXES,
-    ParseError,
-    SourceFile,
-    parse_config,
-    parse_crysl,
-    read_rule,
-    rule_files,
-)
-from .preprocessor import run_build
-from .tracecheck import compile_rules, load_trace, report, check_trace
+from .parsing import ParseError
 
 
 def _print_diagnostics(diags: list[Diagnostic]) -> None:
@@ -53,6 +39,9 @@ def _is_file(path: Path) -> bool:
 def _read_rules(files: list[Path]) -> tuple[list, list[Diagnostic]]:
     """Parse and validate each rule file, then the set; a file that fails to
     parse is reported and left out."""
+    from .model import validate_rule_set, validate_spec
+    from .parsing import read_rule
+
     specs = []
     diags: list[Diagnostic] = []
     for path in files:
@@ -68,6 +57,10 @@ def _read_rules(files: list[Path]) -> tuple[list, list[Diagnostic]]:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from .emitter import emit
+    from .parsing import SourceFile, parse_config
+    from .preprocessor import run_build
+
     config_path = Path(args.config)
     config = parse_config(SourceFile.from_path(config_path))
     result = run_build(config)
@@ -83,6 +76,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     diagnostics = result.diagnostics + emitted
 
     if args.json:
+        import json
+
         payload = {
             "config": config.name,
             "out": str(out_root),
@@ -103,6 +98,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .parsing import RULE_SUFFIXES, rule_files
+
     files: list[Path] = []
     for raw in args.paths:
         path = Path(raw)
@@ -123,6 +120,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .parsing import rule_files
+    from .tracecheck import check_trace, compile_rules, load_trace, report
+
     rules_dir = Path(args.rules)
     if not rules_dir.is_dir():
         print(f"{rules_dir}: not a directory", file=sys.stderr)
@@ -142,6 +142,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     _print_diagnostics(trace_diags)
 
     result = check_trace(compile_rules(specs), trace)
+    del trace  # nothing reads the events again; the report's memory need not add to theirs
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     sys.stdout.write(report(result.violations, args.format))
@@ -149,6 +150,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .metrics import BuildFailure, curve_as_csv, report_as_dict, savings
+    from .parsing import LANGUAGE_BY_EXTENSION, SourceFile, parse_config
+
     meta_dir = Path(args.meta)
     if not meta_dir.is_dir():
         print(f"{meta_dir}: not a directory", file=sys.stderr)
@@ -188,6 +192,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     payload = report_as_dict(result)
     if args.json:
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print(f"meta:      {result.meta.total_lines} lines in {result.meta.files} files "
@@ -202,6 +208,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_fsm(args: argparse.Namespace) -> int:
+    from .automaton import StateLimitError, compile_order, to_dot
+    from .model import validate_spec
+    from .parsing import SourceFile, parse_crysl
+
     path = Path(args.rule)
     if not _is_file(path):
         return 2

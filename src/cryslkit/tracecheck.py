@@ -456,7 +456,7 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
         violations.append(Violation(kind, object_id, seq, rule.spec.class_name, message))
 
     def warn(seq: int, object_id: str, text: str) -> None:
-        warnings.append(f"seq {seq}: {object_id}: cannot {text} (unknown value)")
+        warnings.append(f"seq {seq}: {_one_line(object_id)}: cannot {text} (unknown value)")
 
     def check_constraints(rule: CompiledRule, run: _ObjectRun, object_id: str, seq: int,
                           indices: tuple[int, ...]) -> None:
@@ -590,12 +590,19 @@ _VIOLATION_JSON = (
 _REPORT_SLICE = 256
 
 
-def _encodable(text: str) -> str:
-    """``text`` with each code point UTF-8 cannot encode, a lone surrogate
-    that a trace's JSON escape ``"\\ud800"`` can make, written as that escape."""
-    if text.isascii():
+# Each C0 control character as a JSON string writes it: "\n", "\u001c", ...
+_C0_ESCAPES = {code: encode_basestring(chr(code))[1:-1] for code in range(0x20)}
+
+
+def _one_line(text: str) -> str:
+    """``text`` as a table cell or a warning prints it, on one line and in
+    UTF-8: each C0 control character, line breaks among them, written as a
+    JSON string writes it (``\\n``, ``\\u001c``), and each code point UTF-8
+    cannot encode, a lone surrogate that a trace's JSON escape ``"\\ud800"``
+    can make, written as that escape. Printable text comes back as it is."""
+    if text.isprintable():
         return text
-    return text.encode("utf-8", "backslashreplace").decode("utf-8")
+    return text.translate(_C0_ESCAPES).encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def report(violations: list[Violation], fmt: str = "json") -> str:
@@ -638,8 +645,8 @@ def report(violations: list[Violation], fmt: str = "json") -> str:
 
     headers = ("KIND", "OBJECT", "SEQ", "RULE", "MESSAGE")
     rows = [
-        tuple(map(_encodable, (v.kind, v.object_id, "end" if v.seq is None else str(v.seq),
-                               v.rule_class, v.message)))
+        tuple(map(_one_line, (v.kind, v.object_id, "end" if v.seq is None else str(v.seq),
+                              v.rule_class, v.message)))
         for v in violations
     ]
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -11,11 +12,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cryslkit.cli import main
 from cryslkit.emitter import MANIFEST
-from cryslkit.parsing import ParseError, SourceFile, parse_config
+from cryslkit.parsing import ParseError, SourceFile, parse_config, parse_crysl
+from cryslkit import tracecheck
+from cryslkit.tracecheck import TraceEvent, check_trace, compile_rules, load_trace
 
 from conftest import REPO_ROOT, wide_rule_text
 
@@ -546,6 +549,27 @@ def test_check_table_escapes_what_utf8_cannot_encode(fips_rules_dir, tmp_path, c
     assert incomplete.startswith("incomplete  md\\udce9  end") and total == "total: 2"
 
 
+def test_check_drops_the_trace_before_the_report(fips_rules_dir, corpus_copy, capsys, monkeypatch):
+    # The report's memory would otherwise land on top of every event.
+    def live_events() -> int:
+        gc.collect()
+        return sum(type(o) is TraceEvent for o in gc.get_objects())
+
+    report, during_report = tracecheck.report, []
+
+    def watched_report(violations, fmt):
+        during_report.append(live_events())
+        return report(violations, fmt)
+
+    monkeypatch.setattr(tracecheck, "report", watched_report)
+    before = live_events()
+    trace = corpus_copy / "traces" / "standards" / "md5_digest.jsonl"
+    code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
+                             "--trace", str(trace), "--format", "json")
+    assert code == 1 and json.loads(out)["total"] == 1
+    assert during_report == [before]
+
+
 def test_check_trace_that_is_a_directory_exits_2(fips_rules_dir, tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
                              "--trace", str(tmp_path))
@@ -940,6 +964,10 @@ _check_records = st.fixed_dictionaries({
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_check_records, min_size=1, max_size=4))
+@example([{"object_id": "md\n1", "class_name": "java.security.MessageDigest",
+           "method_name": "getInstance", "args": ["?"]},
+          {"object_id": "md\n1", "class_name": "java.security.MessageDigest",
+           "method_name": "a\rb", "args": []}])
 def test_cli_check_prints_every_trace_in_both_formats(records):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -948,10 +976,18 @@ def test_cli_check_prints_every_trace_in_both_formats(records):
         (root / "trace.jsonl").write_text(
             "".join(json.dumps(dict(record, seq=seq)) + "\n" for seq, record in enumerate(records)),
             encoding="utf-8")
+        events, diags = load_trace(root / "trace.jsonl")
+        rule = parse_crysl(SourceFile.for_text(FUZZ_SEEDS["rules/MessageDigest.crysl"].decode(),
+                                               "crysl"))
+        result = check_trace(compile_rules([rule]), events)
         for fmt in ("json", "table"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["check", "--rules", str(root / "rules"),
                              "--trace", str(root / "trace.jsonl"), "--format", fmt])
             assert code in (0, 1), fmt
             out.getvalue().encode("utf-8")
+            # Each diagnostic and each warning is one line of stderr.
+            assert err.getvalue().count("\n") == len(diags) + len(result.warnings), fmt
+            if fmt == "table":  # a header, one row per finding and the total
+                assert out.getvalue().count("\n") == len(result.violations) + 2

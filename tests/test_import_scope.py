@@ -1,0 +1,81 @@
+"""What a cold process imports: ``import cryslkit`` loads no submodule, and
+each command loads only the modules it runs. Every test starts a fresh
+interpreter, so no module another test imported can hide a load."""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+from conftest import REPO_ROOT
+from cryslkit.cli import main
+
+
+def run_python(code: str, *args: str, cwd=REPO_ROOT) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+LOADED = "sorted(name for name in sys.modules if name.startswith('cryslkit.'))"
+
+
+def test_import_cryslkit_loads_no_submodule():
+    assert run_python(f"import sys, cryslkit; print({LOADED})") == "[]\n"
+
+
+# Each command's modules besides cli, diagnostics, model and parsing, which
+# every command loads: main catches ParseError, and every command parses.
+COMMANDS = {
+    "validate": (["validate", "standards/base"], 0, []),
+    "fsm": (["fsm", "--rule", "standards/_generated/fips/MessageDigest.crysl"], 0,
+            ["automaton"]),
+    "build": (["build", "standards/fips.conf", "--json"], 0, ["emitter", "preprocessor"]),
+    "metrics": (["metrics", "--meta", "standards", "--configs", "standards/fips.conf", "--json"],
+                0, ["emitter", "metrics", "preprocessor"]),
+    "check": (["check", "--rules", "standards/_generated/fips",
+               "--trace", "traces/standards/md5_digest.jsonl", "--format", "json"], 1,
+              ["automaton", "emitter", "tracecheck"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_only_its_modules(corpus_copy, command):
+    assert main(["build", str(corpus_copy / "standards" / "fips.conf")]) == 0  # for fsm and check
+    argv, code, modules = COMMANDS[command]
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from cryslkit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        f"print(code, {LOADED})",
+        *argv, cwd=corpus_copy,
+    )
+    expected = sorted(["cryslkit.cli", "cryslkit.diagnostics", "cryslkit.model",
+                       "cryslkit.parsing", *(f"cryslkit.{name}" for name in modules)])
+    assert out == f"{code} {expected}\n"
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    out = run_python(
+        "import json, cryslkit\n"
+        "missing = [n for n in cryslkit.__all__ if getattr(cryslkit, n, None) is None]\n"
+        "print(json.dumps([missing, sorted(set(cryslkit.__all__) - set(dir(cryslkit)))]))"
+    )
+    assert json.loads(out) == [[], []]
+
+
+def test_the_readme_library_example_imports_only_exported_names():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    [imported] = re.findall(r"from cryslkit import \(([^)]*)\)", readme)
+    names = set(re.findall(r"\w+", imported))
+    exported = set(json.loads(run_python("import json, cryslkit; print(json.dumps(cryslkit.__all__))")))
+    assert names and names <= exported, names - exported

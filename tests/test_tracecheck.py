@@ -749,6 +749,29 @@ def test_table_report_encodes_as_utf8(violations):
     table = report(violations, "table")
     table.encode("utf-8")
     assert table.endswith(f"total: {len(violations)}\n")
+    assert table.count("\n") == len(violations) + 2  # a header and a footer
+
+
+def test_table_keeps_an_object_id_with_a_line_break_on_its_row():
+    table = report([Violation("incomplete", "md\n1", None, MD, "object discarded")], "table")
+    assert table.splitlines()[1:] == [
+        f"incomplete  md\\n1   end  {MD}  object discarded", "total: 1",
+    ]
+
+
+def test_table_keeps_an_undeclared_method_with_a_line_break_on_its_row(digest_rules):
+    violations = check_trace(digest_rules, [ev(1, "md1", MD, "a\nb\x1c")]).violations
+    assert [v.message for v in violations] == ["a\nb\x1c() is not a declared event"]
+    assert report(violations, "table").splitlines()[1:] == [
+        f"order  md1     1    {MD}  a\\nb\\u001c() is not a declared event", "total: 1",
+    ]
+
+
+def test_a_warning_writes_its_object_id_on_one_line(digest_rules):
+    result = check_trace(digest_rules, [ev(1, "md\r\n1", MD, "getInstance", [UNKNOWN])])
+    [warning] = result.warnings
+    assert warning.startswith("seq 1: md\\r\\n1: cannot decide 'algorithm in {")
+    assert "\n" not in warning
 
 
 @pytest.mark.parametrize("count", [255, 256, 257, 513])
