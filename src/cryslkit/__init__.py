@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in {
-        "automaton": """Nfa StateLimitError TypestateAutomaton Verdict VerdictKind accepts
-                        build_nfa compile_order inline_aggregates lazy_automaton to_dot""",
+        "automaton": """Nfa StateLimitError TypestateAutomaton build_nfa compile_order
+                        lazy_automaton to_dot""",
         "diagnostics": "Diagnostic Loc Severity has_errors",
         "emitter": "emit pretty_print",
         "metrics": "BuildFailure LineStats SavingsReport count_lines normalize_lines savings",

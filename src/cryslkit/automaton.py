@@ -1,51 +1,31 @@
 """Compilation of ORDER expressions into finite automata.
 
-Aggregates are inlined as alternations and the expression is compiled into
-an epsilon-NFA (Thompson construction). The DFA over it is determinized on
-demand, as in RE2: a subset state is built the first time a word reaches it,
-so checking a trace costs at most one NFA subset step per event, however
-large the full DFA would be. The automaton caches each transition it builds
-and, per NFA state and label, the epsilon-closure of where that move leads,
-so a new transition costs one union of cached closures. ``compile_order``
-explores the whole DFA with that same step, breadth-first over the sorted
-alphabet, for ``fsm`` and DOT output; it stops at ``MAX_DFA_STATES``. The
-DFA keeps an implicit error sink: a missing transition means the protocol
-is broken at that event. No minimization is performed; in an explored DFA,
-state numbering is breadth-first from the initial state, which keeps DOT
-output stable and explainable.
+The expression is compiled into an epsilon-NFA (Thompson construction) in
+one walk, which compiles an aggregate atom as the alternation of its events.
+The DFA over that NFA is determinized on demand, as in RE2: a subset state
+is built the first time a word reaches it, so checking a trace costs at most
+one NFA subset step per event, however large the full DFA would be. The
+automaton caches each transition it builds and, per NFA state and label, the
+epsilon-closure of where that move leads, so a new transition costs one
+union of cached closures. ``compile_order`` explores the whole DFA with that
+same step, breadth-first over the sorted alphabet, for ``fsm`` and DOT
+output; it stops at ``MAX_DFA_STATES``. The DFA keeps an implicit error
+sink: a missing transition means the protocol is broken at that event. No
+minimization is performed; in an explored DFA, state numbering is
+breadth-first from the initial state, which keeps DOT output stable and
+explainable.
 
 Every Thompson NFA state can reach the final state, so every subset state,
-whenever it is built, can still reach acceptance. ``accepts`` relies on
-this: the first missing transition is exactly the first point at which no
-accepted word is reachable anymore.
+whenever it is built, can still reach acceptance: the first missing
+transition of a word is exactly where no accepted word stays reachable.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .diagnostics import Record
-from .model import AggregateDecl, Alt, Atom, Opt, OrderExpr, Seq, Star, order_atoms
-
-
-def inline_aggregates(expr: OrderExpr, aggregates: Iterable[AggregateDecl]) -> OrderExpr:
-    """Replace every aggregate atom with the alternation of its events."""
-    table = {agg.name: agg.alternatives for agg in aggregates}
-
-    def walk(node: OrderExpr) -> OrderExpr:
-        if isinstance(node, Atom):
-            alternatives = table.get(node.label)
-            if alternatives is None:
-                return node
-            if len(alternatives) == 1:
-                return Atom(alternatives[0])
-            return Alt(tuple(Atom(label) for label in alternatives))
-        if isinstance(node, (Seq, Alt)):
-            return type(node)(tuple(walk(p) for p in node.parts))
-        return type(node)(walk(node.child))
-
-    return walk(expr)
+from .model import AggregateDecl, Alt, Atom, Opt, OrderExpr, Plus, Seq
 
 
 class Nfa(Record):
@@ -67,7 +47,9 @@ class Nfa(Record):
         return frozenset(seen)
 
 
-def build_nfa(expr: OrderExpr) -> Nfa:
+def build_nfa(order: OrderExpr, aggregates: Iterable[AggregateDecl] = ()) -> Nfa:
+    """The Thompson NFA of ``order``, each aggregate atom compiled as its events' alternation."""
+    table = {agg.name: agg.alternatives for agg in aggregates}
     eps: list[list[int]] = []
     moves: list[dict[str, list[int]]] = []
 
@@ -76,11 +58,23 @@ def build_nfa(expr: OrderExpr) -> Nfa:
         moves.append({})
         return len(eps) - 1
 
+    def atom(label: str) -> tuple[int, int]:
+        s, e = new_state(), new_state()
+        moves[s][label] = [e]
+        return s, e
+
+    def alternation(parts, compile_part) -> tuple[int, int]:
+        s, e = new_state(), new_state()
+        for part in parts:
+            ps, pe = compile_part(part)
+            eps[s].append(ps)
+            eps[pe].append(e)
+        return s, e
+
     def fragment(node: OrderExpr) -> tuple[int, int]:
         if isinstance(node, Atom):
-            s, e = new_state(), new_state()
-            moves[s].setdefault(node.label, []).append(e)
-            return s, e
+            labels = table.get(node.label, (node.label,))
+            return atom(labels[0]) if len(labels) == 1 else alternation(labels, atom)
         if isinstance(node, Seq):
             first_s, prev_e = fragment(node.parts[0])
             for part in node.parts[1:]:
@@ -89,32 +83,19 @@ def build_nfa(expr: OrderExpr) -> Nfa:
                 prev_e = e
             return first_s, prev_e
         if isinstance(node, Alt):
-            s, e = new_state(), new_state()
-            for part in node.parts:
-                ps, pe = fragment(part)
-                eps[s].append(ps)
-                eps[pe].append(e)
-            return s, e
-        if isinstance(node, Opt):
-            s, e = new_state(), new_state()
-            cs, ce = fragment(node.child)
-            eps[s] += [cs, e]
-            eps[ce].append(e)
-            return s, e
-        if isinstance(node, Star):
-            s, e = new_state(), new_state()
-            cs, ce = fragment(node.child)
-            eps[s] += [cs, e]
-            eps[ce] += [cs, e]
-            return s, e
-        # Plus: one pass through the child, then loop back.
+            return alternation(node.parts, fragment)
+        # ``?``, ``*``, ``+``: a way around the child unless ``+``, back into it unless ``?``.
         s, e = new_state(), new_state()
         cs, ce = fragment(node.child)
         eps[s].append(cs)
-        eps[ce] += [cs, e]
+        if not isinstance(node, Plus):
+            eps[s].append(e)
+        if not isinstance(node, Opt):
+            eps[ce].append(cs)
+        eps[ce].append(e)
         return s, e
 
-    start, accept = fragment(expr)
+    start, accept = fragment(order)
     return Nfa(start, accept, eps, moves)
 
 
@@ -141,9 +122,9 @@ class TypestateAutomaton:
 
     initial = 0
 
-    def __init__(self, nfa: Nfa, alphabet: frozenset[str]):
+    def __init__(self, nfa: Nfa):
         self.nfa = nfa
-        self.alphabet = alphabet
+        self.alphabet = frozenset(label for labelled in nfa.moves for label in labelled)
         start = nfa.closure({nfa.start})
         self.subsets: list[frozenset[int]] = [start]
         self.accepting: set[int] = {0} if nfa.accept in start else set()
@@ -190,8 +171,7 @@ def lazy_automaton(
     order: OrderExpr, aggregates: Iterable[AggregateDecl] = ()
 ) -> TypestateAutomaton:
     """The DFA of an ORDER expression with only its initial state built."""
-    expr = inline_aggregates(order, aggregates)
-    return TypestateAutomaton(build_nfa(expr), frozenset(a.label for a in order_atoms(expr)))
+    return TypestateAutomaton(build_nfa(order, aggregates))
 
 
 def compile_order(
@@ -212,36 +192,6 @@ def compile_order(
             raise StateLimitError(f"the DFA has more than {MAX_DFA_STATES} states")
         state += 1
     return automaton
-
-
-class VerdictKind(Enum):
-    ACCEPTED = "accepted"
-    REJECTED = "rejected"
-    INCOMPLETE = "incomplete"
-
-
-class Verdict(Record):
-    kind: VerdictKind
-    reject_index: int | None = None
-
-
-def accepts(automaton: TypestateAutomaton, word: Sequence[str]) -> Verdict:
-    """Run a word through the automaton.
-
-    ``REJECTED`` with ``reject_index`` i means the i-th label has no
-    transition (including labels outside the alphabet); ``INCOMPLETE`` means
-    every label was consumed but the protocol did not reach an accepting
-    state.
-    """
-    state = automaton.initial
-    for index, label in enumerate(word):
-        next_state = automaton.step(state, label)
-        if next_state is None:
-            return Verdict(VerdictKind.REJECTED, index)
-        state = next_state
-    if state in automaton.accepting:
-        return Verdict(VerdictKind.ACCEPTED)
-    return Verdict(VerdictKind.INCOMPLETE)
 
 
 def to_dot(automaton: TypestateAutomaton) -> str:

@@ -28,8 +28,9 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
 
 
 def _is_file(path: Path) -> bool:
-    """True for a file; otherwise say on stderr what ``path`` is instead."""
-    if path.is_file():
+    """True for a path to read, a pipe or device as much as a regular file;
+    for a missing path or a directory, say so on stderr."""
+    if path.exists() and not path.is_dir():
         return True
     problem = "is a directory, expected a file" if path.is_dir() else "no such file"
     print(f"{path}: {problem}", file=sys.stderr)

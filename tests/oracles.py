@@ -6,6 +6,8 @@ matcher decides membership and prefix viability structurally. Neither goes
 anywhere near the NFA/DFA construction they are used to check. The NFA
 simulation does use the Thompson NFA, but recomputes every subset and
 epsilon-closure from scratch, so it checks the lazy DFA's caches.
+``dfa_verdict`` is no oracle: it walks the automaton under test and puts
+its verdict in the derivative matcher's form, for one comparison.
 
 The reference checker re-judges every constraint of a rule at every matched
 event and matches events by a linear scan over the declarations; the
@@ -225,6 +227,18 @@ def nfa_accepts(nfa: Nfa, word) -> bool:
     for label in word:
         current = nfa_step(nfa, current, label)
     return nfa.accept in current
+
+
+def dfa_verdict(automaton, word) -> tuple[str, int | None]:
+    """``word`` walked through ``automaton.step``, in ``derivative_verdict``'s
+    form: rejected at the first label without a transition, labels outside
+    the alphabet included; else accepted or incomplete by the state reached."""
+    state = automaton.initial
+    for index, label in enumerate(word):
+        state = automaton.step(state, label)
+        if state is None:
+            return "rejected", index
+    return ("accepted" if state in automaton.accepting else "incomplete"), None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import pytest
 
 from cryslkit import (
     SourceFile,
-    accepts,
     check_trace,
     compile_order,
     compile_rules,
@@ -30,11 +29,17 @@ from cryslkit import (
     pretty_print,
     run_build,
 )
-from cryslkit.automaton import VerdictKind
 from cryslkit.metrics import report_as_dict, savings
 
 from conftest import REPO_ROOT
-from oracles import all_words, enumerate_language, random_label_alphabet, random_order_expr, random_spec
+from oracles import (
+    all_words,
+    dfa_verdict,
+    enumerate_language,
+    random_label_alphabet,
+    random_order_expr,
+    random_spec,
+)
 
 CORPUS = REPO_ROOT / "corpus"
 GOLDEN = REPO_ROOT / "tests" / "golden"
@@ -193,7 +198,7 @@ def test_automaton_against_oracle():
         language = enumerate_language(expr, 6)
         for word in all_words(alphabet, 6):
             expected = word in language
-            verdict = accepts(automaton, list(word)).kind is VerdictKind.ACCEPTED
+            verdict = dfa_verdict(automaton, word)[0] == "accepted"
             if verdict != expected:
                 mismatches += 1
     elapsed = time.perf_counter() - started

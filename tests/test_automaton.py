@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from cryslkit import (
     SourceFile,
-    accepts,
     build_nfa,
     check_trace,
     compile_order,
@@ -21,16 +20,15 @@ from cryslkit.automaton import (
     MAX_DFA_STATES,
     Nfa,
     StateLimitError,
-    VerdictKind,
-    inline_aggregates,
 )
-from cryslkit.model import Alt, Atom, Opt, Plus, Seq, Star
+from cryslkit.model import AggregateDecl, Alt, Atom, Opt, Plus, Seq, Star, order_atoms
 from cryslkit.tracecheck import TraceEvent
 
 from conftest import MESSAGEDIGEST_RULE, wide_rule_text
 from oracles import (
     all_words,
     derivative_verdict,
+    dfa_verdict,
     enumerate_language,
     nfa_accepts,
     nfa_closure,
@@ -51,38 +49,67 @@ def digest_automaton(digest_rule):
 
 
 def test_aggregates_expand_to_alternations(digest_rule):
-    expr = inline_aggregates(digest_rule.order, digest_rule.aggregates)
-    assert expr == Seq((Alt((Atom("g1"), Atom("g2"))), Plus(Atom("u1")), Atom("d1")))
+    expanded = Seq((Alt((Atom("g1"), Atom("g2"))), Plus(Atom("u1")), Atom("d1")))
+    assert build_nfa(digest_rule.order, digest_rule.aggregates) == build_nfa(expanded)
+
+
+def _expand(node, table):
+    """``node`` with each aggregate atom replaced by the alternation of its
+    events, or by the event's atom for a one-event aggregate."""
+    if isinstance(node, Atom):
+        labels = table.get(node.label)
+        if labels is None:
+            return node
+        return Atom(labels[0]) if len(labels) == 1 else Alt(tuple(map(Atom, labels)))
+    if isinstance(node, (Seq, Alt)):
+        return type(node)(tuple(_expand(part, table) for part in node.parts))
+    return type(node)(_expand(node.child, table))
+
+
+def test_aggregates_compile_as_the_expanded_tree():
+    rng = random.Random(18)
+    one_event = 0
+    for _ in range(300):
+        expr = random_order_expr(rng, random_label_alphabet(rng), rng.randint(0, 4))
+        labels = sorted({atom.label for atom in order_atoms(expr)})
+        names = rng.sample(labels, rng.randint(0, len(labels)))
+        # An aggregate lists declared events: the tree's other labels and fresh ones.
+        events = [label for label in labels if label not in names] + ["x", "y", "z"]
+        aggregates = tuple(
+            AggregateDecl(name, tuple(rng.sample(events, rng.randint(1, 3)))) for name in names
+        )
+        one_event += sum(len(agg.alternatives) == 1 for agg in aggregates)
+        expanded = _expand(expr, {agg.name: agg.alternatives for agg in aggregates})
+        assert build_nfa(expr, aggregates) == build_nfa(expanded), (expr, aggregates)
+        alphabet = {atom.label for atom in order_atoms(expanded)}
+        assert lazy_automaton(expr, aggregates).alphabet == alphabet, (expr, aggregates)
+    assert one_event > 0
 
 
 def test_digest_protocol_words(digest_automaton):
-    assert accepts(digest_automaton, ["g1", "u1", "d1"]).kind is VerdictKind.ACCEPTED
-    assert accepts(digest_automaton, ["g2", "u1", "u1", "d1"]).kind is VerdictKind.ACCEPTED
-    verdict = accepts(digest_automaton, ["g1", "d1"])
-    assert verdict.kind is VerdictKind.REJECTED
-    assert verdict.reject_index == 1
-    assert accepts(digest_automaton, ["g1", "u1"]).kind is VerdictKind.INCOMPLETE
+    assert dfa_verdict(digest_automaton, ["g1", "u1", "d1"]) == ("accepted", None)
+    assert dfa_verdict(digest_automaton, ["g2", "u1", "u1", "d1"]) == ("accepted", None)
+    assert dfa_verdict(digest_automaton, ["g1", "d1"]) == ("rejected", 1)
+    assert dfa_verdict(digest_automaton, ["g1", "u1"]) == ("incomplete", None)
 
 
 def test_label_outside_alphabet_is_rejected_at_index(digest_automaton):
-    verdict = accepts(digest_automaton, ["g1", "reset", "d1"])
-    assert verdict.kind is VerdictKind.REJECTED
-    assert verdict.reject_index == 1
+    assert dfa_verdict(digest_automaton, ["g1", "reset", "d1"]) == ("rejected", 1)
 
 
 def test_single_atom_automaton():
     automaton = compile_order(Atom("c"))
     assert automaton.state_count == 2
-    assert accepts(automaton, ["c"]).kind is VerdictKind.ACCEPTED
-    assert accepts(automaton, []).kind is VerdictKind.INCOMPLETE
-    assert accepts(automaton, ["c", "c"]).kind is VerdictKind.REJECTED
+    assert dfa_verdict(automaton, ["c"]) == ("accepted", None)
+    assert dfa_verdict(automaton, []) == ("incomplete", None)
+    assert dfa_verdict(automaton, ["c", "c"]) == ("rejected", 1)
 
 
 def test_optional_operator_semantics():
     automaton = compile_order(Opt(Atom("e")))
-    assert accepts(automaton, []).kind is VerdictKind.ACCEPTED
-    assert accepts(automaton, ["e"]).kind is VerdictKind.ACCEPTED
-    assert accepts(automaton, ["e", "e"]).kind is VerdictKind.REJECTED
+    assert dfa_verdict(automaton, []) == ("accepted", None)
+    assert dfa_verdict(automaton, ["e"]) == ("accepted", None)
+    assert dfa_verdict(automaton, ["e", "e"]) == ("rejected", 1)
 
 
 def test_automaton_is_deterministic_and_reachable(digest_automaton):
@@ -111,7 +138,7 @@ def test_dfa_matches_enumeration_oracle_on_random_expressions():
         language = enumerate_language(expr, 5)
         for word in all_words(alphabet, 5):
             expected = word in language
-            got = accepts(automaton, list(word)).kind is VerdictKind.ACCEPTED
+            got = dfa_verdict(automaton, word)[0] == "accepted"
             assert got == expected, (expr, word)
 
 
@@ -123,7 +150,7 @@ def test_nfa_and_dfa_agree_on_exhaustive_word_sets():
         nfa = build_nfa(expr)
         dfa = compile_order(expr)
         for word in all_words(alphabet, 5):
-            assert nfa_accepts(nfa, word) == (accepts(dfa, list(word)).kind is VerdictKind.ACCEPTED)
+            assert nfa_accepts(nfa, word) == (dfa_verdict(dfa, word)[0] == "accepted")
 
 
 def test_three_way_verdict_matches_derivative_oracle():
@@ -133,11 +160,7 @@ def test_three_way_verdict_matches_derivative_oracle():
         expr = random_order_expr(rng, alphabet, rng.randint(0, 4))
         automaton = compile_order(expr)
         for word in all_words(alphabet, 5):
-            kind, index = derivative_verdict(expr, word)
-            verdict = accepts(automaton, list(word))
-            assert verdict.kind.value == kind, (expr, word)
-            if kind == "rejected":
-                assert verdict.reject_index == index, (expr, word)
+            assert dfa_verdict(automaton, word) == derivative_verdict(expr, word), (expr, word)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +192,8 @@ def test_on_demand_steps_agree_with_explored_dfa_and_oracle(expr, word_list):
     lazy = lazy_automaton(expr)
     explored = compile_order(expr)
     for word in word_list:
-        kind, index = derivative_verdict(expr, word)
-        for verdict in (accepts(lazy, word), accepts(explored, word)):
-            assert verdict.kind.value == kind, (expr, word)
-            assert verdict.reject_index == index, (expr, word)
+        expected = derivative_verdict(expr, word)
+        assert dfa_verdict(lazy, word) == dfa_verdict(explored, word) == expected, (expr, word)
     # State numbers follow the order of discovery; the subsets themselves agree.
     assert set(lazy.subsets) <= set(explored.subsets)
 
@@ -182,7 +203,7 @@ def test_on_demand_steps_agree_with_explored_dfa_and_oracle(expr, word_list):
 def test_lazy_subsets_are_the_closures_an_uncached_simulation_builds(expr, word_list):
     lazy = lazy_automaton(expr)
     for word in word_list:
-        accepts(lazy, word)
+        dfa_verdict(lazy, word)
     nfa = lazy.nfa
     assert lazy.subsets[lazy.initial] == nfa_closure(nfa, [nfa.start])
     assert len(set(lazy.subsets)) == len(lazy.subsets)
@@ -298,7 +319,7 @@ def test_digest_dot_is_valid_and_deterministic(digest_automaton):
 def test_star_of_sequence_round_trip_semantics():
     expr = Star(Seq((Atom("a"), Atom("b"))))
     automaton = compile_order(expr)
-    assert accepts(automaton, []).kind is VerdictKind.ACCEPTED
-    assert accepts(automaton, ["a", "b", "a", "b"]).kind is VerdictKind.ACCEPTED
-    assert accepts(automaton, ["a"]).kind is VerdictKind.INCOMPLETE
-    assert accepts(automaton, ["b"]).kind is VerdictKind.REJECTED
+    assert dfa_verdict(automaton, []) == ("accepted", None)
+    assert dfa_verdict(automaton, ["a", "b", "a", "b"]) == ("accepted", None)
+    assert dfa_verdict(automaton, ["a"]) == ("incomplete", None)
+    assert dfa_verdict(automaton, ["b"]) == ("rejected", 0)

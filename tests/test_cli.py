@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -578,6 +579,42 @@ def test_check_trace_that_is_a_directory_exits_2(fips_rules_dir, tmp_path, capsy
     assert err == f"{tmp_path}: is a directory, expected a file\n"
 
 
+def test_check_trace_that_is_missing_exits_2(fips_rules_dir, tmp_path, capsys):
+    missing = tmp_path / "absent.jsonl"
+    code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
+                             "--trace", str(missing))
+    assert (code, out, err) == (2, "", f"{missing}: no such file\n")
+
+
+def test_check_reads_dev_null_as_a_trace_without_events(fips_rules_dir, capsys):
+    code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
+                             "--trace", os.devnull, "--format", "json")
+    assert (code, out, err) == (0, tracecheck.report([], "json"), "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_check_reads_a_trace_from_a_named_pipe(fips_rules_dir, corpus_copy, tmp_path, capsys):
+    trace = corpus_copy / "traces" / "standards" / "md5_digest.jsonl"
+    argv = ["check", "--rules", str(fips_rules_dir), "--format", "json", "--trace"]
+    expected = run_cli(capsys, *argv, str(trace))
+    pipe = tmp_path / "trace.fifo"
+    os.mkfifo(pipe)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(pipe, "wb") as sink:
+            sink.write(trace.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    got = run_cli(capsys, *argv, str(pipe))
+    if writer.is_alive():  # the pipe may never have been opened: release the writer
+        os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert expected[0] == 1
+    assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -751,6 +788,11 @@ def test_fsm_rule_that_is_a_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"{tmp_path}: is a directory, expected a file\n"
+
+
+def test_fsm_rule_that_is_a_device_is_read_and_refused_by_extension(capsys):
+    code, out, err = run_cli(capsys, "fsm", "--rule", os.devnull)
+    assert (code, out, err) == (2, "", f"error: {os.devnull}: unknown rule-file extension ''\n")
 
 
 @pytest.mark.parametrize("suffix, problem", [

@@ -4,6 +4,7 @@ interpreter, so no module another test imported can hide a load."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -79,3 +80,22 @@ def test_the_readme_library_example_imports_only_exported_names():
     names = set(re.findall(r"\w+", imported))
     exported = set(json.loads(run_python("import json, cryslkit; print(json.dumps(cryslkit.__all__))")))
     assert names and names <= exported, names - exported
+
+
+SOURCES = sorted((REPO_ROOT / "src" / "cryslkit").glob("*.py"))
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[path.name for path in SOURCES])
+def test_every_module_level_import_is_used(source):
+    # A cold process compiles every module it imports, so an import left
+    # behind by a deletion still costs start-up time.
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = [
+        alias.asname or alias.name.partition(".")[0]
+        for statement in tree.body
+        if isinstance(statement, ast.Import)
+        or isinstance(statement, ast.ImportFrom) and statement.module != "__future__"
+        for alias in statement.names
+    ]
+    assert [name for name in bound if name not in used] == []
