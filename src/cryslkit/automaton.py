@@ -4,16 +4,18 @@ The expression is compiled into an epsilon-NFA (Thompson construction) in
 one walk, which compiles an aggregate atom as the alternation of its events.
 The DFA over that NFA is determinized on demand, as in RE2: a subset state
 is built the first time a word reaches it, so checking a trace costs at most
-one NFA subset step per event, however large the full DFA would be. The
-automaton caches each transition it builds and, per NFA state and label, the
-epsilon-closure of where that move leads, so a new transition costs one
-union of cached closures. ``compile_order`` explores the whole DFA with that
-same step, breadth-first over the sorted alphabet, for ``fsm`` and DOT
-output; it stops at ``MAX_DFA_STATES``. The DFA keeps an implicit error
-sink: a missing transition means the protocol is broken at that event. No
-minimization is performed; in an explored DFA, state numbering is
-breadth-first from the initial state, which keeps DOT output stable and
-explainable.
+one NFA subset step per event, however large the full DFA would be. A subset
+is an ``int`` bit mask (bit *i* is NFA state *i*), and each label has one
+mask of the NFA states that move on it, so a new transition visits only the
+set bits of the subset and that mask, and ORs in the epsilon-closure that
+each one's move reaches, computed once per labelled NFA state and cached as
+a mask. Each DFA state keeps one row, a dict from label to the transition
+built for it. ``compile_order`` explores the whole DFA with that same step,
+breadth-first over the sorted alphabet, for ``fsm`` and DOT output; it stops
+at ``MAX_DFA_STATES``. The DFA keeps an implicit error sink: a missing
+transition means the protocol is broken at that event. No minimization is
+performed; in an explored DFA, state numbering is breadth-first from the
+initial state, which keeps DOT output stable and explainable.
 
 Every Thompson NFA state can reach the final state, so every subset state,
 whenever it is built, can still reach acceptance: the first missing
@@ -36,15 +38,18 @@ class Nfa(Record):
     eps: list[list[int]]
     moves: list[dict[str, list[int]]]
 
-    def closure(self, states: Iterable[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(seen)
+    def closure(self, states: Iterable[int]) -> int:
+        """The epsilon-closure of ``states`` as a bit mask."""
+        stack = list(states)
+        seen = 0
+        for state in stack:
+            seen |= 1 << state
         while stack:
             for nxt in self.eps[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
+                if not seen >> nxt & 1:
+                    seen |= 1 << nxt
                     stack.append(nxt)
-        return frozenset(seen)
+        return seen
 
 
 def build_nfa(order: OrderExpr, aggregates: Iterable[AggregateDecl] = ()) -> Nfa:
@@ -110,27 +115,34 @@ class StateLimitError(Exception):
 class TypestateAutomaton:
     """Deterministic typestate automaton over event labels, built on demand.
 
-    A state is the index of an NFA subset in ``subsets``; ``initial`` is 0,
-    the closure of the NFA's start. ``step`` builds a missing transition the
-    first time it is asked for and caches it, the error sink (``None``)
-    included. A miss unions the members' entries in ``_after``, which maps a
-    label and an NFA state to the epsilon-closure of that labelled move, at
-    most one entry per labelled NFA state. The automaton is therefore not
-    immutable: ``subsets``, ``accepting`` and both caches grow with every new
-    transition taken, also while rules from ``compile_rules`` are reused.
+    A state is the index of an NFA subset in ``subsets``, a bit mask with bit
+    *i* set for NFA state *i*; ``initial`` is 0, the closure of the NFA's
+    start. ``step`` builds a missing transition the first time it is asked
+    for and caches it in the state's row of ``_rows``, the error sink
+    (``None``) included. A miss visits the set bits of the subset and the
+    label's mask in ``_movers`` and ORs together their entries in ``_after``,
+    which maps a label and an NFA state's bit to the closure of that labelled
+    move, at most one entry per labelled NFA state. The automaton is
+    therefore not immutable: ``subsets``, ``accepting``, the rows and the
+    closure cache grow with every new transition taken, also while rules from
+    ``compile_rules`` are reused.
     """
 
     initial = 0
 
     def __init__(self, nfa: Nfa):
         self.nfa = nfa
-        self.alphabet = frozenset(label for labelled in nfa.moves for label in labelled)
-        start = nfa.closure({nfa.start})
-        self.subsets: list[frozenset[int]] = [start]
-        self.accepting: set[int] = {0} if nfa.accept in start else set()
+        self._movers: dict[str, int] = {}
+        for index, labelled in enumerate(nfa.moves):
+            for label in labelled:
+                self._movers[label] = self._movers.get(label, 0) | 1 << index
+        self.alphabet = frozenset(self._movers)
+        self._after: dict[str, dict[int, int]] = {label: {} for label in self._movers}
+        start = nfa.closure([nfa.start])
+        self.subsets: list[int] = [start]
+        self.accepting: set[int] = {0} if start >> nfa.accept & 1 else set()
         self._ids = {start: 0}
-        self._moves: dict[tuple[int, str], int | None] = {}
-        self._after: dict[str, dict[int, frozenset[int]]] = {}
+        self._rows: list[dict[str, int | None]] = [{}]
 
     @property
     def state_count(self) -> int:
@@ -139,31 +151,35 @@ class TypestateAutomaton:
     @property
     def transitions(self) -> dict[tuple[int, str], int]:
         """Every transition built so far; a missing key is the error sink."""
-        return {key: dst for key, dst in self._moves.items() if dst is not None}
+        return {(src, label): dst for src, row in enumerate(self._rows)
+                for label, dst in row.items() if dst is not None}
 
     def step(self, state: int, label: str) -> int | None:
+        row = self._rows[state]
         try:
-            return self._moves[state, label]
+            return row[label]
         except KeyError:
             pass
-        moves, after = self.nfa.moves, self._after.setdefault(label, {})
-        reached = []
-        for member in self.subsets[state]:
-            if label in moves[member]:
-                closure = after.get(member)
-                if closure is None:
-                    closure = after[member] = self.nfa.closure(moves[member][label])
-                reached.append(closure)
-        target = frozenset().union(*reached)
+        members = self.subsets[state] & self._movers.get(label, 0)
+        after = self._after.get(label)
+        target = 0
+        while members:
+            bit = members & -members
+            members ^= bit
+            closure = after.get(bit)
+            if closure is None:
+                closure = after[bit] = self.nfa.closure(self.nfa.moves[bit.bit_length() - 1][label])
+            target |= closure
         dst = None
         if target:
             dst = self._ids.get(target)
             if dst is None:
                 dst = self._ids[target] = len(self.subsets)
                 self.subsets.append(target)
-                if self.nfa.accept in target:
+                self._rows.append({})
+                if target >> self.nfa.accept & 1:
                     self.accepting.add(dst)
-        self._moves[state, label] = dst
+        row[label] = dst
         return dst
 
 

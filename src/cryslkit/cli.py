@@ -15,6 +15,7 @@ compiles the trace checker.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +36,15 @@ def _is_file(path: Path) -> bool:
     problem = "is a directory, expected a file" if path.is_dir() else "no such file"
     print(f"{path}: {problem}", file=sys.stderr)
     return False
+
+
+def _blocking_path(directory: Path) -> Path | None:
+    """The nearest of ``directory`` and its parents that exists, when that
+    one is not a directory, so ``directory`` cannot be one."""
+    for path in (directory, *directory.parents):
+        if os.path.lexists(path):
+            return None if path.is_dir() else path
+    return None
 
 
 def _read_rules(files: list[Path]) -> tuple[list, list[Diagnostic]]:
@@ -68,12 +78,19 @@ def _cmd_build(args: argparse.Namespace) -> int:
     _print_diagnostics(result.diagnostics)
 
     out_root = config_path.parent / config.out
-    emitted: list[Diagnostic] = []  # a warning about the output directory's manifest
-    if args.dry_run:
+    emitted: list[Diagnostic] = []  # about the output directory or its manifest
+    blocker = _blocking_path(out_root)
+    if blocker is not None:
+        problem = "is not a directory" if blocker == out_root else (
+            f"cannot be made: '{blocker}' is not a directory")
+        emitted.append(error_at(str(config_path), config.loc,
+                                f"output path: out '{out_root}' {problem}"))
+        written = []
+    elif args.dry_run:
         written = [str(out_root / name) for name, _ in result.generated]
     else:
         written = [str(p) for p in emit(result, out_root, emitted)]
-        _print_diagnostics(emitted)
+    _print_diagnostics(emitted)
     diagnostics = result.diagnostics + emitted
 
     if args.json:

@@ -116,6 +116,11 @@ def _wrong_type(field_name: str, expected: str, value) -> ValueError:
     return ValueError(f"'{field_name}' must be {expected}, not {_JSON_TYPE_NAMES[type(value)]}")
 
 
+# The fields every trace line has, in the order their errors are reported.
+_REQUIRED_FIELDS = (("seq", int, "an integer"), ("object_id", str, "a string"),
+                    ("class_name", str, "a string"), ("method_name", str, "a string"))
+
+
 _scan = json.JSONDecoder().scan_once
 
 # The only whitespace JSON allows around a value (RFC 8259, section 2).
@@ -163,13 +168,10 @@ def parse_trace_lines(
     arg_tuples: dict[tuple, tuple] = {}
     share = strings.setdefault
 
-    def parse_arg(raw) -> ArgValue:
-        if isinstance(raw, str):
-            return UNKNOWN if raw == "?" else share(raw, raw)
+    def parse_ref(raw) -> Ref:
+        """An argument that is neither a string nor an integer: a reference."""
         if isinstance(raw, bool):
             raise ValueError("boolean arguments are not part of the trace format")
-        if isinstance(raw, int):
-            return raw
         if isinstance(raw, dict) and set(raw) == {"ref"} and isinstance(raw["ref"], str):
             ref = refs.get(raw["ref"])
             if ref is None:
@@ -191,30 +193,29 @@ def parse_trace_lines(
             if type(record) is not dict:
                 raise ValueError("trace line must be a JSON object")
             # Exact type tests: JSON true is a bool, which int() would accept.
-            seq = record["seq"]
-            if type(seq) is not int:
-                raise _wrong_type("seq", "an integer", seq)
-            object_id = record["object_id"]
-            if type(object_id) is not str:
-                raise _wrong_type("object_id", "a string", object_id)
-            class_name = record["class_name"]
-            if type(class_name) is not str:
-                raise _wrong_type("class_name", "a string", class_name)
-            method_name = record["method_name"]
-            if type(method_name) is not str:
-                raise _wrong_type("method_name", "a string", method_name)
-            args = record.get("args", [])
-            if type(args) is not list:
+            seq, object_id = record.get("seq"), record.get("object_id")
+            class_name, method_name = record.get("class_name"), record.get("method_name")
+            if not (type(seq) is int and type(object_id) is str and type(class_name) is str
+                    and type(method_name) is str):
+                for name, kind, expected in _REQUIRED_FIELDS:
+                    if type(record[name]) is not kind:  # KeyError for a missing field
+                        raise _wrong_type(name, expected, record[name])
+            args = record.get("args", ())
+            if type(args) is not list and args != ():  # () only when the field is absent
                 raise _wrong_type("args", "an array", args)
             return_id = record.get("return_id")
             if return_id is not None:
                 if type(return_id) is not str:
                     raise _wrong_type("return_id", "a string or null", return_id)
                 return_id = share(return_id, return_id)
-            args = tuple([parse_arg(a) for a in args])
+            if args:  # a plain string or integer goes through no nested function
+                args = tuple([(share(a, a) if a != "?" else UNKNOWN) if type(a) is str
+                              else a if type(a) is int else parse_ref(a) for a in args])
+                args = arg_tuples.setdefault(args, args)
+            else:
+                args = ()
             event = TraceEvent(seq, share(object_id, object_id), share(class_name, class_name),
-                               share(method_name, method_name),
-                               arg_tuples.setdefault(args, args), return_id)
+                               share(method_name, method_name), args, return_id)
         # RecursionError: the JSON decoder's answer to arrays or objects nested
         # too deeply.
         except (KeyError, ValueError, TypeError, RecursionError) as exc:

@@ -5,7 +5,8 @@ The language oracle enumerates the set of words an order expression denotes
 matcher decides membership and prefix viability structurally. Neither goes
 anywhere near the NFA/DFA construction they are used to check. The NFA
 simulation does use the Thompson NFA, but recomputes every subset and
-epsilon-closure from scratch, so it checks the lazy DFA's caches.
+epsilon-closure from scratch as a ``frozenset``, so it checks the lazy DFA's
+caches and bit masks; ``reference_explore`` builds the whole DFA that way.
 ``dfa_verdict`` is no oracle: it walks the automaton under test and puts
 its verdict in the derivative matcher's form, for one comparison.
 
@@ -24,8 +25,9 @@ from __future__ import annotations
 import json
 import random
 import string
+from types import SimpleNamespace
 
-from cryslkit.automaton import Nfa
+from cryslkit.automaton import Nfa, build_nfa
 from cryslkit.emitter import render_constraint
 from cryslkit.model import (
     AggregateDecl,
@@ -227,6 +229,34 @@ def nfa_accepts(nfa: Nfa, word) -> bool:
     for label in word:
         current = nfa_step(nfa, current, label)
     return nfa.accept in current
+
+
+def mask_states(mask: int) -> frozenset[int]:
+    """The NFA states of a DFA subset kept as a bit mask: bit i is state i."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def reference_explore(order: OrderExpr, aggregates=()) -> SimpleNamespace:
+    """The full DFA of ``order``, explored breadth-first over the sorted
+    alphabet with ``nfa_step``, in the form ``to_dot`` reads: ``initial``,
+    ``state_count``, ``accepting`` and ``transitions`` (error sink left out).
+    """
+    nfa = build_nfa(order, aggregates)
+    alphabet = sorted({label for moves in nfa.moves for label in moves})
+    subsets = [nfa_closure(nfa, [nfa.start])]
+    ids = {subsets[0]: 0}
+    transitions = {}
+    for src, subset in enumerate(subsets):  # grows while it is walked
+        for label in alphabet:
+            target = nfa_step(nfa, subset, label)
+            if target:
+                if target not in ids:
+                    ids[target] = len(subsets)
+                    subsets.append(target)
+                transitions[src, label] = ids[target]
+    accepting = {i for i, subset in enumerate(subsets) if nfa.accept in subset}
+    return SimpleNamespace(initial=0, state_count=len(subsets), accepting=accepting,
+                           transitions=transitions)
 
 
 def dfa_verdict(automaton, word) -> tuple[str, int | None]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,11 +31,13 @@ from oracles import (
     derivative_verdict,
     dfa_verdict,
     enumerate_language,
+    mask_states,
     nfa_accepts,
     nfa_closure,
     nfa_step,
     random_label_alphabet,
     random_order_expr,
+    reference_explore,
 )
 
 
@@ -202,14 +205,48 @@ def test_on_demand_steps_agree_with_explored_dfa_and_oracle(expr, word_list):
 @given(order_trees, st.lists(words, min_size=1, max_size=5))
 def test_lazy_subsets_are_the_closures_an_uncached_simulation_builds(expr, word_list):
     lazy = lazy_automaton(expr)
+    taken = set()  # every (state, label) a word stepped from, the error sink included
     for word in word_list:
-        dfa_verdict(lazy, word)
+        state = lazy.initial
+        for label in word:
+            taken.add((state, label))
+            state = lazy.step(state, label)
+            if state is None:
+                break
     nfa = lazy.nfa
-    assert lazy.subsets[lazy.initial] == nfa_closure(nfa, [nfa.start])
-    assert len(set(lazy.subsets)) == len(lazy.subsets)
-    for (src, label), dst in lazy._moves.items():
-        expected = nfa_step(nfa, lazy.subsets[src], label)
-        assert (lazy.subsets[dst] if dst is not None else frozenset()) == expected, (expr, label)
+    subsets = [mask_states(mask) for mask in lazy.subsets]
+    assert subsets[lazy.initial] == nfa_closure(nfa, [nfa.start])
+    assert len(set(subsets)) == len(subsets)
+    transitions = lazy.transitions
+    assert set(transitions) <= taken
+    for src, label in taken:
+        expected = nfa_step(nfa, subsets[src], label)
+        dst = transitions.get((src, label))  # missing: the error sink, None
+        assert (subsets[dst] if dst is not None else frozenset()) == expected, (expr, label)
+        assert lazy.step(src, label) == dst
+
+
+@st.composite
+def trees_with_aggregates(draw):
+    """An ORDER tree and aggregates named after some of its labels, each
+    listing one to three events: the tree's other labels or fresh ones."""
+    tree = draw(order_trees)
+    labels = sorted({atom.label for atom in order_atoms(tree)})
+    names = draw(st.lists(st.sampled_from(labels), unique=True))
+    events = [label for label in labels if label not in names] + ["x", "y", "z"]
+    aggregates = tuple(
+        AggregateDecl(name, tuple(draw(st.lists(st.sampled_from(events), min_size=1, max_size=3,
+                                                unique=True))))
+        for name in names
+    )
+    return tree, aggregates
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_with_aggregates())
+def test_explored_dfa_is_the_one_a_frozenset_explorer_builds(tree_and_aggregates):
+    tree, aggregates = tree_and_aggregates
+    assert to_dot(compile_order(tree, aggregates)) == to_dot(reference_explore(tree, aggregates))
 
 
 def test_exploration_closes_each_labelled_nfa_state_once(monkeypatch):
@@ -266,6 +303,19 @@ def test_checking_a_wide_rule_builds_one_state_per_event_at_most():
         if derivative_verdict(spec.order, word)[0] == "incomplete"
     ]
     assert found == expected == [("incomplete", "w2")]
+
+
+def test_exploring_a_wide_rule_keeps_its_subsets_small():
+    """8,193 subsets of up to 32 NFA states each, held as bit masks."""
+    order = parse_crysl(SourceFile.for_text(wide_rule_text(12), "crysl")).order
+    tracemalloc.start()
+    try:
+        automaton = compile_order(order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert automaton.state_count == 2 ** 13 + 1
+    assert peak <= 4 * 2 ** 20
 
 
 def test_exploration_stops_past_the_state_limit():

@@ -78,6 +78,27 @@ def test_build_reports_errors_with_exit_1(tmp_path, capsys):
     assert "unbound $Hole" in err
 
 
+@pytest.mark.parametrize("out, blocker", [("_generated/digests", "_generated/digests"),
+                                          ("_generated/file/digests", "_generated/file")])
+def test_build_locates_an_out_that_cannot_be_a_directory(corpus_copy, capsys, out, blocker):
+    conf = corpus_copy / "bouncycastle" / "digests.conf"
+    conf.write_text(conf.read_text(encoding="utf-8").replace("_generated/digests", out),
+                    encoding="utf-8")
+    generated = corpus_copy / "bouncycastle" / "_generated"
+    generated.mkdir()
+    (corpus_copy / "bouncycastle" / blocker).write_text("kept\n", encoding="utf-8")
+    out_root, blocker = conf.parent / out, conf.parent / blocker
+    problem = ("is not a directory" if out_root == blocker
+               else f"cannot be made: '{blocker}' is not a directory")
+    for argv in (["build", str(conf)], ["build", str(conf), "--dry-run"]):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err.splitlines()[0] == f"{conf}:1:1: error: output path: out '{out_root}' {problem}"
+        assert "Traceback" not in err
+    assert [p.name for p in generated.iterdir()] == [blocker.name]
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_build_records_an_overlong_integer_literal_and_goes_on(tmp_path, capsys):
     (tmp_path / "base").mkdir()
     (tmp_path / "base" / "X.mcsl").write_text(

@@ -394,7 +394,15 @@ def test_malformed_line_is_reported_and_skipped():
         ("object_id", 5, "'object_id' must be a string, not an integer"),
         ("class_name", None, "'class_name' must be a string, not null"),
         ("method_name", ["digest"], "'method_name' must be a string, not an array"),
+        ("seq", False, "'seq' must be an integer, not a boolean"),
         ("args", "SHA", "'args' must be an array, not a string"),
+        # Falsy values that are not arrays: an event without arguments is no
+        # event whose 'args' is empty but wrongly typed.
+        ("args", "", "'args' must be an array, not a string"),
+        ("args", {}, "'args' must be an array, not an object"),
+        ("args", 0, "'args' must be an array, not an integer"),
+        ("args", False, "'args' must be an array, not a boolean"),
+        ("args", None, "'args' must be an array, not null"),
         ("return_id", 5, "'return_id' must be a string or null, not an integer"),
     ],
 )
@@ -404,6 +412,18 @@ def test_wrong_field_type_is_reported_and_skipped(field, value, message):
     events, diags = parse_trace_lines([json.dumps(record)], "t.jsonl")
     assert events == []
     assert [d.render() for d in diags] == [f"t.jsonl:1:1: error: malformed trace line: {message}"]
+
+
+def test_the_first_bad_required_field_is_reported():
+    record = {"seq": "1", "class_name": 5, "method_name": "digest"}  # object_id missing
+    _, diags = parse_trace_lines([json.dumps(record)], "t.jsonl")
+    assert [d.message for d in diags] == ["malformed trace line: 'seq' must be an integer, not a string"]
+    del record["seq"]
+    _, diags = parse_trace_lines([json.dumps(record)], "t.jsonl")
+    assert [d.message for d in diags] == ["malformed trace line: 'seq'"]
+    record["seq"] = 1
+    _, diags = parse_trace_lines([json.dumps(record)], "t.jsonl")
+    assert [d.message for d in diags] == ["malformed trace line: 'object_id'"]
 
 
 def test_null_return_id_and_missing_args_are_accepted():
