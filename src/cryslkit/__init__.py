@@ -22,7 +22,7 @@ _MODULE_OF = {
                         lazy_automaton to_dot""",
         "diagnostics": "Diagnostic Loc Severity has_errors",
         "emitter": "emit pretty_print",
-        "metrics": "BuildFailure LineStats SavingsReport count_lines normalize_lines savings",
+        "metrics": "LineStats SavingsReport count_lines normalize_lines savings",
         "model": """AggregateDecl BuildConfig CrySLSpec EventDecl LiteralSet LoadDirective
                     MetaVarRef ObjectDecl PredicateRef RefinementSpec validate_rule_set
                     validate_spec variation_points""",

@@ -5,9 +5,9 @@ Subcommands: ``build`` (configuration to concrete rules on disk),
 ``metrics`` (line-count savings report) and ``fsm`` (ORDER automaton as DOT).
 
 Exit codes: 0 success with no findings, 1 violations or error diagnostics,
-2 usage or I/O failure. Machine-readable output goes to stdout; diagnostics
-and progress go to stderr, so identical invocations produce identical stdout
-bytes.
+2 usage or I/O failure. Machine-readable output goes to stdout, so identical
+invocations produce identical stdout bytes; stderr holds one
+:class:`Diagnostic` line per problem and the progress lines of docs/formats.md.
 Each command imports only the modules it runs, so a cold ``validate`` never
 compiles the trace checker.
 """
@@ -28,13 +28,18 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
         print(diag.render(), file=sys.stderr)
 
 
+def _path_error(path: str | Path, message: str) -> int:
+    """Report a problem with a path the command was given, at 1:1; exit code 2."""
+    _print_diagnostics([error_at(str(path), None, message)])
+    return 2
+
+
 def _is_file(path: Path) -> bool:
     """True for a path to read, a pipe or device as much as a regular file;
     for a missing path or a directory, say so on stderr."""
     if path.exists() and not path.is_dir():
         return True
-    problem = "is a directory, expected a file" if path.is_dir() else "no such file"
-    print(f"{path}: {problem}", file=sys.stderr)
+    _path_error(path, "is a directory, expected a file" if path.is_dir() else "no such file")
     return False
 
 
@@ -122,8 +127,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for raw in args.paths:
         path = Path(raw)
         if not path.exists():
-            print(f"{path}: no such file or directory", file=sys.stderr)
-            return 2
+            return _path_error(path, "no such file or directory")
         files.extend(rule_files(path, RULE_SUFFIXES))
     specs, diags = _read_rules(files)
 
@@ -143,15 +147,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     rules_dir = Path(args.rules)
     if not rules_dir.is_dir():
-        print(f"{rules_dir}: not a directory", file=sys.stderr)
-        return 2
+        return _path_error(rules_dir, "not a directory")
     specs, diags = _read_rules(rule_files(rules_dir, (".crysl",)))
     _print_diagnostics(diags)
     if has_errors(diags):
         return 1
     if not specs:
-        print(f"{rules_dir}: no .crysl rules found", file=sys.stderr)
-        return 2
+        return _path_error(rules_dir, "no .crysl rules found")
 
     trace_path = Path(args.trace)
     if not _is_file(trace_path):
@@ -161,20 +163,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     result = check_trace(compile_rules(specs), trace)
     del trace  # nothing reads the events again; the report's memory need not add to theirs
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _print_diagnostics(result.warnings)
     sys.stdout.write(report(result.violations, args.format))
     return 1 if result.violations or has_errors(trace_diags) else 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .metrics import BuildFailure, curve_as_csv, report_as_dict, savings
+    from .metrics import curve_as_csv, report_as_dict, savings
     from .parsing import LANGUAGE_BY_EXTENSION, SourceFile, parse_config
 
     meta_dir = Path(args.meta)
     if not meta_dir.is_dir():
-        print(f"{meta_dir}: not a directory", file=sys.stderr)
-        return 2
+        return _path_error(meta_dir, "not a directory")
     # Directories with a leading underscore (build output by convention) do
     # not count as hand-written sources.
     meta_paths = sorted(
@@ -182,24 +182,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         if p.is_file() and p.suffix in LANGUAGE_BY_EXTENSION
         and not any(part.startswith("_") for part in p.relative_to(meta_dir).parts)
     )
-    configs = []
-    for raw in args.configs:
-        configs.append(parse_config(SourceFile.from_path(raw)))
+    configs = [parse_config(SourceFile.from_path(raw)) for raw in args.configs]
 
-    unread: list[Path] = []
-
-    def on_error(path: Path, exc: OSError | ParseError) -> None:
-        unread.append(path)
-        if isinstance(exc, ParseError):
-            _print_diagnostics([exc.diagnostic])
-        else:
-            print(f"{path}: unreadable: {exc}", file=sys.stderr)
-
-    try:
-        result = savings(meta_paths, configs, on_error)
-    except BuildFailure as exc:
-        _print_diagnostics(exc.diagnostics)
-        print(f"error: {exc}", file=sys.stderr)
+    result, diags = savings(meta_paths, configs)
+    _print_diagnostics(diags)
+    if result is None:
         return 1
 
     if args.csv:
@@ -222,7 +209,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print("savings:   " + ("none (nothing generated)" if ratio is None else f"{ratio:.2f}"))
         breakeven = "none yet" if result.breakeven is None else f"configuration {result.breakeven}"
         print(f"breakeven: {breakeven}")
-    return 1 if unread else 0
+    return 1 if diags else 0
 
 
 def _cmd_fsm(args: argparse.Namespace) -> int:
@@ -307,8 +294,10 @@ def main(argv: list[str] | None = None) -> int:
         _print_diagnostics([exc.diagnostic])
         return 1
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # An OSError names its file; parsing raises ValueError(path, message).
+        path, message = ((exc.filename, exc.strerror) if isinstance(exc, OSError)
+                         else exc.args if len(exc.args) == 2 else (None, None))
+        return _path_error("<cryslkit>" if path is None else str(path), str(message or exc))
 
 
 if __name__ == "__main__":

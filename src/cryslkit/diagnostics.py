@@ -81,6 +81,21 @@ class Loc(Record):
     col: int
 
 
+# Each C0 control character as a JSON string writes it: "\n", "\u001c", ...
+_C0_ESCAPES = {code: f"\\u{code:04x}" for code in range(0x20)} | {
+    0x08: "\\b", 0x09: "\\t", 0x0A: "\\n", 0x0C: "\\f", 0x0D: "\\r"}
+
+
+def _one_line(text: str) -> str:
+    """``text`` on one line and in UTF-8, as a diagnostic or a table cell
+    prints it: each C0 control character, line breaks among them, written as
+    a JSON string writes it (``\\n``, ``\\u001c``), and each lone surrogate,
+    which UTF-8 cannot encode, as that escape (``\\ud800``); printable text as it is."""
+    if text.isprintable():
+        return text
+    return text.translate(_C0_ESCAPES).encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 class Diagnostic(Record):
     path: str
     line: int
@@ -89,16 +104,19 @@ class Diagnostic(Record):
     message: str
 
     def render(self) -> str:
-        return f"{self.path}:{self.line}:{self.column}: {self.severity.value}: {self.message}"
+        """The one line that reports the diagnostic (docs/formats.md,
+        "Standard error")."""
+        return (f"{_one_line(self.path)}:{self.line}:{self.column}: {self.severity.value}: "
+                f"{_one_line(self.message)}")
 
 
 class LocatedError(Exception):
     """An error at a place in a source file, line 1 column 1 when the place is
-    not known; ``diagnostic`` reports it."""
+    not known; ``diagnostic`` reports it, and ``str()`` is its rendering."""
 
     def __init__(self, path: str, loc: Loc | None, message: str):
         self.diagnostic = error_at(path, loc, message)
-        super().__init__(f"{path}:{self.diagnostic.line}:{self.diagnostic.column}: {message}")
+        super().__init__(self.diagnostic.render())
 
 
 def error_at(path: str, loc: Loc | None, message: str) -> Diagnostic:

@@ -226,9 +226,10 @@ def emit(result, out: str | Path, diagnostics: list[Diagnostic] | None = None) -
     may leave behind, so that a later build deletes what an interrupted one
     made; at the end it lists exactly the names written. A result with
     errors left rules out, so it deletes nothing and its manifest keeps the
-    previous build's names. No other file in the root is touched. A
-    manifest that cannot be read is a warning appended to ``diagnostics``,
-    when given, and then nothing earlier is deleted.
+    previous build's names; one with errors and no rules changes nothing on
+    disk. No other file in the root is touched. A manifest that cannot be
+    read is a warning appended to ``diagnostics``, when given, and then
+    nothing earlier is deleted.
     """
     rendered: list[tuple[str, bytes]] = []
     for file_name, spec in result.generated:
@@ -238,6 +239,8 @@ def emit(result, out: str | Path, diagnostics: list[Diagnostic] | None = None) -
         if leftovers:
             raise ValueError(f"rule {spec.name} still has variation points: {', '.join(leftovers)}")
         rendered.append((file_name, pretty_print(spec).encode("utf-8")))
+    if not rendered and has_errors(result.diagnostics):
+        return []
 
     root = Path(out)
     root.mkdir(parents=True, exist_ok=True)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .diagnostics import Diagnostic, Record, has_errors
+from .diagnostics import Diagnostic, Record, error_at, has_errors
 from .emitter import pretty_print
 from .model import BuildConfig
 from .parsing import ParseError, SourceFile
@@ -34,14 +34,6 @@ class SavingsReport(Record):
     savings_ratio: float
     cumulative: tuple[int, ...]  # generated line total after each configuration
     breakeven: int | None  # 1-based configuration index, None if never reached
-
-
-class BuildFailure(Exception):
-    """A configuration failed to build while computing metrics."""
-
-    def __init__(self, config_name: str, diagnostics: list[Diagnostic]):
-        super().__init__(f"configuration '{config_name}' failed to build")
-        self.diagnostics = diagnostics
 
 
 def normalize_lines(text: str) -> list[str]:
@@ -68,24 +60,21 @@ def _line_stats(documents: Sequence[list[str]]) -> LineStats:
     )
 
 
-def count_lines(
-    paths: Iterable[str | Path],
-    on_error: Callable[[Path, OSError | ParseError], None] | None = None,
-) -> LineStats:
+def count_lines(paths: Iterable[str | Path]) -> tuple[LineStats, list[Diagnostic]]:
     """Line statistics over rule-language files, read as every stage reads
-    them (:meth:`SourceFile.from_path`). A file that cannot be read
-    (``OSError``) or is not UTF-8 (``ParseError`` at its first bad byte)
-    raises; with ``on_error`` it is reported there instead and the remaining
-    files are still counted."""
+    them (:meth:`SourceFile.from_path`), and an error for each file left
+    out: one that cannot be read, at 1:1 with the system's reason, and one
+    that is not UTF-8, at its first bad byte."""
     documents = []
+    diags: list[Diagnostic] = []
     for path in map(Path, paths):
         try:
             documents.append(normalize_lines(SourceFile.from_path(path).text))
-        except (OSError, ParseError) as exc:
-            if on_error is None:
-                raise
-            on_error(path, exc)
-    return _line_stats(documents)
+        except OSError as exc:
+            diags.append(error_at(str(path), None, exc.strerror or str(exc)))
+        except ParseError as exc:
+            diags.append(exc.diagnostic)
+    return _line_stats(documents), diags
 
 
 def savings_ratio(meta_total: int, generated_total: int) -> float:
@@ -95,10 +84,8 @@ def savings_ratio(meta_total: int, generated_total: int) -> float:
 
 
 def savings(
-    meta_paths: Iterable[str | Path],
-    configs: Sequence[BuildConfig],
-    on_error: Callable[[Path, OSError | ParseError], None] | None = None,
-) -> SavingsReport:
+    meta_paths: Iterable[str | Path], configs: Sequence[BuildConfig]
+) -> tuple[SavingsReport | None, list[Diagnostic]]:
     """Build every configuration and compare generated text against sources.
 
     ``meta_paths`` are the hand-written files (specs, refinements and
@@ -106,10 +93,13 @@ def savings(
     counted in memory; nothing is written. The cumulative series accumulates
     generated line totals in the given configuration order, and the
     breakeven index is the first configuration after which the cumulative
-    total exceeds the hand-written total. Any failing build aborts with its
-    diagnostics. A file that several configurations load is parsed once.
+    total exceeds the hand-written total. A file that several configurations
+    load is parsed once.
+
+    The diagnostics are those of :func:`count_lines`; a failing build adds
+    its own and an error at its configuration, and there is no report.
     """
-    meta = count_lines(meta_paths, on_error)
+    meta, diags = count_lines(meta_paths)
 
     documents: list[list[str]] = []
     cumulative: list[int] = []
@@ -118,7 +108,10 @@ def savings(
     for config in configs:
         result = run_build(config, parsed)
         if has_errors(result.diagnostics):
-            raise BuildFailure(config.name, result.diagnostics)
+            diags += result.diagnostics
+            diags.append(error_at(config.source_path or "<config>", config.loc,
+                                  f"configuration '{config.name}' failed to build"))
+            return None, diags
         for _, spec in result.generated:
             lines = normalize_lines(pretty_print(spec))
             documents.append(lines)
@@ -138,7 +131,7 @@ def savings(
         savings_ratio=savings_ratio(meta.total_lines, generated.total_lines),
         cumulative=tuple(cumulative),
         breakeven=breakeven,
-    )
+    ), diags
 
 
 def report_as_dict(report: SavingsReport) -> dict:

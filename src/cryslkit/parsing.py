@@ -121,7 +121,8 @@ class SourceFile(Record):
     """UTF-8 text with a language tag inferred from the file extension.
 
     A file that is not UTF-8 is a ``ParseError`` at its first byte that does
-    not decode.
+    not decode. An extension of no rule language, like a source passed to
+    the parser of another language, is a ``ValueError(path, message)``.
     """
 
     path: str
@@ -133,7 +134,7 @@ class SourceFile(Record):
         path = Path(path)
         language = LANGUAGE_BY_EXTENSION.get(path.suffix)
         if language is None:
-            raise ValueError(f"{path}: unknown rule-file extension '{path.suffix}'")
+            raise ValueError(str(path), f"unknown rule-file extension '{path.suffix}'")
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError:
@@ -529,14 +530,14 @@ def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
 def parse_crysl(source: SourceFile) -> CrySLSpec:
     """Parse one CrySL rule. Raises :class:`ParseError` on bad syntax."""
     if source.language != "crysl":
-        raise ValueError(f"{source.path}: expected a .crysl source, got {source.language}")
+        raise ValueError(source.path, f"expected a .crysl source, got {source.language}")
     return _parse_rule(source, abstract=False)
 
 
 def parse_abstract(source: SourceFile) -> CrySLSpec:
     """Parse one abstract rule; accepts every ``.crysl`` rule as well."""
     if source.language != "abstract":
-        raise ValueError(f"{source.path}: expected a .mcsl source, got {source.language}")
+        raise ValueError(source.path, f"expected a .mcsl source, got {source.language}")
     return _parse_rule(source, abstract=True)
 
 
@@ -593,7 +594,7 @@ def _refinement_op(w: _Tokens, start: int) -> tuple[RefinementOp, int]:
 def parse_refinement(source: SourceFile) -> list[RefinementSpec]:
     """Parse a refinement file; a single file may hold several refinements."""
     if source.language != "refinement":
-        raise ValueError(f"{source.path}: expected a .ref source, got {source.language}")
+        raise ValueError(source.path, f"expected a .ref source, got {source.language}")
     w = _Tokens(source)
     t = w.t
     i = 0
@@ -650,7 +651,7 @@ def parse_config(source: SourceFile) -> BuildConfig:
     preserved exactly as written.
     """
     if source.language != "config":
-        raise ValueError(f"{source.path}: expected a .conf source, got {source.language}")
+        raise ValueError(source.path, f"expected a .conf source, got {source.language}")
     w = _ConfigTokens(source)
     t = w.t
     name, i = _word(w, _expect(w, 0, "config"), "configuration name")

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .automaton import TypestateAutomaton, lazy_automaton
-from .diagnostics import Diagnostic, Loc, Record, error_at
+from .diagnostics import Diagnostic, Loc, Record, _one_line, error_at, warning_at
 from .emitter import render_constraint
 from .model import (
     CrySLSpec,
@@ -268,6 +268,7 @@ class _ConstraintPlan(Record):
     premise: tuple[int, frozenset] | None  # (slot, allowed values) left of ``=>``
     conclusion: tuple[int, frozenset]  # (slot, allowed values) that must hold
     text: str  # as a finding quotes it
+    loc: Loc | None  # in the rule file, where a warning about it points
 
 
 class CompiledRule(Record):
@@ -316,7 +317,7 @@ def _compile_rule(spec: CrySLSpec) -> CompiledRule:
             premise, conclusion = None, test(constraint)
         constraints.append(_ConstraintPlan(
             names, itemgetter(*[slots[name] for name in names]), len(slots) + index,
-            premise, conclusion, render_constraint(constraint),
+            premise, conclusion, render_constraint(constraint), constraint.loc,
         ))
 
     def reached(names: set[str]) -> tuple[int, ...]:
@@ -369,7 +370,7 @@ def compile_rules(specs: Iterable[CrySLSpec]) -> dict[str, CompiledRule]:
 
 class CheckResult(Record):
     violations: list[Violation]
-    warnings: list[str]
+    warnings: list[Diagnostic]
 
 
 class _ObjectRun:
@@ -438,9 +439,12 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
     argument identities are fixed at the rule's first completion and tested
     against the store once the whole trace has been seen, so events of
     unrelated objects can be reordered without changing the findings.
+    A constraint or REQUIRES predicate that an unknown value leaves
+    undecided is a warning located at it in the rule file; its message names
+    the event's ``seq`` and object id.
     """
     violations: list[Violation] = []
-    warnings: list[str] = []
+    warnings: list[Diagnostic] = []
     predicates: set[tuple[str, tuple]] = set()
     # Per rule class, the rule and its runs keyed by object id.
     tables = {class_name: (rule, {}) for class_name, rule in rules.items()}
@@ -456,8 +460,9 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
     def found(kind: str, object_id: str, rule: CompiledRule, seq: int | None, message: str) -> None:
         violations.append(Violation(kind, object_id, seq, rule.spec.class_name, message))
 
-    def warn(seq: int, object_id: str, text: str) -> None:
-        warnings.append(f"seq {seq}: {_one_line(object_id)}: cannot {text} (unknown value)")
+    def warn(rule: CompiledRule, loc: Loc | None, seq: int, object_id: str, text: str) -> None:
+        warnings.append(warning_at(rule.spec.source_path or "<rule>", loc,
+                                   f"seq {seq}: {object_id}: cannot {text} (unknown value)"))
 
     def check_constraints(rule: CompiledRule, run: _ObjectRun, object_id: str, seq: int,
                           indices: tuple[int, ...]) -> None:
@@ -474,7 +479,7 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
             if outcome is True:
                 continue
             if outcome is UNKNOWN:
-                warn(seq, object_id, f"decide '{plan.text}'")
+                warn(rule, plan.loc, seq, object_id, f"decide '{plan.text}'")
                 continue
             run.constraint_ok = False
             key = (rule.spec.class_name, index, signature)
@@ -498,7 +503,8 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
             for pred, slots in rule.requires:
                 keys = _identities(run.values, slots)
                 if None in keys:
-                    warn(seq, object_id, f"check requires {pred.name}[{', '.join(pred.args)}]")
+                    warn(rule, pred.loc, seq, object_id,
+                         f"check requires {pred.name}[{', '.join(pred.args)}]")
                     continue
                 pending_requires.append((object_id, rule, pred, keys, seq))
 
@@ -589,21 +595,6 @@ _VIOLATION_JSON = (
 # Violations rendered per join. Joining a slice at a time holds the blocks of
 # one slice, not one string per violation, and joins the whole text once.
 _REPORT_SLICE = 256
-
-
-# Each C0 control character as a JSON string writes it: "\n", "\u001c", ...
-_C0_ESCAPES = {code: encode_basestring(chr(code))[1:-1] for code in range(0x20)}
-
-
-def _one_line(text: str) -> str:
-    """``text`` as a table cell or a warning prints it, on one line and in
-    UTF-8: each C0 control character, line breaks among them, written as a
-    JSON string writes it (``\\n``, ``\\u001c``), and each code point UTF-8
-    cannot encode, a lone surrogate that a trace's JSON escape ``"\\ud800"``
-    can make, written as that escape. Printable text comes back as it is."""
-    if text.isprintable():
-        return text
-    return text.translate(_C0_ESCAPES).encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def report(violations: list[Violation], fmt: str = "json") -> str:

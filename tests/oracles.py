@@ -13,9 +13,10 @@ its verdict in the derivative matcher's form, for one comparison.
 The reference checker re-judges every constraint of a rule at every matched
 event and matches events by a linear scan over the declarations; the
 checker in ``cryslkit.tracecheck`` must report exactly what it reports. It
-keeps each object's bindings in a dict of names to values and judges,
-renders and identifies them by its own reading of docs/grammar.md and
-docs/formats.md; of the checker it uses only the record types. The
+keeps each object's bindings in a dict of names to values, judges,
+renders and identifies them, and locates its warnings, by its own reading
+of docs/grammar.md and docs/formats.md; of the checker it uses only the
+record types. The
 reference report builds the whole JSON document and lets ``json.dumps``
 indent it; ``cryslkit.tracecheck.report`` must give the same bytes.
 """
@@ -28,6 +29,7 @@ import string
 from types import SimpleNamespace
 
 from cryslkit.automaton import Nfa, build_nfa
+from cryslkit.diagnostics import Diagnostic, Loc, Severity
 from cryslkit.emitter import render_constraint
 from cryslkit.model import (
     AggregateDecl,
@@ -294,7 +296,9 @@ _TYPES = ("byte[]", "int", "java.lang.String", "char[]", "java.security.Key")
 
 
 def random_spec(rng: random.Random) -> CrySLSpec:
-    """A random structurally valid concrete rule."""
+    """A random structurally valid concrete rule. Its constraints and
+    predicates have locations of their own, on lines 10, 20 and 30 onwards,
+    drawn from nothing random."""
     n_objects = rng.randint(1, 5)
     objects = tuple(
         ObjectDecl(rng.choice(_TYPES), f"v{i}") for i in range(n_objects)
@@ -338,27 +342,28 @@ def random_spec(rng: random.Random) -> CrySLSpec:
                 rng.sample(("AES", "DES", "SHA-256", 128, 192, 256, 0), rng.randint(1, 4))
             )
         )
-        member = Membership(var, values)
+        member = Membership(var, values, loc=Loc(10 + len(constraints), 5))
         if rng.random() < 0.3:
             other = Membership(
                 rng.choice(var_names), LiteralSet(frozenset({rng.randint(1, 64)}))
             )
-            constraints.append(Implication(member, other))
+            constraints.append(Implication(member, other, loc=member.loc))
         else:
             constraints.append(member)
     constraints = tuple(constraints)
 
-    def predicates(prefix: str, count: int):
+    def predicates(prefix: str, count: int, line: int):
         return tuple(
             PredicateRef(
                 f"{prefix}{i}",
                 tuple(rng.sample(var_names, rng.randint(1, min(2, len(var_names))))),
+                loc=Loc(line + i, 5),
             )
             for i in range(count)
         )
 
-    requires = predicates("needs", rng.randint(0, 2))
-    ensures = predicates("gives", rng.randint(0, 2))
+    requires = predicates("needs", rng.randint(0, 2), 20)
+    ensures = predicates("gives", rng.randint(0, 2), 30)
 
     class_name = rng.choice(
         ("java.security.MessageDigest", "javax.crypto.Cipher", "com.example.Api", "Digest")
@@ -372,6 +377,7 @@ def random_spec(rng: random.Random) -> CrySLSpec:
         constraints=constraints,
         requires=requires,
         ensures=ensures,
+        source_path=f"{class_name}.crysl",
     )
 
 
@@ -419,6 +425,15 @@ def _shown(value) -> str:
     return str(value)
 
 
+def _warning(spec: CrySLSpec, loc, seq: int, object_id: str, text: str) -> Diagnostic:
+    """A warning where docs/formats.md puts it: at the undecided constraint
+    or REQUIRES predicate in the rule's file (``<rule>`` for a rule read from
+    no file, 1:1 for one without a location)."""
+    line, column = (loc.line, loc.col) if loc else (1, 1)
+    return Diagnostic(spec.source_path or "<rule>", line, column, Severity.WARNING,
+                      f"seq {seq}: {object_id}: cannot {text} (unknown value)")
+
+
 def _identity(env: dict, name: str):
     """A predicate argument's identity, or None when it has none."""
     value = env.get(name, UNKNOWN)
@@ -445,7 +460,7 @@ def reference_check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent
     """``check_trace`` as it was before the per-rule dispatch and constraint
     index: the findings and warnings of both must be identical."""
     violations: list[Violation] = []
-    warnings: list[str] = []
+    warnings: list[Diagnostic] = []
     predicates: set = set()
     runs: dict = {}
     pending_requires: list = []
@@ -465,10 +480,8 @@ def reference_check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent
                 continue
             rendered = render_constraint(constraint)
             if outcome is UNKNOWN:
-                warnings.append(
-                    f"seq {event.seq}: {run.object_id}: cannot decide '{rendered}' "
-                    "(unknown value)"
-                )
+                warnings.append(_warning(spec, constraint.loc, event.seq, run.object_id,
+                                         f"decide '{rendered}'"))
                 continue
             run.constraint_ok = False
             bindings = ", ".join(
@@ -489,10 +502,8 @@ def reference_check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent
             for pred in spec.requires:
                 keys = [_identity(run.env, arg) for arg in pred.args]
                 if any(k is None for k in keys):
-                    warnings.append(
-                        f"seq {event.seq}: {run.object_id}: cannot check requires "
-                        f"{pred.name}[{', '.join(pred.args)}] (unknown value)"
-                    )
+                    warnings.append(_warning(spec, pred.loc, event.seq, run.object_id,
+                                             f"check requires {pred.name}[{', '.join(pred.args)}]"))
                     continue
                 pending_requires.append((run, pred.name, pred.args, tuple(keys), event.seq))
 

@@ -160,7 +160,9 @@ def _android_savings():
         if p.is_file() and p.suffix in (".crysl", ".mcsl", ".ref", ".conf")
         and "_generated" not in p.parts
     )
-    return savings(meta_paths, configs)
+    report, diags = savings(meta_paths, configs)
+    assert diags == []
+    return report
 
 
 @criterion(4, "compactness: meta sources undercut the generated family, breakeven at 2")

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -323,6 +324,21 @@ def test_first_build_into_a_directory_without_a_manifest_says_nothing(corpus_cop
     assert listing(out_dir) == sorted([MANIFEST, "Notes.crysl"] + DIGESTS)
 
 
+def test_build_with_errors_and_no_rules_changes_nothing_on_disk(tmp_path, capsys):
+    (tmp_path / "base").mkdir()
+    (tmp_path / "base" / "messagedigest.mcsl").write_bytes(
+        (STANDARDS / "base" / "messagedigest.mcsl").read_bytes())
+    conf = tmp_path / "x.conf"
+    conf.write_text("config x {\n  src = nope;\n  out = gen/x;\n  load spec base/;\n}\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "build", str(conf))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"{conf}:1:1: error: missing path: src '{tmp_path / 'nope'}' is not a directory",
+        "x: wrote 0 file(s)"]
+    assert listing(tmp_path) == ["base", "x.conf"]
+
+
 def test_unchanged_rebuild_leaves_every_output_file_alone(corpus_copy, capsys):
     out_dir = build_digests(capsys, corpus_copy)[2]
     stats = {name: os.stat(out_dir / name) for name in listing(out_dir)}
@@ -451,6 +467,17 @@ def test_validate_locates_the_first_byte_that_is_not_utf8(tmp_path, capsys):
 def test_validate_missing_path_exits_2(capsys):
     code, out, err = run_cli(capsys, "validate", "does-not-exist.crysl")
     assert code == 2
+    assert err == "does-not-exist.crysl:1:1: error: no such file or directory\n"
+
+
+@pytest.mark.parametrize("stray, written", [("\f", "\\f"), ("\x1c", "\\u001c")])
+def test_validate_writes_a_stray_control_character_on_one_line(tmp_path, capsys, stray, written):
+    rule = tmp_path / "B.crysl"
+    rule.write_text(f"SPEC a.B\n{stray} OBJECTS\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(rule))
+    assert code == 1
+    assert err.split("\n") == [f"{rule}:2:1: error: expected 'OBJECTS', found '{written}'",
+                                "1 file(s): 1 error(s), 0 warning(s)", ""]
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +619,35 @@ def test_check_drops_the_trace_before_the_report(fips_rules_dir, corpus_copy, ca
     assert during_report == [before]
 
 
+def test_check_writes_a_warning_on_a_control_character_literal_on_one_line(tmp_path, capsys):
+    (tmp_path / "rules").mkdir()
+    rule = tmp_path / "rules" / "Tag.crysl"
+    rule.write_text("SPEC org.example.Tag\nOBJECTS\n    java.lang.String value;\nEVENTS\n"
+                    "    e : set(value);\nORDER\n    e\nCONSTRAINTS\n"
+                    '    value in {"a\x1cb"};\n', encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"seq": 1, "object_id": "t1", "class_name": "org.example.Tag", '
+                     '"method_name": "set", "args": ["?"]}\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", "--rules", str(tmp_path / "rules"),
+                             "--trace", str(trace), "--format", "json")
+    assert (code, json.loads(out)["total"]) == (0, 0)
+    assert err.split("\n") == [f"{rule}:9:5: warning: seq 1: t1: cannot decide "
+                                "'value in {\"a\\u001cb\"}' (unknown value)", ""]
+
+
 def test_check_trace_that_is_a_directory_exits_2(fips_rules_dir, tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
                              "--trace", str(tmp_path))
     assert code == 2
     assert out == ""
-    assert err == f"{tmp_path}: is a directory, expected a file\n"
+    assert err == f"{tmp_path}:1:1: error: is a directory, expected a file\n"
 
 
 def test_check_trace_that_is_missing_exits_2(fips_rules_dir, tmp_path, capsys):
     missing = tmp_path / "absent.jsonl"
     code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
                              "--trace", str(missing))
-    assert (code, out, err) == (2, "", f"{missing}: no such file\n")
+    assert (code, out, err) == (2, "", f"{missing}:1:1: error: no such file\n")
 
 
 def test_check_reads_dev_null_as_a_trace_without_events(fips_rules_dir, capsys):
@@ -702,7 +745,7 @@ def test_metrics_names_an_unreadable_meta_file_and_exits_1(corpus_copy, capsys, 
     code, out, err = run_cli(capsys, "metrics", "--meta", str(root), "--configs", conf)
     assert code == 1
     assert out == expected
-    assert err == f"{locked}: unreadable: [Errno 13] Permission denied: '{locked}'\n"
+    assert err == f"{locked}:1:1: error: Permission denied\n"
 
 
 def _reject_constant(name):
@@ -739,7 +782,7 @@ def test_metrics_prints_each_build_error_once(tmp_path, capsys):
         f"{conf}:5:3: error: missing path: '{tmp_path / 'nope'}'",
         f"{tmp_path / 'base' / 'messagedigest.mcsl'}:3:1: error: unbound $AlgSet in "
         "'MessageDigest' (no covering refinement)",
-        "error: configuration 'y' failed to build",
+        f"{conf}:1:1: error: configuration 'y' failed to build",
     ]
 
 
@@ -808,12 +851,12 @@ def test_fsm_rule_that_is_a_directory_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "fsm", "--rule", str(tmp_path))
     assert code == 2
     assert out == ""
-    assert err == f"{tmp_path}: is a directory, expected a file\n"
+    assert err == f"{tmp_path}:1:1: error: is a directory, expected a file\n"
 
 
 def test_fsm_rule_that_is_a_device_is_read_and_refused_by_extension(capsys):
     code, out, err = run_cli(capsys, "fsm", "--rule", os.devnull)
-    assert (code, out, err) == (2, "", f"error: {os.devnull}: unknown rule-file extension ''\n")
+    assert (code, out, err) == (2, "", f"{os.devnull}:1:1: error: unknown rule-file extension ''\n")
 
 
 @pytest.mark.parametrize("suffix, problem", [
@@ -825,7 +868,7 @@ def test_fsm_takes_only_crysl_rules(tmp_path, capsys, suffix, problem):
     rule.write_text("SPEC X\nOBJECTS\n    int a;\nEVENTS\n    e : go(a);\nORDER\n    e\n",
                     encoding="utf-8")
     code, out, err = run_cli(capsys, "fsm", "--rule", str(rule))
-    assert (code, out, err) == (2, "", f"error: {rule}: {problem}\n")
+    assert (code, out, err) == (2, "", f"{rule}:1:1: error: {problem}\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "fsm"])
@@ -848,6 +891,17 @@ def test_long_postfix_chain_is_a_located_parse_error(tmp_path, capsys, command):
 # ---------------------------------------------------------------------------
 # usage errors and the installed entry point
 # ---------------------------------------------------------------------------
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_system_error_that_names_no_file_is_reported_at_a_placeholder(fips_rules_dir, capsys):
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        code = main(["fsm", "--rule", str(fips_rules_dir / "MessageDigest.crysl")])
+    assert (code, capsys.readouterr().err) == (2, "<cryslkit>:1:1: error: Broken pipe\n")
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -912,6 +966,33 @@ def _fuzz_seeds() -> dict[str, bytes]:
 
 
 FUZZ_SEEDS = _fuzz_seeds()
+
+
+def _stderr_forms() -> list[re.Pattern]:
+    """The line forms of docs/formats.md's "Standard error" section, one
+    regular expression per line of its code block."""
+    text = (REPO_ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    section = text.split("\n## Standard error\n")[1].split("\n## ")[0]
+    [block] = re.findall(r"```text\n(.*?)```", section, re.S)
+    return [re.compile(line) for line in block.splitlines()]
+
+
+STDERR_FORMS = _stderr_forms()
+
+
+def stray_stderr_lines(err: str) -> list[str]:
+    """The lines of ``err`` that match no documented stderr form, or more
+    than one."""
+    assert err == "" or err.endswith("\n")
+    return [line for line in err.split("\n")[:-1]
+            if sum(form.fullmatch(line) is not None for form in STDERR_FORMS) != 1]
+
+
+def test_each_documented_stderr_form_takes_its_own_lines():
+    lines = ["x.crysl:2:1: error: expected 'OBJECTS', found '\\f'", "fips: wrote 1 file(s)",
+             "3 file(s): 1 error(s), 0 warning(s)", "wrote out/curve.csv"]
+    assert [[i for i, form in enumerate(STDERR_FORMS) if form.fullmatch(line)]
+            for line in lines] == [[0], [1], [2], [3]]
 FUZZ_COMMANDS = (
     ("build", "{root}/fips.conf"),
     ("build", "{root}/fips.conf", "--dry-run", "--json"),
@@ -957,10 +1038,11 @@ def test_cli_main_answers_any_mutated_corpus_with_an_exit_code(mutations):
                 commands = [c for c in commands if "{root}/fips.conf" not in c]
         for command in commands:
             argv = [arg.format(root=root) for arg in command]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 1, 2), argv
+            assert stray_stderr_lines(err.getvalue()) == [], argv
 
 
 FUZZ_PATHS = ("fips.conf", "base/messagedigest.mcsl", "fips/messagedigest.ref",
@@ -1008,10 +1090,11 @@ def test_cli_main_answers_any_argv_shape_with_an_exit_code(commands):
             (root / name).write_bytes(data)
         for command in commands:
             argv = [arg.format(root=root) for arg in command]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 1, 2), argv
+            assert stray_stderr_lines(err.getvalue()) == [], argv
 
 
 _any_text = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
@@ -1052,5 +1135,6 @@ def test_cli_check_prints_every_trace_in_both_formats(records):
             out.getvalue().encode("utf-8")
             # Each diagnostic and each warning is one line of stderr.
             assert err.getvalue().count("\n") == len(diags) + len(result.warnings), fmt
+            assert stray_stderr_lines(err.getvalue()) == [], fmt
             if fmt == "table":  # a header, one row per finding and the total
                 assert out.getvalue().count("\n") == len(result.violations) + 2

@@ -5,9 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cryslkit import ParseError, SourceFile, metrics, parse_config, preprocessor, run_build
+from cryslkit import SourceFile, metrics, parse_config, preprocessor, run_build
 from cryslkit.metrics import (
-    BuildFailure,
     _line_stats,
     count_lines,
     normalize_lines,
@@ -19,7 +18,7 @@ from cryslkit.metrics import (
 def test_three_identical_lines_make_two_duplicates(tmp_path):
     path = tmp_path / "a.crysl"
     path.write_text("x;\nx;\nx;\n", encoding="utf-8")
-    stats = count_lines([path])
+    stats, _ = count_lines([path])
     assert stats.files == 1
     assert stats.total_lines == 3
     assert stats.duplicate_lines == 2
@@ -29,7 +28,7 @@ def test_three_identical_lines_make_two_duplicates(tmp_path):
 def test_empty_file_counts_nothing(tmp_path):
     path = tmp_path / "empty.crysl"
     path.write_text("", encoding="utf-8")
-    stats = count_lines([path])
+    stats, _ = count_lines([path])
     assert stats.total_lines == 0
     assert stats.duplicate_lines == 0
     assert stats.unique_duplicated == 0
@@ -47,7 +46,7 @@ def test_inline_comments_stay_part_of_the_line():
 def test_duplicates_span_the_whole_file_set(tmp_path):
     (tmp_path / "a.crysl").write_text("shared;\nonly-a;\n", encoding="utf-8")
     (tmp_path / "b.crysl").write_text("shared;\nonly-b;\n", encoding="utf-8")
-    stats = count_lines(sorted(tmp_path.iterdir()))
+    stats, _ = count_lines(sorted(tmp_path.iterdir()))
     assert stats.total_lines == 4
     assert stats.duplicate_lines == 1
     assert stats.unique_duplicated == 1
@@ -79,24 +78,26 @@ def test_unreadable_file_is_reported_and_skipped(tmp_path):
     good = tmp_path / "good.crysl"
     good.write_text("a;\n", encoding="utf-8")
     missing = tmp_path / "missing.crysl"
-    seen = []
-    stats = count_lines([good, missing], on_error=lambda p, e: seen.append(p))
+    stats, diags = count_lines([good, missing])
     assert stats.files == 1
     assert stats.total_lines == 1
-    assert seen == [missing]
+    assert [d.path for d in diags] == [str(missing)]
 
 
-def test_without_on_error_an_unreadable_or_non_utf8_file_raises(tmp_path, corpus_dir):
+def test_an_unreadable_or_non_utf8_file_comes_back_as_a_diagnostic(tmp_path, corpus_dir):
     missing = tmp_path / "missing.crysl"
     latin1 = tmp_path / "latin1.crysl"
     latin1.write_bytes(b"// caf\xe9\n")
-    with pytest.raises(OSError):
-        count_lines([missing])
-    with pytest.raises(ParseError):
-        count_lines([latin1])
+    stats, diags = count_lines([missing, latin1])
+    assert stats.files == 0
+    assert [d.render() for d in diags] == [
+        f"{missing}:1:1: error: No such file or directory",
+        f"{latin1}:1:7: error: byte 0xe9 is not valid UTF-8",
+    ]
     config = parse_config(SourceFile.from_path(corpus_dir / "standards" / "fips.conf"))
-    with pytest.raises(OSError):
-        savings([missing], [config])
+    report, diags = savings([missing], [config])
+    assert report.meta.files == 0 and report.generated.files == 1
+    assert [d.render() for d in diags] == [f"{missing}:1:1: error: No such file or directory"]
 
 
 def test_savings_ratio_formula():
@@ -112,7 +113,8 @@ def test_single_small_config_has_negative_savings_and_no_breakeven(corpus_dir):
         if p.is_file() and p.suffix in (".mcsl", ".ref", ".conf")
         and "_generated" not in p.parts
     )
-    report = savings(meta, [config])
+    report, diags = savings(meta, [config])
+    assert diags == []
     assert report.breakeven is None
     assert report.savings_ratio < 0
     assert report.cumulative[0] == report.generated.total_lines
@@ -125,7 +127,7 @@ def test_savings_normalizes_each_text_once(corpus_dir, monkeypatch):
     )
     config = parse_config(SourceFile.from_path(corpus_dir / "standards" / "fips.conf"))
     meta = sorted((corpus_dir / "standards" / "base").glob("*.mcsl"))
-    report = savings(meta, [config])
+    report, _ = savings(meta, [config])
     assert report.generated.files > 0
     assert len(calls) == report.meta.files + report.generated.files
 
@@ -150,14 +152,15 @@ def test_breakeven_and_monotone_cumulative_on_bundled_corpus(corpus_dir):
         if p.is_file() and p.suffix in (".mcsl", ".crysl", ".ref", ".conf")
         and "_generated" not in p.parts
     )
-    report = savings(meta, configs)
+    report, _ = savings(meta, configs)
     assert report.meta.total_lines < report.generated.total_lines
     assert report.breakeven == 2
     assert list(report.cumulative) == sorted(report.cumulative)
 
     # Past breakeven the ratio strictly improves with every configuration.
     ratios = [
-        savings(meta, configs[:k]).savings_ratio for k in range(report.breakeven, len(configs) + 1)
+        savings(meta, configs[:k])[0].savings_ratio
+        for k in range(report.breakeven, len(configs) + 1)
     ]
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
@@ -192,6 +195,9 @@ def test_failed_build_aborts_with_diagnostics(tmp_path):
         "config x {\n  src = .;\n  out = out/;\n  load spec base/;\n}", encoding="utf-8"
     )
     config = parse_config(SourceFile.from_path(conf))
-    with pytest.raises(BuildFailure) as err:
-        savings([], [config])
-    assert "failed to build" in str(err.value)
+    report, diags = savings([], [config])
+    assert report is None
+    assert [d.render() for d in diags] == [
+        f"{tmp_path / 'base' / 'md.mcsl'}:1:1: error: unbound $Hole in 'X' (no covering refinement)",
+        f"{conf}:1:1: error: configuration 'x' failed to build",
+    ]

@@ -124,7 +124,7 @@ def test_unknown_values_warn_instead_of_violating(digest_rules):
     ]
     result = check_trace(digest_rules, events)
     assert result.violations == []
-    assert any("cannot decide" in w for w in result.warnings)
+    assert any("cannot decide" in w.message for w in result.warnings)
 
 
 def test_constraint_violations_cite_checkable_events(digest_rules):
@@ -312,9 +312,11 @@ def test_return_binding_without_a_return_id_keeps_the_earlier_value():
     assert [(v.kind, v.seq, v.message) for v in result.violations] == [
         ("constraint", 3, 'mode = "x" violates \'mode in {"r", "w"}\''),
     ]
-    assert result.warnings == [
-        "seq 1: f1: cannot decide 'h in {\"h1\"}' (unknown value)",
-        "seq 2: f1: cannot decide 'mode in {\"w\"} => h in {\"h1\"}' (unknown value)",
+    # Each warning is located at its constraint in the rule.
+    assert [w.render() for w in result.warnings] == [
+        "<memory>:11:5: warning: seq 1: f1: cannot decide 'h in {\"h1\"}' (unknown value)",
+        "<memory>:13:5: warning: seq 2: f1: cannot decide 'mode in {\"w\"} => h in {\"h1\"}' "
+        "(unknown value)",
     ]
     expected = oracles.reference_check_trace(rules, trace)
     assert (result.violations, result.warnings) == (expected.violations, expected.warnings)
@@ -790,8 +792,9 @@ def test_table_keeps_an_undeclared_method_with_a_line_break_on_its_row(digest_ru
 def test_a_warning_writes_its_object_id_on_one_line(digest_rules):
     result = check_trace(digest_rules, [ev(1, "md\r\n1", MD, "getInstance", [UNKNOWN])])
     [warning] = result.warnings
-    assert warning.startswith("seq 1: md\\r\\n1: cannot decide 'algorithm in {")
-    assert "\n" not in warning
+    assert warning.message.startswith("seq 1: md\r\n1: cannot decide 'algorithm in {")
+    assert "\n" not in warning.render()
+    assert ": seq 1: md\\r\\n1: cannot decide 'algorithm in {" in warning.render()
 
 
 @pytest.mark.parametrize("count", [255, 256, 257, 513])
