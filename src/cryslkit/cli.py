@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic, Severity, error_at, has_errors
+from .diagnostics import Diagnostic, Severity, _one_line, error_at, has_errors
 from .parsing import ParseError
 
 
@@ -52,7 +52,7 @@ def _blocking_path(directory: Path) -> Path | None:
     return None
 
 
-def _read_rules(files: list[Path]) -> tuple[list, list[Diagnostic]]:
+def _read_rules(files: list[str]) -> tuple[list, list[Diagnostic]]:
     """Parse and validate each rule file, then the set; a file that fails to
     parse is reported and left out."""
     from .model import validate_rule_set, validate_spec
@@ -123,7 +123,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .parsing import RULE_SUFFIXES, rule_files
 
-    files: list[Path] = []
+    files: list[str] = []
     for raw in args.paths:
         path = Path(raw)
         if not path.exists():
@@ -193,7 +193,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         Path(args.csv).write_text(
             curve_as_csv(result, [c.name for c in configs]), encoding="utf-8"
         )
-        print(f"wrote {args.csv}", file=sys.stderr)
+        print(f"wrote {_one_line(args.csv)}", file=sys.stderr)
 
     payload = report_as_dict(result)
     if args.json:

@@ -10,7 +10,7 @@ Both rule grammars yield a :class:`~cryslkit.model.CrySLSpec`. The abstract
 grammar is a strict superset of the ``.crysl`` one: any ``.crysl`` text also
 parses as ``.mcsl``, to an equal rule without variation points.
 
-Each file is tokenised once, by one ``findall`` of a master regex: a token is
+Each file is tokenised once, by one ``split`` on a master regex: a token is
 an identifier, an integer, a whole string literal (one left open runs to the
 end of its line) or any other single character, and the whitespace and
 comments before it are dropped on the way. The recursive-descent functions
@@ -28,10 +28,13 @@ pointing into the input; a location is worked out from a token's offset.
 
 from __future__ import annotations
 
+import errno
+import os
 import re
 from bisect import bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
+from stat import S_ISDIR, S_ISREG
 from typing import NoReturn
 
 from .diagnostics import Loc, LocatedError, Record
@@ -131,22 +134,9 @@ class SourceFile(Record):
 
     @classmethod
     def from_path(cls, path: str | Path) -> "SourceFile":
-        path = Path(path)
-        language = LANGUAGE_BY_EXTENSION.get(path.suffix)
-        if language is None:
-            raise ValueError(str(path), f"unknown rule-file extension '{path.suffix}'")
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            # Read again, keeping undecodable bytes, to locate the first one
-            # with the same newline translation the parsers see.
-            text = path.read_text(encoding="utf-8", errors="surrogateescape")
-            at, message = undecodable_byte(text)
-            line_start = text.rfind("\n", 0, at)
-            raise ParseError(
-                str(path), Loc(text.count("\n", 0, at) + 1, at - line_start), message
-            ) from None
-        return cls(str(path), text, language)
+        """Read a file named by outside input, its path first put in normal
+        form (``./a//b.mcsl`` reads as ``a/b.mcsl``)."""
+        return read_source(str(Path(path)))
 
     @classmethod
     def for_text(cls, text: str, language: str, path: str = "<memory>") -> "SourceFile":
@@ -155,22 +145,106 @@ class SourceFile(Record):
         return cls(path, text, language)
 
 
-def rule_files(path: Path, suffixes: tuple[str, ...]) -> list[Path]:
+def read_source(path: str) -> SourceFile:
+    """Read the file at ``path``, a path in normal form, as a
+    :class:`SourceFile`: one binary read, a strict UTF-8 decode and the
+    newline translation of a text-mode read (``\\r\\n`` and a lone ``\\r``
+    become ``\\n``)."""
+    suffix = _suffix(path[path.rfind("/") + 1:])
+    language = LANGUAGE_BY_EXTENSION.get(suffix)
+    if language is None:
+        raise ValueError(path, f"unknown rule-file extension '{suffix}'")
+    with open(path, "rb", buffering=0) as file:
+        data = file.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        # Decode again, keeping undecodable bytes, to locate the first one
+        # in the text the parsers would have seen.
+        text = _universal_newlines(data.decode("utf-8", "surrogateescape"))
+        at, message = undecodable_byte(text)
+        line_start = text.rfind("\n", 0, at)
+        raise ParseError(path, Loc(text.count("\n", 0, at) + 1, at - line_start), message) from None
+    return SourceFile(path, _universal_newlines(text), language)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+# The errors for which Path.is_file() and Path.is_dir() answer False rather
+# than raise: the path, or a symlink's target, is not there to stat.
+_NOT_THERE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+
+
+def file_mode(path: str) -> int:
+    """The ``st_mode`` of what ``path`` names, symlinks followed, or 0 where
+    ``Path.is_file()`` answers False for want of a file."""
+    try:
+        return os.stat(path).st_mode
+    except OSError as exc:
+        if exc.errno not in _NOT_THERE:
+            raise
+    except ValueError:  # a NUL in the path
+        pass
+    return 0
+
+
+def rule_files(path: str | Path, suffixes: tuple[str, ...]) -> list[str]:
     """A file itself, or the files with one of ``suffixes`` in a directory and
-    its direct subdirectories, sorted by path."""
-    if path.is_file():
+    its direct subdirectories, sorted; each a path string in normal form."""
+    path = str(Path(path))
+    if S_ISREG(file_mode(path)):
         return [path]
-    files = [p for p in path.iterdir() if p.is_file() and p.suffix in suffixes]
-    files += [p for sub in path.iterdir() if sub.is_dir()
-              for p in sub.iterdir() if p.is_file() and p.suffix in suffixes]
-    return sorted(files, key=lambda p: p.as_posix())
+    return directory_rule_files(path, suffixes)
 
 
-def read_rule(path: str | Path) -> CrySLSpec:
-    """Parse a rule file by its language: ``.crysl`` as a CrySL rule, any other
+def directory_rule_files(directory: str, suffixes: tuple[str, ...]) -> list[str]:
+    """The files with one of ``suffixes`` in ``directory``, a path in normal
+    form, and in its direct subdirectories, sorted. Each directory is listed
+    once, and only a symlink's entry costs a stat."""
+    files: list[str] = []
+    subdirectories = []
+    prefix = "" if directory == "." else os.path.join(directory, "")
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            is_file, is_dir = _entry_kind(entry)
+            if is_file and _suffix(entry.name) in suffixes:
+                files.append(prefix + entry.name)
+            elif is_dir:
+                subdirectories.append(prefix + entry.name)
+    for subdirectory in subdirectories:
+        with os.scandir(subdirectory) as entries:
+            files += [f"{subdirectory}/{entry.name}" for entry in entries
+                      if _entry_kind(entry)[0]
+                      and _suffix(entry.name) in suffixes]
+    files.sort()
+    return files
+
+
+def _entry_kind(entry: os.DirEntry) -> tuple[bool, bool]:
+    """Whether a directory entry is a file and whether it is a directory,
+    symlinks followed. A symlink is stat-ed as ``Path`` does it, so a
+    dangling one or a loop is neither."""
+    if entry.is_symlink():
+        mode = file_mode(entry.path)
+        return S_ISREG(mode), S_ISDIR(mode)
+    return entry.is_file(), entry.is_dir()
+
+
+def _suffix(name: str) -> str:
+    """``Path(name).suffix``: from the last dot, unless the name starts or
+    ends with that dot."""
+    dot = name.rfind(".")
+    return name[dot:] if 0 < dot < len(name) - 1 else ""
+
+
+def read_rule(path: str) -> CrySLSpec:
+    """Parse a rule file, its path in normal form as :func:`rule_files`
+    gives it, by its language: ``.crysl`` as a CrySL rule, any other
     extension as ``.mcsl``; an extension of the wrong language is a
     ``ValueError``."""
-    source = SourceFile.from_path(path)
+    source = read_source(path)
     if source.language == "crysl":
         return parse_crysl(source)
     return parse_abstract(source)
@@ -193,9 +267,9 @@ class _Tokens:
 
     def __init__(self, source: SourceFile):
         self.text, self.path = source.text, source.path
-        pairs = _TOKEN_RE.findall(source.text)  # (trivia, token)
-        self.t = [token for _, token in pairs]
-        self.at = list(accumulate(map(len, chain.from_iterable(pairs))))[::2]
+        parts = _TOKEN_RE.split(source.text)  # ("", trivia, token) per token, then ""
+        self.t = parts[2::3]
+        self.at = list(accumulate(map(len, parts), initial=0))[2::3]
         self._line_starts = _line_starts(source.text)
 
     def loc(self, i: int) -> Loc:

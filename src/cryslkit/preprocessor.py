@@ -16,6 +16,7 @@ may bind the same parameter of one template, producing one rule copy each.
 from __future__ import annotations
 
 from pathlib import Path
+from stat import S_ISDIR, S_ISREG
 
 from .diagnostics import Diagnostic, Loc, LocatedError, Record, error_at
 from .model import (
@@ -38,7 +39,15 @@ from .model import (
     validate_spec,
     variation_points,
 )
-from .parsing import RULE_SUFFIXES, ParseError, SourceFile, parse_refinement, read_rule, rule_files
+from .parsing import (
+    RULE_SUFFIXES,
+    ParseError,
+    directory_rule_files,
+    file_mode,
+    parse_refinement,
+    read_rule,
+    read_source,
+)
 
 
 class RefinementError(LocatedError):
@@ -76,7 +85,9 @@ def load(config, parsed: dict | None = None) -> tuple[SpecRegistry, list[Diagnos
     parsed from (the working directory when it has none). Directory loads
     pick up files one subdirectory deep, sorted lexicographically; loading
     the same spec or refinement name twice is an error. ``parsed`` keeps what
-    each file parsed to, by path, so that builds sharing it read a file once.
+    each file parsed to (its rules or refinements, or the diagnostic of its
+    parse error), keyed by the file's path string in normal form, so that
+    builds sharing it read a file once. Each load target is stat-ed once.
     """
     parsed = {} if parsed is None else parsed
     config_dir = Path(config.source_path).parent if config.source_path else Path(".")
@@ -92,25 +103,31 @@ def load(config, parsed: dict | None = None) -> tuple[SpecRegistry, list[Diagnos
     for directive in config.loads:
         target = src_root / directive.path
         suffixes = RULE_SUFFIXES if directive.kind == "spec" else (".ref",)
-        if not target.is_file() and not target.is_dir():
+        target_path = str(target)
+        mode = file_mode(target_path)
+        if S_ISREG(mode):
+            if target.suffix not in suffixes:
+                diags.append(
+                    error_at(config_path, directive.loc,
+                             f"'{directive.path}' is not a {directive.kind} file")
+                )
+                continue
+            files = [target_path]
+        elif S_ISDIR(mode):
+            files = directory_rule_files(target_path, suffixes)
+        else:
             diags.append(error_at(config_path, directive.loc, f"missing path: '{target}'"))
-            continue
-        if target.is_file() and target.suffix not in suffixes:
-            diags.append(
-                error_at(config_path, directive.loc,
-                         f"'{directive.path}' is not a {directive.kind} file")
-            )
             continue
 
         table = registry.specs if directive.kind == "spec" else registry.refinements
         unnamed = "<rule>" if directive.kind == "spec" else "<refinement>"
-        for file_path in rule_files(target, suffixes):
+        for file_path in files:
             if file_path not in parsed:
                 try:
                     if directive.kind == "spec":
                         parsed[file_path] = [read_rule(file_path)]
                     else:
-                        parsed[file_path] = parse_refinement(SourceFile.from_path(file_path))
+                        parsed[file_path] = parse_refinement(read_source(file_path))
                 except ParseError as exc:
                     parsed[file_path] = exc.diagnostic
             loaded = parsed[file_path]

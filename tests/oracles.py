@@ -19,6 +19,11 @@ of docs/grammar.md and docs/formats.md; of the checker it uses only the
 record types. The
 reference report builds the whole JSON document and lets ``json.dumps``
 indent it; ``cryslkit.tracecheck.report`` must give the same bytes.
+
+The reference file layer reads a source with ``Path.read_text`` and lists
+rule files with ``Path.iterdir``, ``is_file`` and ``is_dir``, as the build
+did before it read plain path strings; the string-based reader and listing
+must give the same sources, errors and lists.
 """
 
 from __future__ import annotations
@@ -26,11 +31,13 @@ from __future__ import annotations
 import json
 import random
 import string
+from pathlib import Path
 from types import SimpleNamespace
 
 from cryslkit.automaton import Nfa, build_nfa
 from cryslkit.diagnostics import Diagnostic, Loc, Severity
 from cryslkit.emitter import render_constraint
+from cryslkit.parsing import LANGUAGE_BY_EXTENSION, ParseError, SourceFile, undecodable_byte
 from cryslkit.model import (
     AggregateDecl,
     Alt,
@@ -584,3 +591,36 @@ def reference_report(violations: list[Violation]) -> str:
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference file layer: pathlib reads and listings
+# ---------------------------------------------------------------------------
+
+
+def reference_read_source(path: str | Path) -> SourceFile:
+    """``SourceFile.from_path`` as it was before the one binary read."""
+    path = Path(path)
+    language = LANGUAGE_BY_EXTENSION.get(path.suffix)
+    if language is None:
+        raise ValueError(str(path), f"unknown rule-file extension '{path.suffix}'")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        text = path.read_text(encoding="utf-8", errors="surrogateescape")
+        at, message = undecodable_byte(text)
+        line_start = text.rfind("\n", 0, at)
+        raise ParseError(
+            str(path), Loc(text.count("\n", 0, at) + 1, at - line_start), message
+        ) from None
+    return SourceFile(str(path), text, language)
+
+
+def reference_rule_files(path: Path, suffixes: tuple[str, ...]) -> list[Path]:
+    """``rule_files`` as it was before the one ``os.scandir`` per directory."""
+    if path.is_file():
+        return [path]
+    files = [p for p in path.iterdir() if p.is_file() and p.suffix in suffixes]
+    files += [p for sub in path.iterdir() if sub.is_dir()
+              for p in sub.iterdir() if p.is_file() and p.suffix in suffixes]
+    return sorted(files, key=lambda p: p.as_posix())

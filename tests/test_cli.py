@@ -716,6 +716,40 @@ def test_metrics_csv_curve(corpus_copy, capsys, tmp_path):
     assert len(lines) == 3
 
 
+def test_metrics_writes_its_csv_path_on_one_line(corpus_copy, capsys, monkeypatch):
+    monkeypatch.chdir(corpus_copy / "standards")
+    code, _, err = run_cli(capsys, "metrics", "--meta", ".", "--configs", "fips.conf",
+                           "--csv", "a\nb.csv")
+    assert code == 0
+    assert Path("a\nb.csv").is_file()
+    assert err == "wrote a\\nb.csv\n"
+    assert stray_stderr_lines(err) == []
+
+
+@pytest.mark.parametrize("argv, spelling", [
+    (("metrics", "--meta", "standards", "--configs", "{}"), "./standards/fips.conf"),
+    (("build", "{}"), "./standards//fips.conf"),
+    (("build", "{}", "--dry-run", "--json"), "standards/./fips.conf"),
+])
+def test_a_path_spelled_another_way_prints_the_same_bytes(corpus_copy, capsys, monkeypatch,
+                                                          argv, spelling):
+    monkeypatch.chdir(corpus_copy)
+    plain = run_cli(capsys, *(arg.format("standards/fips.conf") for arg in argv))
+    assert plain[0] == 0 and plain[1]
+    assert run_cli(capsys, *(arg.format(spelling) for arg in argv)) == plain
+
+
+def test_validate_of_a_directory_spelled_another_way_prints_the_same_bytes(tmp_path, capsys,
+                                                                          monkeypatch):
+    (tmp_path / "rules" / "sub").mkdir(parents=True)
+    (tmp_path / "rules" / "sub" / "Bad.crysl").write_text("SPEC X\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    plain = run_cli(capsys, "validate", "rules")
+    assert plain == (1, "", "rules/sub/Bad.crysl:2:1: error: expected 'OBJECTS', found end of file\n"
+                            "1 file(s): 1 error(s), 0 warning(s)\n")
+    assert run_cli(capsys, "validate", "./rules//") == plain
+
+
 def test_metrics_reports_a_meta_file_that_is_not_utf8_and_goes_on(corpus_copy, capsys):
     root = corpus_copy / "jca-android"
     conf = str(root / "base0108.conf")

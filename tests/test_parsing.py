@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,8 +31,10 @@ from cryslkit.model import (
     Seq,
 )
 
+import oracles
 import reference_parsing
 from cryslkit import parsing
+from cryslkit.parsing import LANGUAGE_BY_EXTENSION, RULE_SUFFIXES, rule_files
 from conftest import (
     ABSTRACT_FACTORY,
     ABSTRACT_MESSAGEDIGEST,
@@ -598,3 +603,100 @@ def test_token_walker_parses_as_the_character_scanner_did(case):
     path = f"input.{language}"
     walker = parse_outcome(SOURCE_PARSERS, language, text, path)
     assert walker == parse_outcome(SCANNER, language, text, path)
+
+
+# ---------------------------------------------------------------------------
+# Reading and listing source files
+# ---------------------------------------------------------------------------
+
+
+def read_outcome(read, path):
+    """The source ``read(path)`` gives, or the diagnostic of its parse error."""
+    try:
+        return read(path)
+    except ParseError as exc:
+        return exc.diagnostic
+
+
+# Line breaks of each kind, a BOM, NUL, bytes that are not UTF-8 (a lone
+# Latin-1 byte, a truncated sequence, an encoded surrogate) and valid text.
+_BYTE_PIECES = (b"\r\n", b"\r", b"\n", b"\xef\xbb\xbf", b"\x00", b"\xe9", b"\xff", b"\xc3",
+                b"\xf0\x9f", b"\xed\xa0\x80", "\u00e9\u2028".encode(), b"SPEC a.B\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_BYTE_PIECES), st.binary(max_size=6),
+                          st.text(max_size=6).map(str.encode)), max_size=12).map(b"".join))
+@example(b"a\r")
+@example(b"\r\r\n\r")
+@example(b"a\r\r\nb\xe9")
+@example(b"\xef\xbb\xbfSPEC\r\n\x00")
+@example(b"\r\xe9\n\xe9")
+@example(b"x" * 8191 + b"\r\n\xe9")  # a line break across the text reader's chunks
+@example(b"x" * 8191 + b"\r")
+def test_a_source_reads_as_read_text_reads_it(data):
+    with tempfile.TemporaryDirectory() as scratch:
+        for suffix in LANGUAGE_BY_EXTENSION:
+            path = Path(scratch, f"source{suffix}")
+            path.write_bytes(data)
+            assert (read_outcome(SourceFile.from_path, path)
+                    == read_outcome(oracles.reference_read_source, path))
+
+
+def test_from_path_puts_outside_input_in_normal_form(tmp_path, monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "b.mcsl").write_text("SPEC X\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert SourceFile.from_path("./a//b.mcsl").path == "a/b.mcsl"
+    assert SourceFile.from_path(Path("./a//b.mcsl")).path == "a/b.mcsl"
+
+
+@pytest.mark.parametrize("name, suffix", [
+    ("a.", ""), (".mcsl", ""), ("X.MCSL", ".MCSL"), ("a.b.txt", ".txt"), ("README", ""),
+])
+def test_an_unknown_extension_is_named_as_path_suffix_names_it(tmp_path, name, suffix):
+    path = tmp_path / name
+    path.write_text("SPEC X\n", encoding="utf-8")
+    assert path.suffix == suffix
+    for read in (SourceFile.from_path, parsing.read_rule, oracles.reference_read_source):
+        with pytest.raises(ValueError) as raised:
+            read(str(path))
+        assert raised.value.args == (str(path), f"unknown rule-file extension '{suffix}'")
+
+
+def make_awkward_tree(root: Path) -> None:
+    """Rule files among entries a listing must pass over without an error:
+    symlinks dangling, looping and to directories, a FIFO, a directory named
+    like a rule file and names whose ``Path.suffix`` is not what they end with."""
+    (root / "sub" / "deeper").mkdir(parents=True)
+    (root / "x.mcsl").mkdir()
+    for name in ("a.mcsl", "b.crysl", "c.ref", ".mcsl", "a.", "X.MCSL", "notes.txt",
+                 "x.mcsl/inner.crysl", "sub/s.mcsl", "sub/t.ref", "sub/deeper/d.mcsl"):
+        (root / name).write_text("SPEC X\n", encoding="utf-8")
+    for link, target in (("dangling.mcsl", "missing.mcsl"), ("loop1.mcsl", "loop2.mcsl"),
+                         ("loop2.mcsl", "loop1.mcsl"), ("link.mcsl", "a.mcsl"), ("linked", "sub"),
+                         ("sub/l1.crysl", "l2.crysl"), ("sub/l2.crysl", "l1.crysl"),
+                         ("sub/gone", "nowhere")):
+        (root / link).symlink_to(target)
+    os.mkfifo(root / "pipe.mcsl")
+
+
+@pytest.mark.parametrize("suffixes", [RULE_SUFFIXES, (".ref",), (".crysl",)])
+def test_rule_files_lists_as_pathlib_listed(tmp_path, monkeypatch, suffixes):
+    make_awkward_tree(tmp_path / "rules")
+    monkeypatch.chdir(tmp_path)
+    for spelling in (str(tmp_path / "rules"), "rules", "./rules//", ".", "rules/sub",
+                     "rules/linked", "rules/x.mcsl", "rules/a.mcsl", "rules/link.mcsl"):
+        expected = [str(p) for p in oracles.reference_rule_files(Path(spelling), suffixes)]
+        assert rule_files(spelling, suffixes) == expected, spelling
+    assert rule_files("rules", suffixes)
+
+
+def test_a_load_target_that_loops_dangles_or_is_a_fifo_is_a_missing_path(tmp_path):
+    make_awkward_tree(tmp_path / "rules")
+    result = run_build(conf("config c {\n  src = rules;\n  out = out;\n  load spec loop1.mcsl;\n"
+                            "  load spec dangling.mcsl;\n  load spec pipe.mcsl;\n}\n",
+                            str(tmp_path / "c.conf")))
+    assert [d.render() for d in result.diagnostics] == [
+        f"{tmp_path}/c.conf:{line}:3: error: missing path: '{tmp_path}/rules/{name}'"
+        for line, name in ((4, "loop1.mcsl"), (5, "dangling.mcsl"), (6, "pipe.mcsl"))]
