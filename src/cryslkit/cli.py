@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic, Severity, _one_line, error_at, has_errors
+from .diagnostics import Diagnostic, Loc, Severity, _one_line, error_at, has_errors
 from .parsing import ParseError
 
 
@@ -30,7 +30,7 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
 
 def _path_error(path: str | Path, message: str) -> int:
     """Report a problem with a path the command was given, at 1:1; exit code 2."""
-    _print_diagnostics([error_at(str(path), None, message)])
+    _print_diagnostics([error_at(Loc(str(path), 1, 1), message)])
     return 2
 
 
@@ -88,8 +88,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if blocker is not None:
         problem = "is not a directory" if blocker == out_root else (
             f"cannot be made: '{blocker}' is not a directory")
-        emitted.append(error_at(str(config_path), config.loc,
-                                f"output path: out '{out_root}' {problem}"))
+        emitted.append(error_at(config.loc, f"output path: out '{out_root}' {problem}"))
         written = []
     elif args.dry_run:
         written = [str(out_root / name) for name, _ in result.generated]
@@ -229,7 +228,7 @@ def _cmd_fsm(args: argparse.Namespace) -> int:
         automaton = compile_order(spec.order, spec.aggregates)
     except StateLimitError as exc:
         _print_diagnostics(
-            [error_at(str(path), spec.order_loc, f"ORDER of {spec.class_name}: {exc}")]
+            [error_at(spec.order_loc, f"ORDER of {spec.class_name}: {exc}")]
         )
         return 1
     if args.dot:

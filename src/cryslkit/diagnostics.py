@@ -6,7 +6,7 @@ from __future__ import annotations
 from enum import Enum
 
 # Fields that record where a value came from, not what it is.
-_UNCOMPARED = frozenset({"loc", "source_path", "order_loc"})
+_UNCOMPARED = frozenset({"loc", "order_loc"})
 
 
 class _RecordType(type):
@@ -38,10 +38,10 @@ class Record(metaclass=_RecordType):
     """Base of the value types: one annotated line per field, with an
     optional default, in ``__init__`` order after the fields of the base.
 
-    Equality, hash and repr go by type and fields, leaving out ``loc``,
-    ``source_path`` and ``order_loc``; ``replace`` returns a copy with some
-    fields changed. Records are immutable by contract, not at run time: no
-    API assigns to a record's field after ``__init__``.
+    Equality, hash and repr go by type and fields, leaving out ``loc`` and
+    ``order_loc``; ``replace`` returns a copy with some fields changed.
+    Records are immutable by contract, not at run time: no API assigns to a
+    record's field after ``__init__``.
     """
 
     __slots__ = ()
@@ -75,10 +75,15 @@ class Severity(Enum):
 
 
 class Loc(Record):
-    """A 1-based line/column position inside a source file."""
+    """A 1-based line/column position inside the source file at ``path``."""
 
+    path: str
     line: int
     col: int
+
+
+# Where a node built in code, with no location, is reported.
+_NOWHERE = Loc("<rule>", 1, 1)
 
 
 # Each C0 control character as a JSON string writes it: "\n", "\u001c", ...
@@ -111,22 +116,24 @@ class Diagnostic(Record):
 
 
 class LocatedError(Exception):
-    """An error at a place in a source file, line 1 column 1 when the place is
-    not known; ``diagnostic`` reports it, and ``str()`` is its rendering."""
+    """An error at a place in a source file; ``diagnostic`` reports it, and
+    ``str()`` is its rendering."""
 
-    def __init__(self, path: str, loc: Loc | None, message: str):
-        self.diagnostic = error_at(path, loc, message)
+    def __init__(self, loc: Loc | None, message: str):
+        self.diagnostic = error_at(loc, message)
         super().__init__(self.diagnostic.render())
 
 
-def error_at(path: str, loc: Loc | None, message: str) -> Diagnostic:
-    loc = loc or Loc(1, 1)
-    return Diagnostic(path, loc.line, loc.col, Severity.ERROR, message)
+def error_at(loc: Loc | None, message: str) -> Diagnostic:
+    """An error at ``loc``, in its file; a problem with a whole file is at
+    line 1 column 1 of it."""
+    loc = loc or _NOWHERE
+    return Diagnostic(loc.path, loc.line, loc.col, Severity.ERROR, message)
 
 
-def warning_at(path: str, loc: Loc | None, message: str) -> Diagnostic:
-    loc = loc or Loc(1, 1)
-    return Diagnostic(path, loc.line, loc.col, Severity.WARNING, message)
+def warning_at(loc: Loc | None, message: str) -> Diagnostic:
+    loc = loc or _NOWHERE
+    return Diagnostic(loc.path, loc.line, loc.col, Severity.WARNING, message)
 
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:

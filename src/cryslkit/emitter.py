@@ -14,7 +14,7 @@ import os
 import stat
 from pathlib import Path
 
-from .diagnostics import Diagnostic, has_errors, warning_at
+from .diagnostics import Diagnostic, Loc, has_errors, warning_at
 from .model import (
     Atom,
     ConstraintExpr,
@@ -206,7 +206,7 @@ def _previous_outputs(manifest: Path, diagnostics: list[Diagnostic] | None) -> l
         return names
     if diagnostics is not None:
         diagnostics.append(warning_at(
-            str(manifest), None,
+            Loc(str(manifest), 1, 1),
             "not a JSON list of plain file names; no earlier output is deleted",
         ))
     return []

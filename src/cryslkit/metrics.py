@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .diagnostics import Diagnostic, Record, error_at, has_errors
+from .diagnostics import Diagnostic, Loc, Record, error_at, has_errors
 from .emitter import pretty_print
 from .model import BuildConfig
 from .parsing import ParseError, SourceFile
@@ -71,7 +71,7 @@ def count_lines(paths: Iterable[str | Path]) -> tuple[LineStats, list[Diagnostic
         try:
             documents.append(normalize_lines(SourceFile.from_path(path).text))
         except OSError as exc:
-            diags.append(error_at(str(path), None, exc.strerror or str(exc)))
+            diags.append(error_at(Loc(str(path), 1, 1), exc.strerror or str(exc)))
         except ParseError as exc:
             diags.append(exc.diagnostic)
     return _line_stats(documents), diags
@@ -109,8 +109,7 @@ def savings(
         result = run_build(config, parsed)
         if has_errors(result.diagnostics):
             diags += result.diagnostics
-            diags.append(error_at(config.source_path or "<config>", config.loc,
-                                  f"configuration '{config.name}' failed to build"))
+            diags.append(error_at(config.loc, f"configuration '{config.name}' failed to build"))
             return None, diags
         for _, spec in result.generated:
             lines = normalize_lines(pretty_print(spec))

@@ -16,7 +16,7 @@ contract: no API assigns to a node's field after construction, and
 between threads and builds. The contract is not enforced at run time, because
 a frozen-style store through ``object.__setattr__`` costs two to four times a
 plain one, paid for every node parsed and every trace event read. Equality is
-structural: source locations and source paths never participate.
+structural: source locations, each naming its file, never participate.
 """
 
 from __future__ import annotations
@@ -181,7 +181,6 @@ class CrySLSpec(Record):
     constraints: tuple[ConstraintExpr, ...] = ()
     requires: tuple[PredicateRef, ...] = ()
     ensures: tuple[PredicateRef, ...] = ()
-    source_path: str | None = None
     loc: Loc | None = None
     order_loc: Loc | None = None  # ORDER keyword
     type_params: tuple[str, ...] = ()
@@ -316,7 +315,6 @@ class RefinementSpec(Record):
     base_name: str
     type_args: tuple[str, ...] = ()
     ops: tuple[RefinementOp, ...] = ()
-    source_path: str | None = None
     loc: Loc | None = None
 
 
@@ -336,7 +334,6 @@ class BuildConfig(Record):
     src: str
     out: str
     loads: tuple[LoadDirective, ...]
-    source_path: str | None = None
     loc: Loc | None = None
 
 
@@ -345,21 +342,22 @@ class BuildConfig(Record):
 # ---------------------------------------------------------------------------
 
 
-def _sort_key(diag: Diagnostic) -> tuple[int, int, str]:
-    return (diag.line, diag.column, diag.message)
+def _sort_key(diag: Diagnostic) -> tuple[str, int, int, str]:
+    return (diag.path, diag.line, diag.column, diag.message)
 
 
 def validate_spec(spec: CrySLSpec) -> list[Diagnostic]:
-    """All structural problems of a single rule, ordered by source location.
+    """All structural problems of a single rule, each at the node it is
+    about, ordered by file and then by position: a refined rule holds nodes
+    of its base file and of its refinement's.
 
     Validation never stops at the first problem; an empty result means the
     rule is well formed. Works on abstract rules as well.
     """
-    path = spec.source_path or "<rule>"
     diags: list[Diagnostic] = []
 
     def err(loc: Loc | None, message: str) -> None:
-        diags.append(error_at(path, loc or spec.loc, message))
+        diags.append(error_at(loc or spec.loc, message))
 
     seen_objects: set[str] = set()
     for obj in spec.objects:
@@ -429,19 +427,16 @@ def validate_rule_set(specs: list[CrySLSpec]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     seen_classes: set[str] = set()
     for spec in specs:
-        path = spec.source_path or "<rule>"
         if spec.class_name in seen_classes:
-            diags.append(error_at(path, spec.loc, f"duplicate rule for class '{spec.class_name}'"))
+            diags.append(error_at(spec.loc, f"duplicate rule for class '{spec.class_name}'"))
         seen_classes.add(spec.class_name)
 
     ensured = {(pred.name, len(pred.args)) for spec in specs for pred in spec.ensures}
     for spec in specs:
-        path = spec.source_path or "<rule>"
         for pred in spec.requires:
             if (pred.name, len(pred.args)) not in ensured:
                 diags.append(
                     warning_at(
-                        path,
                         pred.loc,
                         f"no rule in the set ensures predicate '{pred.name}/{len(pred.args)}'",
                     )

@@ -164,7 +164,7 @@ def read_source(path: str) -> SourceFile:
         text = _universal_newlines(data.decode("utf-8", "surrogateescape"))
         at, message = undecodable_byte(text)
         line_start = text.rfind("\n", 0, at)
-        raise ParseError(path, Loc(text.count("\n", 0, at) + 1, at - line_start), message) from None
+        raise ParseError(Loc(path, text.count("\n", 0, at) + 1, at - line_start), message) from None
     return SourceFile(path, _universal_newlines(text), language)
 
 
@@ -273,13 +273,13 @@ class _Tokens:
         self._line_starts = _line_starts(source.text)
 
     def loc(self, i: int) -> Loc:
-        """1-based line and column of token ``i``."""
+        """Where token ``i`` is: the file, and 1-based line and column."""
         at = self.at[i]
         line = bisect_right(self._line_starts, at)
-        return Loc(line, at - self._line_starts[line - 1] + 1)
+        return Loc(self.path, line, at - self._line_starts[line - 1] + 1)
 
     def fail(self, i: int, message: str) -> NoReturn:
-        raise ParseError(self.path, self.loc(i), message)
+        raise ParseError(self.loc(i), message)
 
     def found(self, i: int) -> str:
         """Token ``i`` for a message: its first character, or end of file."""
@@ -597,8 +597,8 @@ def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
         w.fail(i, f"unexpected text after rule: {w.found(i)}")
 
     return CrySLSpec(class_name, tuple(objects), tuple(events), tuple(aggregates), order,
-                     constraints, requires, ensures, source_path=source.path, loc=w.loc(0),
-                     order_loc=order_loc, type_params=params)
+                     constraints, requires, ensures, loc=w.loc(0), order_loc=order_loc,
+                     type_params=params)
 
 
 def parse_crysl(source: SourceFile) -> CrySLSpec:
@@ -695,7 +695,7 @@ def parse_refinement(source: SourceFile) -> list[RefinementSpec]:
                 i = _expect(w, i, ";")
             i += 1
         refinements.append(RefinementSpec(name, base_name, type_args, tuple(ops),
-                                          source_path=source.path, loc=w.loc(start)))
+                                          loc=w.loc(start)))
     return refinements
 
 
@@ -767,5 +767,4 @@ def parse_config(source: SourceFile) -> BuildConfig:
     if not any(load.kind == "spec" for load in loads):
         w.fail(0, "no specification sources (need at least one 'load spec')")
 
-    return BuildConfig(name, paths["src"], paths["out"], tuple(loads),
-                       source_path=source.path, loc=w.loc(0))
+    return BuildConfig(name, paths["src"], paths["out"], tuple(loads), loc=w.loc(0))

@@ -90,14 +90,13 @@ def load(config, parsed: dict | None = None) -> tuple[SpecRegistry, list[Diagnos
     builds sharing it read a file once. Each load target is stat-ed once.
     """
     parsed = {} if parsed is None else parsed
-    config_dir = Path(config.source_path).parent if config.source_path else Path(".")
+    config_dir = Path(config.loc.path).parent if config.loc else Path(".")
     src_root = config_dir / config.src
     registry = SpecRegistry()
     diags: list[Diagnostic] = []
-    config_path = config.source_path or "<config>"
 
     if not src_root.is_dir():
-        diags.append(error_at(config_path, config.loc, f"missing path: src '{src_root}' is not a directory"))
+        diags.append(error_at(config.loc, f"missing path: src '{src_root}' is not a directory"))
         return registry, diags
 
     for directive in config.loads:
@@ -108,19 +107,17 @@ def load(config, parsed: dict | None = None) -> tuple[SpecRegistry, list[Diagnos
         if S_ISREG(mode):
             if target.suffix not in suffixes:
                 diags.append(
-                    error_at(config_path, directive.loc,
-                             f"'{directive.path}' is not a {directive.kind} file")
+                    error_at(directive.loc, f"'{directive.path}' is not a {directive.kind} file")
                 )
                 continue
             files = [target_path]
         elif S_ISDIR(mode):
             files = directory_rule_files(target_path, suffixes)
         else:
-            diags.append(error_at(config_path, directive.loc, f"missing path: '{target}'"))
+            diags.append(error_at(directive.loc, f"missing path: '{target}'"))
             continue
 
         table = registry.specs if directive.kind == "spec" else registry.refinements
-        unnamed = "<rule>" if directive.kind == "spec" else "<refinement>"
         for file_path in files:
             if file_path not in parsed:
                 try:
@@ -136,11 +133,10 @@ def load(config, parsed: dict | None = None) -> tuple[SpecRegistry, list[Diagnos
                 continue
             for item in loaded:
                 if item.name in table:
-                    other = table[item.name].source_path or unnamed
+                    other = table[item.name].loc.path
                     diags.append(
-                        error_at(item.source_path or unnamed, item.loc,
-                                 f"duplicate {directive.kind} name '{item.name}' "
-                                 f"(already loaded from {other})")
+                        error_at(item.loc, f"duplicate {directive.kind} name '{item.name}' "
+                                           f"(already loaded from {other})")
                     )
                     continue
                 table[item.name] = item
@@ -212,10 +208,8 @@ def apply_refinement(
     meta-variable names bound for this base by earlier refinements in the
     same build; re-defining one of them is a conflict.
     """
-    path = refinement.source_path or "<refinement>"
-
     def fail(loc: Loc | None, message: str):
-        raise RefinementError(path, loc or refinement.loc, message)
+        raise RefinementError(loc or refinement.loc, message)
 
     if simple_name(refinement.base_name) != base.name:
         fail(refinement.loc, f"refinement targets '{refinement.base_name}', not '{base.name}'")
@@ -309,11 +303,11 @@ def resolve(registry: SpecRegistry) -> BuildResult:
     bound: dict[str, set[str]] = {}  # targeted base -> meta-variables bound so far
     applied = 0
 
-    def add_output(name: str, spec: CrySLSpec | None, kind: str, path: str, loc: Loc | None) -> None:
+    def add_output(name: str, spec: CrySLSpec | None, kind: str, loc: Loc | None) -> None:
         file_name = f"{name}.crysl"
         if file_name in file_names:
             diags.append(
-                error_at(path, loc,
+                error_at(loc,
                          f"output file '{file_name}' already produced by {file_names[file_name]}")
             )
             return
@@ -322,12 +316,11 @@ def resolve(registry: SpecRegistry) -> BuildResult:
             generated.append((file_name, spec))
 
     for refinement in registry.refinements.values():
-        path = refinement.source_path or "<refinement>"
         base_key = simple_name(refinement.base_name)
         base = registry.specs.get(base_key)
         if base is None:
             diags.append(
-                error_at(path, refinement.loc, f"base spec not found: '{refinement.base_name}'")
+                error_at(refinement.loc, f"base spec not found: '{refinement.base_name}'")
             )
             continue
         base_bound = bound.setdefault(base_key, set())
@@ -340,33 +333,31 @@ def resolve(registry: SpecRegistry) -> BuildResult:
         unbound = variation_points(spec)
         if unbound:
             diags.append(
-                error_at(path, refinement.loc, f"unbound {', '.join(unbound)} in '{refinement.name}'")
+                error_at(refinement.loc, f"unbound {', '.join(unbound)} in '{refinement.name}'")
             )
             continue
         rule_diags = validate_spec(spec)
         if rule_diags:
             diags.extend(rule_diags)
             diags.append(
-                error_at(path, refinement.loc,
-                         f"refinement '{refinement.name}' produced an invalid rule")
+                error_at(refinement.loc, f"refinement '{refinement.name}' produced an invalid rule")
             )
             continue
         applied += 1
-        add_output(refinement.name, spec, "refinement", path, refinement.loc)
+        add_output(refinement.name, spec, "refinement", refinement.loc)
 
     for key, spec in registry.specs.items():
         if key in bound:
             continue
-        path = spec.source_path or "<rule>"
         unbound = variation_points(spec)
         if unbound:
             diags.append(
-                error_at(path, spec.loc,
+                error_at(spec.loc,
                          f"unbound {', '.join(unbound)} in '{key}' (no covering refinement)")
             )
             continue
         # An invalid spec is never emitted, but still claims its file name.
-        add_output(key, None if key in registry.invalid else spec, "spec", path, spec.loc)
+        add_output(key, None if key in registry.invalid else spec, "spec", spec.loc)
 
     stats = BuildStats(
         specs_loaded=len(registry.specs),

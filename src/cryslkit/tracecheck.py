@@ -219,11 +219,11 @@ def parse_trace_lines(
         # RecursionError: the JSON decoder's answer to arrays or objects nested
         # too deeply.
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
-            diags.append(error_at(path, Loc(line_no, 1), f"malformed trace line: {exc}"))
+            diags.append(error_at(Loc(path, line_no, 1), f"malformed trace line: {exc}"))
             continue
         if last_seq is not None and seq <= last_seq:
             diags.append(
-                error_at(path, Loc(line_no, 1),
+                error_at(Loc(path, line_no, 1),
                          f"seq {seq} does not increase (previous was {last_seq})")
             )
             continue
@@ -268,7 +268,7 @@ class _ConstraintPlan(Record):
     premise: tuple[int, frozenset] | None  # (slot, allowed values) left of ``=>``
     conclusion: tuple[int, frozenset]  # (slot, allowed values) that must hold
     text: str  # as a finding quotes it
-    loc: Loc | None  # in the rule file, where a warning about it points
+    loc: Loc | None  # where a warning about it points
 
 
 class CompiledRule(Record):
@@ -440,7 +440,8 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
     against the store once the whole trace has been seen, so events of
     unrelated objects can be reordered without changing the findings.
     A constraint or REQUIRES predicate that an unknown value leaves
-    undecided is a warning located at it in the rule file; its message names
+    undecided is a warning located at it, in the file that declares it (a
+    refinement's file for a node that a refinement added); its message names
     the event's ``seq`` and object id.
     """
     violations: list[Violation] = []
@@ -460,9 +461,8 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
     def found(kind: str, object_id: str, rule: CompiledRule, seq: int | None, message: str) -> None:
         violations.append(Violation(kind, object_id, seq, rule.spec.class_name, message))
 
-    def warn(rule: CompiledRule, loc: Loc | None, seq: int, object_id: str, text: str) -> None:
-        warnings.append(warning_at(rule.spec.source_path or "<rule>", loc,
-                                   f"seq {seq}: {object_id}: cannot {text} (unknown value)"))
+    def warn(loc: Loc | None, seq: int, object_id: str, text: str) -> None:
+        warnings.append(warning_at(loc, f"seq {seq}: {object_id}: cannot {text} (unknown value)"))
 
     def check_constraints(rule: CompiledRule, run: _ObjectRun, object_id: str, seq: int,
                           indices: tuple[int, ...]) -> None:
@@ -479,7 +479,7 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
             if outcome is True:
                 continue
             if outcome is UNKNOWN:
-                warn(rule, plan.loc, seq, object_id, f"decide '{plan.text}'")
+                warn(plan.loc, seq, object_id, f"decide '{plan.text}'")
                 continue
             run.constraint_ok = False
             key = (rule.spec.class_name, index, signature)
@@ -503,7 +503,7 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
             for pred, slots in rule.requires:
                 keys = _identities(run.values, slots)
                 if None in keys:
-                    warn(rule, pred.loc, seq, object_id,
+                    warn(pred.loc, seq, object_id,
                          f"check requires {pred.name}[{', '.join(pred.args)}]")
                     continue
                 pending_requires.append((object_id, rule, pred, keys, seq))

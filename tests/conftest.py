@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cryslkit.diagnostics import Record
+from cryslkit.diagnostics import Loc, Record
+from cryslkit.model import BuildConfig, CrySLSpec, RefinementSpec
 from cryslkit.parsing import (
     ParseError,
     SourceFile,
@@ -131,16 +132,32 @@ def wide_rule_text(k: int) -> str:
     )
 
 
-def dump(value) -> str:
-    """A value on one line with every field, locations and paths included;
-    set members in sorted order."""
+# The records that named their file in a ``source_path`` field, before each
+# location named it; ``dump`` writes that field back, just before ``loc``.
+_HAD_SOURCE_PATH = (CrySLSpec, RefinementSpec, BuildConfig)
+
+
+def dump(value, path: str) -> str:
+    """A value parsed from the file at ``path`` on one line, with every field,
+    locations and paths included, and set members in sorted order.
+
+    The shape is the one from before a location named its file, so
+    ``tests/golden/parse_manifest.json`` keeps its hashes: after checking that
+    every location is in ``path``, a location is written as its line and
+    column, and a rule, refinement or configuration gets its
+    ``source_path=path`` field back."""
+    if isinstance(value, Loc):
+        assert value.path == path, (value.path, path)
+        return f"Loc(line={value.line!r}, col={value.col!r})"
     if isinstance(value, Record):
-        fields = ", ".join(f"{name}={dump(getattr(value, name))}" for name in value._fields)
-        return f"{type(value).__name__}({fields})"
+        fields = [f"{name}={dump(getattr(value, name), path)}" for name in value._fields]
+        if isinstance(value, _HAD_SOURCE_PATH):
+            fields.insert(value._fields.index("loc"), f"source_path={path!r}")
+        return f"{type(value).__name__}({', '.join(fields)})"
     if isinstance(value, (tuple, list)):
-        return "[" + ", ".join(map(dump, value)) + "]"
+        return "[" + ", ".join(dump(item, path) for item in value) + "]"
     if isinstance(value, frozenset):
-        return "{" + ", ".join(sorted(map(dump, value))) + "}"
+        return "{" + ", ".join(sorted(dump(item, path) for item in value)) + "}"
     return repr(value)
 
 
@@ -152,7 +169,7 @@ def parse_outcome(parsers: dict, language: str, text: str, path: str) -> str:
     """What ``parsers[language]`` makes of ``text``: the dump of its result,
     or the path, location and message of its ``ParseError``."""
     try:
-        return dump(parsers[language](SourceFile.for_text(text, language, path)))
+        return dump(parsers[language](SourceFile.for_text(text, language, path)), path)
     except ParseError as exc:
         diag = exc.diagnostic
         return f"ParseError {diag.path}:{diag.line}:{diag.column}: {diag.message!r}"

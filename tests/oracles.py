@@ -303,9 +303,10 @@ _TYPES = ("byte[]", "int", "java.lang.String", "char[]", "java.security.Key")
 
 
 def random_spec(rng: random.Random) -> CrySLSpec:
-    """A random structurally valid concrete rule. Its constraints and
-    predicates have locations of their own, on lines 10, 20 and 30 onwards,
-    drawn from nothing random."""
+    """A random structurally valid concrete rule, located at 1:1 of the file
+    ``<class name>.crysl``. Its constraints and predicates have locations of
+    their own in that file, on lines 10, 20 and 30 onwards, drawn from
+    nothing random."""
     n_objects = rng.randint(1, 5)
     objects = tuple(
         ObjectDecl(rng.choice(_TYPES), f"v{i}") for i in range(n_objects)
@@ -341,7 +342,9 @@ def random_spec(rng: random.Random) -> CrySLSpec:
     atoms = labels + [a.name for a in aggregates]
     order = random_order_expr(rng, atoms, rng.randint(0, 3))
 
-    constraints = []
+    # Constraints and predicates are drawn first and located once the class
+    # name, drawn last, names their file.
+    drawn_constraints = []
     for _ in range(rng.randint(0, 3)):
         var = rng.choice(var_names)
         values = LiteralSet(
@@ -349,42 +352,45 @@ def random_spec(rng: random.Random) -> CrySLSpec:
                 rng.sample(("AES", "DES", "SHA-256", 128, 192, 256, 0), rng.randint(1, 4))
             )
         )
-        member = Membership(var, values, loc=Loc(10 + len(constraints), 5))
+        other = None
         if rng.random() < 0.3:
             other = Membership(
                 rng.choice(var_names), LiteralSet(frozenset({rng.randint(1, 64)}))
             )
-            constraints.append(Implication(member, other, loc=member.loc))
-        else:
-            constraints.append(member)
-    constraints = tuple(constraints)
+        drawn_constraints.append((var, values, other))
 
-    def predicates(prefix: str, count: int, line: int):
-        return tuple(
-            PredicateRef(
-                f"{prefix}{i}",
-                tuple(rng.sample(var_names, rng.randint(1, min(2, len(var_names))))),
-                loc=Loc(line + i, 5),
-            )
+    def predicates(prefix: str, count: int):
+        return [
+            (f"{prefix}{i}", tuple(rng.sample(var_names, rng.randint(1, min(2, len(var_names))))))
             for i in range(count)
-        )
+        ]
 
-    requires = predicates("needs", rng.randint(0, 2), 20)
-    ensures = predicates("gives", rng.randint(0, 2), 30)
+    drawn_requires = predicates("needs", rng.randint(0, 2))
+    drawn_ensures = predicates("gives", rng.randint(0, 2))
 
     class_name = rng.choice(
         ("java.security.MessageDigest", "javax.crypto.Cipher", "com.example.Api", "Digest")
     )
+    path = f"{class_name}.crysl"
+    constraints = []
+    for line, (var, values, other) in enumerate(drawn_constraints, start=10):
+        member = Membership(var, values, loc=Loc(path, line, 5))
+        constraints.append(member if other is None else Implication(member, other, loc=member.loc))
+
+    def located(drawn: list, line: int):
+        return tuple(PredicateRef(name, args, loc=Loc(path, line + i, 5))
+                     for i, (name, args) in enumerate(drawn))
+
     return CrySLSpec(
         class_name=class_name,
         objects=objects,
         events=events,
         aggregates=aggregates,
         order=order,
-        constraints=constraints,
-        requires=requires,
-        ensures=ensures,
-        source_path=f"{class_name}.crysl",
+        constraints=tuple(constraints),
+        requires=located(drawn_requires, 20),
+        ensures=located(drawn_ensures, 30),
+        loc=Loc(path, 1, 1),
     )
 
 
@@ -432,12 +438,12 @@ def _shown(value) -> str:
     return str(value)
 
 
-def _warning(spec: CrySLSpec, loc, seq: int, object_id: str, text: str) -> Diagnostic:
+def _warning(loc, seq: int, object_id: str, text: str) -> Diagnostic:
     """A warning where docs/formats.md puts it: at the undecided constraint
-    or REQUIRES predicate in the rule's file (``<rule>`` for a rule read from
-    no file, 1:1 for one without a location)."""
-    line, column = (loc.line, loc.col) if loc else (1, 1)
-    return Diagnostic(spec.source_path or "<rule>", line, column, Severity.WARNING,
+    or REQUIRES predicate, in the file that declares it (``<rule>``:1:1 for
+    one built without a location)."""
+    path, line, column = (loc.path, loc.line, loc.col) if loc else ("<rule>", 1, 1)
+    return Diagnostic(path, line, column, Severity.WARNING,
                       f"seq {seq}: {object_id}: cannot {text} (unknown value)")
 
 
@@ -487,7 +493,7 @@ def reference_check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent
                 continue
             rendered = render_constraint(constraint)
             if outcome is UNKNOWN:
-                warnings.append(_warning(spec, constraint.loc, event.seq, run.object_id,
+                warnings.append(_warning(constraint.loc, event.seq, run.object_id,
                                          f"decide '{rendered}'"))
                 continue
             run.constraint_ok = False
@@ -509,7 +515,7 @@ def reference_check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent
             for pred in spec.requires:
                 keys = [_identity(run.env, arg) for arg in pred.args]
                 if any(k is None for k in keys):
-                    warnings.append(_warning(spec, pred.loc, event.seq, run.object_id,
+                    warnings.append(_warning(pred.loc, event.seq, run.object_id,
                                              f"check requires {pred.name}[{', '.join(pred.args)}]"))
                     continue
                 pending_requires.append((run, pred.name, pred.args, tuple(keys), event.seq))
@@ -611,7 +617,7 @@ def reference_read_source(path: str | Path) -> SourceFile:
         at, message = undecodable_byte(text)
         line_start = text.rfind("\n", 0, at)
         raise ParseError(
-            str(path), Loc(text.count("\n", 0, at) + 1, at - line_start), message
+            Loc(str(path), text.count("\n", 0, at) + 1, at - line_start), message
         ) from None
     return SourceFile(str(path), text, language)
 

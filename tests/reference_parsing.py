@@ -80,14 +80,15 @@ class _Scanner:
         self._newlines = [m.start() for m in re.finditer("\n", text)]
 
     def error(self, message: str, loc: Loc | None = None) -> NoReturn:
-        raise ParseError(self.path, loc or self.loc(), message)
+        raise ParseError(loc or self.loc(), message)
 
     def loc(self, at: int | None = None) -> Loc:
-        """1-based line and column of offset ``at``, by default of the next token."""
+        """The file, and 1-based line and column, of offset ``at``, by default
+        of the next token."""
         if at is None:
             at = self.skip_trivia()
         line = bisect_left(self._newlines, at)
-        return Loc(line + 1, at - self._newlines[line - 1] if line else at + 1)
+        return Loc(self.path, line + 1, at - self._newlines[line - 1] if line else at + 1)
 
     def skip_trivia(self) -> int:
         self.pos = _TRIVIA_RE.match(self.text, self.pos).end()
@@ -416,7 +417,6 @@ def _parse_rule(source: SourceFile, abstract: bool) -> CrySLSpec:
         constraints=constraints,
         requires=requires,
         ensures=ensures,
-        source_path=source.path,
         loc=spec_loc,
         order_loc=order_loc,
         type_params=params,
@@ -515,7 +515,6 @@ def parse_refinement(source: SourceFile) -> list[RefinementSpec]:
                 base_name=base_name,
                 type_args=type_args,
                 ops=tuple(ops),
-                source_path=source.path,
                 loc=loc,
             )
         )
@@ -591,6 +590,5 @@ def parse_config(source: SourceFile) -> BuildConfig:
         src=paths["src"],
         out=paths["out"],
         loads=tuple(loads),
-        source_path=source.path,
         loc=config_loc,
     )

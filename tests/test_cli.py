@@ -218,6 +218,24 @@ def test_build_never_lists_or_writes_a_spec_that_failed_validation(tmp_path, cap
     assert err.splitlines()[:2] == diagnostics
 
 
+def test_build_locates_a_constraint_that_a_refinement_added_in_the_refinement_file(
+        corpus_copy, capsys, monkeypatch):
+    # The refined rule holds nodes of base/messagedigest.mcsl and of the
+    # .ref; the added constraint is reported in the file that declares it.
+    monkeypatch.chdir(corpus_copy / "standards")
+    ref = Path("fips/messagedigest.ref")
+    lines = ref.read_text(encoding="utf-8").split("\n")
+    lines.insert(5, "    add constraint nope in {1};")
+    ref.write_text("\n".join(lines), encoding="utf-8")
+    code, out, err = run_cli(capsys, "build", "fips.conf", "--dry-run")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "fips/messagedigest.ref:6:20: error: constraint references undeclared variable 'nope'",
+        "fips/messagedigest.ref:2:1: error: refinement 'MessageDigest' produced an invalid rule",
+        "fips: planned 0 file(s)",
+    ]
+
+
 def test_build_stdout_is_reproducible(corpus_copy, capsys):
     conf = corpus_copy / "jca-android" / "bsi0116.conf"
     code1, out1, _ = run_cli(capsys, "build", str(conf), "--json")

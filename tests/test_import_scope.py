@@ -102,3 +102,16 @@ def test_every_module_level_import_is_used(source):
         for alias in statement.names
     ]
     assert [name for name in bound if name not in used] == []
+
+
+def test_only_the_diagnostics_module_makes_a_diagnostic():
+    # Every other module reports through error_at or warning_at, so every
+    # reported place takes its file from a location.
+    calls = [
+        f"{source.name}:{node.lineno}"
+        for source in SOURCES if source.name != "diagnostics.py"
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "Diagnostic" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None))
+    ]
+    assert calls == []

@@ -430,17 +430,17 @@ def error_loc(parse, text):
 def test_crlf_line_endings_count_the_carriage_return_as_a_column():
     text = (SMALL_RULE + "    e\r\t)\n").replace("\n", "\r\n")
     spec = crysl((SMALL_RULE + "    e\n").replace("\n", "\r\n"))
-    assert spec.events[0].loc == Loc(5, 5)
-    assert spec.order_loc == Loc(6, 1)
+    assert spec.events[0].loc == Loc("rule.crysl", 5, 5)
+    assert spec.order_loc == Loc("rule.crysl", 6, 1)
     # Four spaces, 'e', a lone carriage return and a tab precede the ')'.
     assert error_loc(crysl, text) == (7, 8)
 
 
 def test_a_tab_counts_as_one_column():
     spec = crysl("SPEC X\nOBJECTS\n\tint n;\nEVENTS\n\t\te : push(n);\nORDER\n\te\n")
-    assert spec.objects[0].loc == Loc(3, 2)
-    assert spec.events[0].loc == Loc(5, 3)
-    assert spec.order.loc == Loc(7, 2)
+    assert spec.objects[0].loc == Loc("rule.crysl", 3, 2)
+    assert spec.events[0].loc == Loc("rule.crysl", 5, 3)
+    assert spec.order.loc == Loc("rule.crysl", 7, 2)
 
 
 def test_comment_on_the_last_line_without_a_newline():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cryslkit import (
     SourceFile,
@@ -13,9 +16,11 @@ from cryslkit import (
     resolve,
     run_build,
 )
-from cryslkit.diagnostics import has_errors
-from cryslkit.model import LiteralSet, variation_points
+from cryslkit.diagnostics import Loc, Record, error_at, has_errors
+from cryslkit.model import LiteralSet, Membership, validate_spec, variation_points
 from cryslkit.preprocessor import RefinementError, SpecRegistry
+
+import oracles
 
 from conftest import (
     ABSTRACT_FACTORY,
@@ -44,6 +49,17 @@ def registry_of(specs=(), refinements=()):
     for refinement in refinements:
         registry.refinements[refinement.name] = refinement
     return registry
+
+
+def node_locs(value) -> set:
+    """Every location held anywhere in a record: its own and its parts'."""
+    if isinstance(value, Loc):
+        return {value}
+    if isinstance(value, Record):
+        return set().union(*(node_locs(getattr(value, name)) for name in value._fields))
+    if isinstance(value, (tuple, list, frozenset)):
+        return set().union(*map(node_locs, value))
+    return set()
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +280,38 @@ def test_refinement_that_leaves_meta_variables_unbound_fails():
     result = resolve(registry)
     assert result.generated == []
     assert any("unbound $Other" in d.message for d in result.diagnostics)
+
+
+# The added node, with an argument that the base rule declares or not.
+ADDED = {
+    "event": "add event added : touch({})",
+    "constraint": "add constraint {} in {{1}}",
+    "requires": "add requires needs[{}]",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), op=st.sampled_from(sorted(ADDED)),
+       declared=st.booleans(), base_error=st.booleans())
+def test_each_diagnostic_of_a_refined_rule_names_the_file_of_its_node(seed, op, declared,
+                                                                     base_error):
+    base = oracles.random_spec(random.Random(seed))
+    if base_error:  # a node of the base file that validation reports
+        ghost = Membership("ghost", LiteralSet(frozenset({1})), loc=Loc(base.loc.path, 40, 5))
+        base = base.replace(constraints=base.constraints + (ghost,))
+    argument = base.objects[0].var_name if declared else "nope"
+    text = f"SPEC Refined REFINES {base.class_name} {{\n    {ADDED[op].format(argument)};\n}}\n"
+    [refinement] = refs(text, "layer/refined.ref")
+    places = node_locs(base) | node_locs(refinement)
+    refined_diags = validate_spec(apply_refinement(base, refinement))
+    build_diags = resolve(registry_of([base], [refinement])).diagnostics
+    assert len(refined_diags) == base_error + (not declared)
+    assert build_diags == refined_diags + (
+        [error_at(refinement.loc, "refinement 'Refined' produced an invalid rule")]
+        if refined_diags else [])
+    for diag in build_diags:
+        assert Loc(diag.path, diag.line, diag.column) in places
+        assert (diag.path == "layer/refined.ref") == ("ghost" not in diag.message)
 
 
 def test_missing_base_spec_is_reported():

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -322,6 +323,27 @@ def test_return_binding_without_a_return_id_keeps_the_earlier_value():
     assert (result.violations, result.warnings) == (expected.violations, expected.warnings)
 
 
+def test_a_warning_names_the_refinement_file_of_a_constraint_the_refinement_added(
+        corpus_copy, monkeypatch):
+    # Rules taken from run_build, as in the README's Library example, hold
+    # nodes of their base file and of their refinement's.
+    monkeypatch.chdir(corpus_copy / "standards")
+    ref = Path("fips/messagedigest.ref")
+    lines = ref.read_text(encoding="utf-8").split("\n")
+    lines.insert(5, '    add constraint algorithm in {"SHA-256"};')
+    ref.write_text("\n".join(lines), encoding="utf-8")
+    result = run_build(parse_config(SourceFile.from_path("fips.conf")))
+    assert result.diagnostics == []
+    rules = compile_rules([spec for _, spec in result.generated])
+    trace = [ev(1, "md1", MD, "getInstance", [UNKNOWN], ret="md1")]
+    warnings = check_trace(rules, trace).warnings
+    assert [(w.path, w.line, w.column) for w in warnings] == [
+        ("base/messagedigest.mcsl", 18, 5), ("fips/messagedigest.ref", 6, 20),
+    ]
+    assert warnings[1].message == (
+        "seq 1: md1: cannot decide 'algorithm in {\"SHA-256\"}' (unknown value)")
+
+
 # Argument values the random rules' literal sets and implications draw on,
 # plus references and the unknown marker.
 _TRACE_VALUES = ("AES", "DES", "SHA-256", "x", 0, 7, 128, 192, 256, UNKNOWN,
@@ -589,16 +611,17 @@ def test_records_compare_by_type_and_fields():
     assert Star(Atom("a")) != Plus(Atom("a"))
     here = parse_crysl(SourceFile.for_text(MESSAGEDIGEST_RULE, "crysl", "here.crysl"))
     there = parse_crysl(SourceFile.for_text("\n\n" + MESSAGEDIGEST_RULE, "crysl", "there.crysl"))
-    assert (here.source_path, here.loc, here.order_loc) != (
-        there.source_path, there.loc, there.order_loc)
-    atom_here, atom_there = Atom("a", Loc(1, 1)), Atom("a", Loc(9, 9))
+    assert here.loc == Loc("here.crysl", 1, 1) and Loc("there.crysl", 1, 1) != here.loc
+    assert (here.loc, here.order_loc) != (there.loc, there.order_loc)
+    atom_here, atom_there = Atom("a", Loc("here.crysl", 1, 1)), Atom("a", Loc("there.crysl", 9, 9))
     for left, right in ((here, there), (atom_here, atom_there)):
         assert left == right and hash(left) == hash(right) and repr(left) == repr(right)
 
-    member = Membership("a", LiteralSet({"x"}), Loc(3, 4))
+    member = Membership("a", LiteralSet({"x"}), Loc("here.crysl", 3, 4))
     changed = member.replace(var="b")
     assert changed is not member and changed == Membership("b", LiteralSet({"x"}))
-    assert (member.var, member.loc) == ("a", Loc(3, 4)) and changed.loc == Loc(3, 4)
+    assert (member.var, member.loc) == ("a", Loc("here.crysl", 3, 4))
+    assert changed.loc == Loc("here.crysl", 3, 4)
     with pytest.raises(TypeError):
         member.replace(colour="red")
     assert not any(hasattr(node, "__dict__") for node in (here, member, atom_here))
