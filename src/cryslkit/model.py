@@ -107,15 +107,19 @@ class Plus(Record):
 OrderExpr = Union[Atom, Seq, Alt, Opt, Star, Plus]
 
 
-def order_atoms(expr: OrderExpr) -> Iterator[Atom]:
-    """All atoms of an order expression, left to right."""
-    if isinstance(expr, Atom):
-        yield expr
-    elif isinstance(expr, (Seq, Alt)):
-        for part in expr.parts:
-            yield from order_atoms(part)
-    else:
-        yield from order_atoms(expr.child)
+def order_atoms(expr: OrderExpr) -> list[Atom]:
+    """A list of all atoms of an order expression, left to right."""
+    atoms: list[Atom] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            atoms.append(node)
+        elif isinstance(node, (Seq, Alt)):
+            stack += reversed(node.parts)
+        else:
+            stack.append(node.child)
+    return atoms
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +228,8 @@ def placeholder_names(spec: CrySLSpec) -> list[str]:
     seen: list[str] = []
 
     def scan(text: str) -> None:
+        if "<" not in text:
+            return
         for match in _PLACEHOLDER_RE.finditer(text):
             if match.group(1) not in seen:
                 seen.append(match.group(1))

@@ -378,6 +378,18 @@ def test_config_rejects_parent_directory_escape():
     assert "parent-directory escape" in str(err.value)
 
 
+def test_only_a_relative_path_may_hold_a_parent_directory_component():
+    text = "config c {{ src = {}; out = o; load spec a.crysl; }}"
+    for parse in (conf, lambda text: reference_parsing.parse_config(
+            SourceFile.for_text(text, "config", "c.conf"))):
+        assert parse(text.format("/tmp/../tmp")).src == "/tmp/../tmp"
+        assert parse(text.format("a/..b")).src == "a/..b"
+        with pytest.raises(ParseError) as err:
+            parse(text.format("a/../b"))
+        assert err.value.diagnostic.render() == (
+            "c.conf:1:18: error: parent-directory escape in path 'a/../b'")
+
+
 def test_duplicate_config_name_is_rejected():
     with pytest.raises(ParseError) as err:
         conf(CONFIG_TEXT + CONFIG_TEXT)
@@ -603,6 +615,39 @@ def test_token_walker_parses_as_the_character_scanner_did(case):
     path = f"input.{language}"
     walker = parse_outcome(SOURCE_PARSERS, language, text, path)
     assert walker == parse_outcome(SCANNER, language, text, path)
+
+
+# ---------------------------------------------------------------------------
+# The possessive token patterns against the greedy ones Python 3.10 uses
+# ---------------------------------------------------------------------------
+
+GREEDY_TOKEN_RE, GREEDY_CONFIG_TOKEN_RE = map(re.compile, parsing._token_patterns(False))
+# Dense in what trivia, strings and comments are made of: slashes, quotes,
+# backslashes and line breaks, with open strings, comments and escaped line
+# breaks as whole pieces.
+_TOKENISER_PIECES = ("/", "/", '"', '"', "\\", "\\", "\r", "\n", "\n", "\t", " ", "a", "Z", "_",
+                     "0", "9", "{", "}", ";", "=", "<", ">", '"ab', "//", "// c", "\\\n", '\\"')
+
+
+def _config_tokens(pattern: re.Pattern, text: str, pos: int) -> list:
+    return [(m.groups(), m.span(1), m.span(2)) for m in pattern.finditer(text, pos)]
+
+
+@pytest.mark.skipif(not parsing._POSSESSIVE, reason="Python 3.10 has no possessive quantifiers")
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENISER_PIECES), max_size=40).map("".join),
+       st.integers(min_value=0, max_value=40))
+@example('x = "open', 0)
+@example('a "b" c "d', 0)
+@example("a //", 0)
+@example("//", 0)
+@example('"a\\\nb"', 0)
+@example('"a\\"b" //"\r\n\t"', 3)
+def test_possessive_token_patterns_tokenise_as_the_greedy_ones(text, pos):
+    assert parsing._TOKEN_RE.split(text) == GREEDY_TOKEN_RE.split(text)
+    pos = min(pos, len(text))
+    assert (_config_tokens(parsing._CONFIG_TOKEN_RE, text, pos)
+            == _config_tokens(GREEDY_CONFIG_TOKEN_RE, text, pos))
 
 
 # ---------------------------------------------------------------------------
