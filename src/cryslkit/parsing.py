@@ -13,15 +13,12 @@ parses as ``.mcsl``, to an equal rule without variation points.
 Each file is tokenised once, by one ``split`` on a master regex: a token is
 an identifier, an integer, a whole string literal (one left open runs to the
 end of its line) or any other single character, and the whitespace and
-comments before it are dropped on the way. On Python 3.11 and later the
-master regex uses possessive quantifiers, on 3.10 greedy ones; one constant
-read from ``sys.version_info`` picks the set. The split cannot differ,
-because no trivia run, identifier, integer or string element ever has to
-give characters back for a match. The recursive-descent functions
-walk the token list by index and return the index after what they parsed.
-The pairs ``:=``, ``=>`` and ``[]`` are two tokens that must be adjacent in
-the text. A ``.conf`` path is the one context-sensitive token: it runs to
-whitespace, ``;``, ``{`` or ``}``, so it can take in a ``//``. A
+comments before it are dropped on the way. Its repeats are possessive, so
+``re`` keeps no backtrack point per character. The recursive-descent
+functions walk the token list by index and return the index after what they
+parsed. The pairs ``:=``, ``=>`` and ``[]`` are two tokens that must be
+adjacent in the text. A ``.conf`` path is the one context-sensitive token: it
+runs to whitespace, ``;``, ``{`` or ``}``, so it can take in a ``//``. A
 configuration is therefore tokenised as the walker reads it, and reading goes
 on from the end of each path.
 
@@ -35,7 +32,6 @@ from __future__ import annotations
 import errno
 import os
 import re
-import sys
 from bisect import bisect_right
 from itertools import accumulate, islice
 from pathlib import Path
@@ -96,32 +92,23 @@ RESERVED_WORDS = frozenset(SECTION_KEYWORDS) | {"SPEC", "ABSTRACT"}
 # and cannot backtrack an escaped quote into a closing one.
 _STRING_ELEMENT = r'(?:[^"\\\n]|\\.)'
 _STRING_RE = re.compile(rf'"{_STRING_ELEMENT}*"')
-# Python 3.10 has no possessive quantifiers (``*+``, ``++``) in ``re``.
-_POSSESSIVE = sys.version_info >= (3, 11)
-
-
-def _token_patterns(possessive: bool) -> tuple[str, str]:
-    """The token pattern of a rule or refinement and that of a configuration,
-    with possessive quantifiers or greedy ones.
-
-    Each is the trivia before a token (whitespace and // comments) and the
-    token: an identifier, an integer, a string literal, a string left open,
-    which runs to the end of its line, any other character but a newline, or
-    "" at the end of the text. Trivia always matches up to the next token, so
-    nothing backtracks into it, and no token spans a line end. A
-    configuration has no string literals, so there a quote is a character
-    like any other. No trivia run, identifier, integer or string element ever
-    has to give characters back, so both sets split a text alike; the
-    possessive set keeps no backtrack point per character.
-    """
-    more = "+" if possessive else ""
-    trivia = rf"([ \t\r\n]*{more}(?://[^\n]*{more}[ \t\r\n]*{more})*{more})"
-    word = rf"[A-Za-z_][A-Za-z0-9_]*{more}|[0-9]+{more}"
-    string = rf'"{_STRING_ELEMENT}*{more}"|"[^\n]*{more}'
-    return rf"{trivia}({word}|{string}|.|\Z)", rf"{trivia}({word}|.|\Z)"
-
-
-_TOKEN_RE, _CONFIG_TOKEN_RE = map(re.compile, _token_patterns(_POSSESSIVE))
+# The token pattern of a rule or refinement: the trivia before a token
+# (whitespace and // comments), then the token: an identifier, an integer, a
+# string literal, a string left open, which runs to the end of its line, any
+# other character but a newline, or "" at the end of the text. Trivia always
+# matches up to the next token, so nothing backtracks into it, and no token
+# spans a line end. Every repeat is possessive (``*+``, ``++``), so ``re``
+# keeps no backtrack point per character; none of them ever has to give
+# characters back for the rest of the pattern to match.
+_TOKEN_RE = re.compile(
+    r'([ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+)'
+    rf'([A-Za-z_][A-Za-z0-9_]*+|[0-9]++|"{_STRING_ELEMENT}*+"|"[^\n]*+|.|\Z)'
+)
+# The same for a configuration, which has no string literals: there a quote
+# is a character like any other.
+_CONFIG_TOKEN_RE = re.compile(
+    r'([ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+)([A-Za-z_][A-Za-z0-9_]*+|[0-9]++|.|\Z)'
+)
 _WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _SECTION_END = RESERVED_WORDS | {""}
 _PATH_RE = re.compile(r"[^\s;{}]+")

@@ -211,8 +211,9 @@ def apply_refinement(
     def fail(loc: Loc | None, message: str):
         raise RefinementError(loc or refinement.loc, message)
 
-    if simple_name(refinement.base_name) != base.name:
-        fail(refinement.loc, f"refinement targets '{refinement.base_name}', not '{base.name}'")
+    target = base.class_name if "." in refinement.base_name else base.name
+    if refinement.base_name != target:
+        fail(refinement.loc, f"refinement targets '{refinement.base_name}', not '{target}'")
     if len(refinement.type_args) != len(base.type_params):
         fail(
             refinement.loc,

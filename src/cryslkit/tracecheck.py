@@ -27,6 +27,14 @@ C JSON scanner once (``json.loads`` only for a line the scanner does not take
 whole, so diagnostics keep their text), events are ``__slots__`` records with
 a plain ``__init__``, and :func:`report` fills a fixed template per violation
 instead of running ``json.dumps``'s indenting encoder, which is pure Python.
+:func:`parse_trace_lines` and :func:`check_trace` run with the cyclic garbage
+collector paused, so its young collections do not walk the events and runs,
+which live until the check ends, again and again. That is safe because
+neither makes a reference cycle (a test pins it): reference counting frees
+everything they drop, and the one collection the pause defers runs at the
+first allocation after the call. The pause is process-wide: a collector that
+was off at the call stays off, and one that another thread switches off
+during the call is on again afterwards.
 
 What a check holds in memory: the events, which share one object per
 distinct trace value (one ``str`` per distinct name, id and string literal,
@@ -43,6 +51,8 @@ violation that outlives its slice.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 from json.encoder import encode_basestring, encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -144,6 +154,27 @@ def _decode(text: str):
     return value
 
 
+def _collector_paused(function):
+    """``function`` run with the cyclic garbage collector paused.
+
+    The collector is resumed afterwards, also when ``function`` raises, and
+    only when it was running at the call; one that the caller switched off
+    stays off.
+    """
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def parse_trace_lines(
     lines: Iterable[str], path: str = "<trace>"
 ) -> tuple[list[TraceEvent], list[Diagnostic]]:
@@ -423,6 +454,7 @@ def _identities(values: list, slots: tuple[int | None, ...]) -> tuple:
     return tuple(keys)
 
 
+@_collector_paused
 def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> CheckResult:
     """Check one trace against the compiled rules.
 

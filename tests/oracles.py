@@ -24,12 +24,16 @@ The reference file layer reads a source with ``Path.read_text`` and lists
 rule files with ``Path.iterdir``, ``is_file`` and ``is_dir``, as the build
 did before it read plain path strings; the string-based reader and listing
 must give the same sources, errors and lists.
+
+The reference token patterns are the parser's with every possessive repeat
+made greedy; both must split every text alike.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 import string
 from pathlib import Path
 from types import SimpleNamespace
@@ -630,3 +634,16 @@ def reference_rule_files(path: Path, suffixes: tuple[str, ...]) -> list[Path]:
     files += [p for sub in path.iterdir() if sub.is_dir()
               for p in sub.iterdir() if p.is_file() and p.suffix in suffixes]
     return sorted(files, key=lambda p: p.as_posix())
+
+
+# ---------------------------------------------------------------------------
+# Reference token patterns: greedy repeats
+# ---------------------------------------------------------------------------
+
+GREEDY_TOKEN_RE = re.compile(
+    r'([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)'
+    r'([A-Za-z_][A-Za-z0-9_]*|[0-9]+|"(?:[^"\\\n]|\\.)*"|"[^\n]*|.|\Z)'
+)
+GREEDY_CONFIG_TOKEN_RE = re.compile(
+    r'([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)([A-Za-z_][A-Za-z0-9_]*|[0-9]+|.|\Z)'
+)

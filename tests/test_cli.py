@@ -317,7 +317,8 @@ def test_rebuild_after_a_corrupt_manifest_warns_and_deletes_nothing_it_did_not_w
     (out_dir / MANIFEST).write_bytes(manifest)
     code, out, _ = run_cli(capsys, "build", str(corpus_copy / "bouncycastle" / "digests.conf"),
                            "--json")
-    assert (code, json.loads(out)["warnings"]) == (0, 1)
+    payload = json.loads(out)
+    assert (code, payload["errors"], payload["warnings"]) == (0, 0, 1)
 
 
 def test_rebuild_deletes_only_files_its_manifest_lists(corpus_copy, capsys):
@@ -717,6 +718,8 @@ def test_metrics_json_output(corpus_copy, capsys):
     assert payload["breakeven"] == 2
     assert payload["savings_ratio"] > 0.5
     assert payload["meta"]["total_lines"] < payload["generated"]["total_lines"]
+    code, out, _ = run_cli(capsys, "metrics", "--meta", str(root), "--configs", *configs)
+    assert code == 0 and out.endswith("\nbreakeven: configuration 2\n")
 
 
 def test_metrics_csv_curve(corpus_copy, capsys, tmp_path):
@@ -817,7 +820,7 @@ def test_metrics_with_nothing_generated_reports_null_savings(tmp_path, capsys):
     assert payload["generated"]["total_lines"] == 0
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
-    assert "savings:   none (nothing generated)\n" in out
+    assert out.endswith("\nsavings:   none (nothing generated)\nbreakeven: none yet\n")
 
 
 def test_metrics_prints_each_build_error_once(tmp_path, capsys):

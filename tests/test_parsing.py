@@ -618,10 +618,9 @@ def test_token_walker_parses_as_the_character_scanner_did(case):
 
 
 # ---------------------------------------------------------------------------
-# The possessive token patterns against the greedy ones Python 3.10 uses
+# The possessive token patterns against greedy ones
 # ---------------------------------------------------------------------------
 
-GREEDY_TOKEN_RE, GREEDY_CONFIG_TOKEN_RE = map(re.compile, parsing._token_patterns(False))
 # Dense in what trivia, strings and comments are made of: slashes, quotes,
 # backslashes and line breaks, with open strings, comments and escaped line
 # breaks as whole pieces.
@@ -633,7 +632,6 @@ def _config_tokens(pattern: re.Pattern, text: str, pos: int) -> list:
     return [(m.groups(), m.span(1), m.span(2)) for m in pattern.finditer(text, pos)]
 
 
-@pytest.mark.skipif(not parsing._POSSESSIVE, reason="Python 3.10 has no possessive quantifiers")
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(st.sampled_from(_TOKENISER_PIECES), max_size=40).map("".join),
        st.integers(min_value=0, max_value=40))
@@ -644,10 +642,10 @@ def _config_tokens(pattern: re.Pattern, text: str, pos: int) -> list:
 @example('"a\\\nb"', 0)
 @example('"a\\"b" //"\r\n\t"', 3)
 def test_possessive_token_patterns_tokenise_as_the_greedy_ones(text, pos):
-    assert parsing._TOKEN_RE.split(text) == GREEDY_TOKEN_RE.split(text)
+    assert parsing._TOKEN_RE.split(text) == oracles.GREEDY_TOKEN_RE.split(text)
     pos = min(pos, len(text))
     assert (_config_tokens(parsing._CONFIG_TOKEN_RE, text, pos)
-            == _config_tokens(GREEDY_CONFIG_TOKEN_RE, text, pos))
+            == _config_tokens(oracles.GREEDY_CONFIG_TOKEN_RE, text, pos))
 
 
 # ---------------------------------------------------------------------------

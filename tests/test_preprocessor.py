@@ -320,6 +320,22 @@ def test_missing_base_spec_is_reported():
     assert any("base spec not found" in d.message for d in result.diagnostics)
 
 
+def test_a_qualified_base_name_must_be_the_full_name_of_the_base(corpus_copy):
+    ref = corpus_copy / "standards" / "fips" / "messagedigest.ref"
+    ref.write_text(ref.read_text(encoding="utf-8").replace(
+        "REFINES java.security.MessageDigest", "REFINES wrong.pkg.MessageDigest"), encoding="utf-8")
+    result = run_build(parse_config(SourceFile.from_path(corpus_copy / "standards" / "fips.conf")))
+    assert [d.render() for d in result.diagnostics] == [
+        f"{ref}:2:1: error: refinement targets 'wrong.pkg.MessageDigest', "
+        "not 'java.security.MessageDigest'"
+    ]
+    base = mcsl(ABSTRACT_MESSAGEDIGEST)
+    simple = refs('SPEC MD REFINES MessageDigest { define AlgSet = {"SHA-256"}; }')[0]
+    assert apply_refinement(base, simple).class_name == "java.security.MessageDigest"
+    with pytest.raises(RefinementError, match="targets 'Digest', not 'MessageDigest'"):
+        apply_refinement(base, simple.replace(base_name="Digest"))
+
+
 def test_resolution_is_deterministic():
     def build():
         registry = registry_of(
@@ -474,6 +490,24 @@ def test_missing_load_path_is_reported(tmp_path):
     )
     _, diags = load(config)
     assert any("missing path" in d.message and "ghost" in d.message for d in diags)
+
+
+def test_a_load_target_file_must_have_the_suffix_of_its_kind(tmp_path):
+    (tmp_path / "base").mkdir()
+    (tmp_path / "base" / "md.mcsl").write_text(ABSTRACT_MESSAGEDIGEST, encoding="utf-8")
+    (tmp_path / "base" / "notes.txt").write_text("SPEC x\n", encoding="utf-8")
+    conf = tmp_path / "x.conf"
+    config = _config(
+        "config x {\n  src = .;\n  out = out/;\n  load spec base/md.mcsl;\n"
+        "  load spec base/notes.txt;\n  load refinement base/md.mcsl;\n}",
+        conf,
+    )
+    registry, diags = load(config)
+    assert list(registry.specs) == ["MessageDigest"]
+    assert [d.render() for d in diags] == [
+        f"{conf}:5:3: error: 'base/notes.txt' is not a spec file",
+        f"{conf}:6:3: error: 'base/md.mcsl' is not a refinement file",
+    ]
 
 
 def test_whole_build_runs_clean_on_bundled_standards(corpus_dir):

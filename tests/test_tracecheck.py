@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
+import inspect
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -729,6 +732,116 @@ def test_check_peak_memory_per_object(android_trace):
     finally:
         tracemalloc.stop()
     assert peak / len(objects) < PEAK_BYTES_PER_OBJECT, peak / len(objects)
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector is paused while a trace is parsed and checked
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def collector_state():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_parse_and_check_pause_the_collector_and_restore_its_state(android_trace,
+                                                                   collector_state):
+    rules, path = android_trace
+    lines = path.read_text(encoding="utf-8").splitlines()[:50]
+    assert inspect.signature(parse_trace_lines).parameters.keys() == {"lines", "path"}
+    assert check_trace.__name__ == "check_trace" and "Events are evaluated" in check_trace.__doc__
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        during = []
+
+        def read():
+            for line in lines:
+                during.append(gc.isenabled())
+                yield line
+
+        parse_trace_lines(read())
+        assert (set(during), gc.isenabled()) == ({False}, enabled)
+        check_trace(rules, load_trace(path)[0])
+        assert gc.isenabled() is enabled
+        with pytest.raises(TypeError):
+            parse_trace_lines(None)
+        assert gc.isenabled() is enabled
+        with pytest.raises(AttributeError):
+            check_trace(rules, [object()])
+        assert gc.isenabled() is enabled
+        with pytest.raises(IsADirectoryError):
+            load_trace(path.parent)
+        assert gc.isenabled() is enabled
+
+
+def test_no_collection_starts_while_a_trace_is_parsed_or_checked(android_trace, collector_state):
+    rules, path = android_trace
+    bodies = {inspect.unwrap(function).__code__ for function in (parse_trace_lines, check_trace)}
+    inside = []
+
+    def record(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code in bodies:
+                inside.append((frame.f_code.co_name, info["generation"]))
+                return
+            frame = frame.f_back
+
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        check_trace(rules, load_trace(path)[0])
+    finally:
+        gc.callbacks.remove(record)
+    assert inside == []
+
+
+def test_parse_and_check_leave_no_cyclic_garbage(android_trace, corpus_dir):
+    """With the collector paused, reference counting alone must free what the
+    two calls drop, on every path: each finding kind, a warning and each
+    trace diagnostic."""
+    rules, _ = android_trace
+    event = {"seq": 1000, "object_id": "md_unknown", "class_name": MD,
+             "method_name": "getInstance", "args": ["?"]}  # an undecided constraint
+    lines = replicated_trace(corpus_dir, 1) + [json.dumps(line, ensure_ascii=False) for line in (
+        event,
+        dict(event, seq=1001, class_name=5),
+        dict(event, seq=1002, args=[True]),
+        dict(event, seq=1003, args=[1.5]),
+        dict(event, seq=999),
+        {key: value for key, value in event.items() if key != "method_name"},
+        [event],
+        dict(event, seq=1004, object_id="caf\udce9"),
+    )] + ["not json"]
+    gc.collect()
+    flags, saved = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        events, diags = parse_trace_lines(lines, "t.jsonl")
+        result = check_trace(rules, events)
+        gc.collect()
+        garbage = gc.garbage[saved:]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
+    assert {v.kind for v in result.violations} == set(VIOLATION_KINDS)
+    assert [w.message for w in result.warnings if "md_unknown" in w.message] == [
+        "seq 1000: md_unknown: cannot decide "
+        "'algorithm in {\"SHA-256\", \"SHA-384\", \"SHA-512\"}' (unknown value)"
+    ]
+    assert [d.message.removeprefix("malformed trace line: ") for d in diags] == [
+        "'class_name' must be a string, not an integer",
+        "boolean arguments are not part of the trace format",
+        "unsupported argument value 1.5",
+        "seq 999 does not increase (previous was 1000)",
+        "'method_name'",
+        "trace line must be a JSON object",
+        "byte 0xe9 is not valid UTF-8",
+        "Expecting value: line 1 column 1 (char 0)",
+    ]
+    assert len(garbage) == 0, garbage[:5]
 
 
 # ---------------------------------------------------------------------------
