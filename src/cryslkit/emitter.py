@@ -10,6 +10,7 @@ and ``emit`` then leaves every file as it was.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 import os
 import stat
 from pathlib import Path
@@ -189,7 +190,11 @@ def _put(root: Path, name: str, data: bytes) -> None:
 
 
 def _manifest(names: list[str]) -> bytes:
-    return (json.dumps(names, indent=2) + "\n").encode("utf-8")
+    """``json.dumps(names, indent=2)`` and a line break, as bytes, without
+    that encoder's Python code, which leaves a reference cycle per call."""
+    if not names:
+        return b"[]\n"
+    return ("[\n  " + ",\n  ".join(map(encode_basestring_ascii, names)) + "\n]\n").encode("ascii")
 
 
 def _previous_outputs(manifest: Path, diagnostics: list[Diagnostic] | None) -> list[str]:

@@ -25,8 +25,9 @@ as they were (a return binding without a return id) is skipped by its
 signature. Reading and reporting keep pace: each trace line goes through the
 C JSON scanner once (``json.loads`` only for a line the scanner does not take
 whole, so diagnostics keep their text), events are ``__slots__`` records with
-a plain ``__init__``, and :func:`report` fills a fixed template per violation
-instead of running ``json.dumps``'s indenting encoder, which is pure Python.
+a plain ``__init__``, and :func:`report` fills fixed templates instead of
+running ``json.dumps``'s indenting encoder, which is pure Python and leaves
+a reference cycle per call.
 :func:`parse_trace_lines` and :func:`check_trace` run with the cyclic garbage
 collector paused, so its young collections do not walk the events and runs,
 which live until the check ends, again and again. That is safe because
@@ -40,13 +41,17 @@ What a check holds in memory: the events, which share one object per
 distinct trace value (one ``str`` per distinct name, id and string literal,
 one :class:`Ref` per distinct reference id and one tuple per distinct
 argument list, for the length of one :func:`parse_trace_lines` call); per
-object, one run of fixed shape, in a dict per rule keyed by object id: its
-automaton state, two flags and one list holding the value bound in each slot
-and then the signature last judged per constraint (the value itself for a
-constraint on one variable); and one message per distinct finding, shared by
-every violation that repeats it. :func:`load_trace` reads its file line by
-line, never the whole text, and :func:`report` builds no string per
-violation that outlives its slice.
+object, one run, in a dict per rule keyed by object id: a single ``list``
+subclass, copied from the rule's ``blank``, whose items are the value bound
+in each slot and then the signature last judged per constraint (the value
+itself for a constraint on one variable), and whose three ``__slots__`` hold
+its automaton state and two flags; and one message per distinct finding,
+shared by every violation that repeats it. The runs, the predicate store,
+the pending REQUIRES and the message table are cleared as soon as the last
+finding is made, before the findings are sorted, so the sort's key tuples
+reuse their memory. :func:`load_trace` reads its file line by line, never
+the whole text, and :func:`report` builds no string per violation that
+outlives its slice.
 """
 
 from __future__ import annotations
@@ -310,9 +315,9 @@ class CompiledRule(Record):
     # Per constraint; None for one with a variable that no event binds, which
     # is never judged.
     constraints: tuple[_ConstraintPlan | None, ...]
-    # Length of a run's list: one slot per variable an event binds, then the
-    # signature last judged per constraint.
-    size: int
+    # What a new run holds: None in each slot of a variable an event binds,
+    # then in the slot of the signature last judged per constraint.
+    blank: tuple[None, ...]
     # Per ENSURES and REQUIRES predicate, the slot of each argument (None
     # when no event binds it).
     ensures: tuple[tuple[PredicateRef, tuple[int | None, ...]], ...]
@@ -373,7 +378,7 @@ def _compile_rule(spec: CrySLSpec) -> CompiledRule:
         lazy_automaton(spec.order, spec.aggregates),
         dispatch,
         tuple(constraints),
-        len(slots) + len(constraints),
+        (None,) * (len(slots) + len(constraints)),
         arguments(spec.ensures),
         arguments(spec.requires),
     )
@@ -404,50 +409,47 @@ class CheckResult(Record):
     warnings: list[Diagnostic]
 
 
-class _ObjectRun:
-    """One object's progress through its rule; updated by every event."""
+class _ObjectRun(list):
+    """One object's progress through its rule; updated by every event.
 
-    __slots__ = ("state", "constraint_ok", "requires_checked", "values")
+    Its items start as the rule's ``blank``: the value bound per slot, then
+    the signature last judged per constraint; None where there is none yet.
+    ``state`` is the automaton state, None once the call order broke.
+    """
 
-    def __init__(self, state: int, size: int):
-        self.state: int | None = state  # None once the call order broke
-        self.constraint_ok = True
-        self.requires_checked = False
-        # CompiledRule.size entries: the value bound per slot, then the
-        # signature last judged per constraint; None where there is none yet.
-        self.values: list = [None] * size
+    __slots__ = ("state", "constraint_ok", "requires_checked")
 
 
-def _holds(test: tuple[int, frozenset], values: list):
+def _holds(test: tuple[int, frozenset], run: _ObjectRun):
     """True/False when decidable, UNKNOWN when the bound value is unknown or a
     reference."""
     slot, allowed = test
-    value = values[slot]
+    value = run[slot]
     if value is UNKNOWN or type(value) is Ref:
         return UNKNOWN
     return value in allowed
 
 
-def _judge(plan: _ConstraintPlan, values: list):
+def _judge(plan: _ConstraintPlan, run: _ObjectRun):
     """A constraint's outcome: True, False or UNKNOWN (see docs/grammar.md)."""
     if plan.premise is None:
-        return _holds(plan.conclusion, values)
-    lhs = _holds(plan.premise, values)
+        return _holds(plan.conclusion, run)
+    lhs = _holds(plan.premise, run)
     if lhs is False:
         return True
-    rhs = _holds(plan.conclusion, values)
+    rhs = _holds(plan.conclusion, run)
     if lhs is UNKNOWN:
         return True if rhs is True else UNKNOWN
     return rhs
 
 
-def _identities(values: list, slots: tuple[int | None, ...]) -> tuple:
+def _identities(run: _ObjectRun, slots: tuple[int | None, ...]) -> tuple:
     """Per predicate argument, the identity predicates are tracked by: the
     reference id or the literal value; None when the value is unknown or no
     event bound it."""
     keys = []
     for slot in slots:
-        value = None if slot is None else values[slot]
+        value = None if slot is None else run[slot]
         if type(value) is Ref:
             value = value.id
         keys.append(None if value is UNKNOWN else value)
@@ -498,16 +500,15 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
 
     def check_constraints(rule: CompiledRule, run: _ObjectRun, object_id: str, seq: int,
                           indices: tuple[int, ...]) -> None:
-        values = run.values
         for index in indices:
             plan = rule.constraints[index]
-            signature = plan.signature(values)
+            signature = plan.signature(run)
             if signature is None or (type(signature) is tuple and None in signature):
                 continue  # a variable is still unbound; no bound value is None
-            if values[plan.memo] == signature:
+            if run[plan.memo] == signature:
                 continue  # same bindings were already judged at an earlier event
-            values[plan.memo] = signature
-            outcome = _judge(plan, values)
+            run[plan.memo] = signature
+            outcome = _judge(plan, run)
             if outcome is True:
                 continue
             if outcome is UNKNOWN:
@@ -527,13 +528,13 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
     def complete(rule: CompiledRule, run: _ObjectRun, object_id: str, seq: int) -> None:
         if run.constraint_ok:
             for pred, slots in rule.ensures:
-                keys = _identities(run.values, slots)
+                keys = _identities(run, slots)
                 if None not in keys:
                     predicates.add((pred.name, keys))
         if not run.requires_checked:
             run.requires_checked = True
             for pred, slots in rule.requires:
-                keys = _identities(run.values, slots)
+                keys = _identities(run, slots)
                 if None in keys:
                     warn(pred.loc, seq, object_id,
                          f"check requires {pred.name}[{', '.join(pred.args)}]")
@@ -548,7 +549,10 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
         object_id = event.object_id
         run = runs.get(object_id)
         if run is None:
-            run = runs[object_id] = _ObjectRun(rule.automaton.initial, rule.size)
+            run = runs[object_id] = _ObjectRun(rule.blank)
+            run.state = rule.automaton.initial
+            run.constraint_ok = True
+            run.requires_checked = False
         args = event.args
         plan = rule.dispatch.get((event.method_name, len(args)))
         if plan is None:
@@ -557,11 +561,10 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
                 found("order", object_id, rule, event.seq,
                       f"{event.method_name}() is not a declared event")
             continue
-        values = run.values
         for position, slot in plan.params:
-            values[slot] = args[position]
+            run[slot] = args[position]
         if plan.return_slot is not None and event.return_id is not None:
-            values[plan.return_slot] = Ref(event.return_id)
+            run[plan.return_slot] = Ref(event.return_id)
         # Without a return id the return binding keeps its earlier value, so
         # the constraints only it reaches are skipped by their signature.
         if plan.constraints:
@@ -590,17 +593,25 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
         found("incomplete", object_id, rules[class_name], None,
               "object discarded before completing the declared protocol")
 
+    # Nothing below reads the runs or the stores: freed now, their memory
+    # takes the sort's keys.
+    for _, runs in tables.values():
+        runs.clear()
+    predicates.clear()
+    pending_requires.clear()
+    messages.clear()
     violations.sort(key=lambda v: (v.seq is None, v.seq or 0, v.object_id, v.kind))
     return CheckResult(violations=violations, warnings=warnings)
 
 
-def _render_value(value: ArgValue) -> str:
+def _render_value(value: str | int) -> str:
     """A bound value as a finding message shows it. A string gets JSON string
-    escapes, so a line break in it cannot split a row of the table report."""
-    if isinstance(value, Ref):
-        return f"ref:{value.id}"
-    if value is UNKNOWN:
-        return "?"
+    escapes, so a line break in it cannot split a row of the table report.
+
+    Only a ``str`` or an ``int`` gets here: a constraint finding needs
+    :func:`_judge` to answer False, and :func:`_holds` answers UNKNOWN for a
+    :class:`Ref` or the unknown marker.
+    """
     if isinstance(value, str):
         return encode_basestring(value)
     return str(value)
@@ -624,6 +635,17 @@ _VIOLATION_JSON = (
 )
 
 
+def _json_counts(counts: dict[str, int]) -> str:
+    """``counts`` sorted by key, as ``json.dumps(..., indent=2)`` lays out an
+    object one level deep."""
+    if not counts:
+        return "{}"
+    return "{\n" + ",\n".join([
+        f"    {encode_basestring_ascii(key)}: {int.__repr__(count)}"
+        for key, count in sorted(counts.items())
+    ]) + "\n  }"
+
+
 # Violations rendered per join. Joining a slice at a time holds the blocks of
 # one slice, not one string per violation, and joins the whole text once.
 _REPORT_SLICE = 256
@@ -633,10 +655,11 @@ def report(violations: list[Violation], fmt: str = "json") -> str:
     """Render violations as a JSON document or an aligned text table.
 
     The JSON schema is documented in ``docs/formats.md``; identical input
-    always yields identical output bytes. ``json.dumps`` with ``indent`` runs
-    its encoder in Python, so only the short head goes through it; each
-    violation fills a fixed template, with strings escaped by the C encoder,
-    and the document is joined once from slices of ``_REPORT_SLICE`` of them.
+    always yields identical output bytes, laid out as ``json.dumps(...,
+    indent=2)`` lays them out. That encoder runs in Python and leaves a
+    reference cycle per call, so the report fills fixed templates instead,
+    with strings escaped by the C encoder, and the document is joined once
+    from slices of ``_REPORT_SLICE`` violations.
     """
     if fmt == "json":
         by_kind = {kind: 0 for kind in VIOLATION_KINDS}
@@ -644,11 +667,8 @@ def report(violations: list[Violation], fmt: str = "json") -> str:
         for violation in violations:
             by_kind[violation.kind] = by_kind.get(violation.kind, 0) + 1
             by_rule[violation.rule_class] = by_rule.get(violation.rule_class, 0) + 1
-        head = json.dumps({
-            "total": len(violations),
-            "by_kind": dict(sorted(by_kind.items())),
-            "by_rule": dict(sorted(by_rule.items())),
-        }, indent=2)[:-2]  # reopened before its closing "\n}"
+        head = (f'{{\n  "total": {len(violations)},\n  "by_kind": {_json_counts(by_kind)},\n'
+                f'  "by_rule": {_json_counts(by_rule)}')
         if not violations:
             return head + ',\n  "violations": []\n}\n'
         quote = encode_basestring_ascii

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import shutil
 from pathlib import Path
 
@@ -115,6 +116,22 @@ SPEC SHA512 REFINES
 SPEC SHA512t REFINES
      Digest<org.bouncycastle.crypto.digests.SHA512tDigest>;
 """
+
+
+def cyclic_garbage(action) -> list:
+    """What ``action()`` leaves for the cyclic garbage collector: the objects
+    that ``gc.DEBUG_SAVEALL`` keeps from a collection run right after it.
+    Empty when reference counting freed everything the call dropped."""
+    gc.collect()
+    flags, saved = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        action()
+        gc.collect()
+        return gc.garbage[saved:]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
 
 
 def wide_rule_text(k: int) -> str:

@@ -662,6 +662,14 @@ def test_check_trace_that_is_a_directory_exits_2(fips_rules_dir, tmp_path, capsy
     assert err == f"{tmp_path}:1:1: error: is a directory, expected a file\n"
 
 
+def test_check_rules_directory_without_crysl_rules_exits_2(tmp_path, capsys):
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    (rules / "a.mcsl").write_text("SPEC a.B\nEVENTS\n    e : f();\nORDER\n    e\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", "--rules", str(rules), "--trace", os.devnull)
+    assert (code, out, err) == (2, "", f"{rules}:1:1: error: no .crysl rules found\n")
+
+
 def test_check_trace_that_is_missing_exits_2(fips_rules_dir, tmp_path, capsys):
     missing = tmp_path / "absent.jsonl"
     code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),

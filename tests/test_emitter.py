@@ -5,6 +5,7 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cryslkit import SourceFile, emit, emitter, parse_abstract, parse_crysl, pretty_print
 from cryslkit.emitter import MANIFEST
@@ -19,7 +20,7 @@ from cryslkit.model import (
 )
 from cryslkit.preprocessor import BuildResult, BuildStats
 
-from conftest import ABSTRACT_FACTORY, MESSAGEDIGEST_RULE, SHA256_DIGEST_RULE
+from conftest import ABSTRACT_FACTORY, MESSAGEDIGEST_RULE, SHA256_DIGEST_RULE, cyclic_garbage
 from oracles import random_spec
 
 
@@ -167,6 +168,26 @@ def test_a_later_emit_deletes_what_an_interrupted_one_made(tmp_path, monkeypatch
     emit(_result(a), out)
     assert sorted(p.name for p in out.iterdir()) == [MANIFEST, "MessageDigest.crysl"]
     assert json.loads((out / MANIFEST).read_text(encoding="utf-8")) == ["MessageDigest.crysl"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=8),
+    st.sampled_from(['"', "\\", "\n", "\x7f", "\u2028", "\udce9", "é.crysl", ""]),
+), max_size=5))
+@example([])
+def test_manifest_is_laid_out_as_json_dumps_with_indent_2(names):
+    assert emitter._manifest(names) == (json.dumps(names, indent=2) + "\n").encode("utf-8")
+
+
+def test_a_rebuild_leaves_no_cyclic_garbage(tmp_path):
+    result = _result(crysl(MESSAGEDIGEST_RULE), crysl(SHA256_DIGEST_RULE))
+    out = tmp_path / "rules"
+    emit(result, out)
+    assert cyclic_garbage(lambda: emit(result, out)) == []
+    assert json.loads((out / MANIFEST).read_text(encoding="utf-8")) == [
+        "MessageDigest.crysl", "SHA256Digest.crysl",
+    ]
 
 
 def test_emit_rejects_escaping_file_names(tmp_path):

@@ -14,6 +14,7 @@ from cryslkit.model import (
     Atom,
     CrySLSpec,
     EventDecl,
+    LiteralSet,
     Loc,
     ObjectDecl,
     PredicateRef,
@@ -251,3 +252,54 @@ def test_validation_catches_undeclared_placeholder_in_hand_built_ast():
     )
     diags = validate_spec(spec)
     assert any("type parameter 'T'" in d.message for d in diags)
+
+
+# ---------------------------------------------------------------------------
+# Validation diagnostics, each as one rendered line
+# ---------------------------------------------------------------------------
+
+_ONE_EVENT_RULE = """\
+SPEC a.B
+OBJECTS
+    int x;
+EVENTS
+    e : f(x);
+ORDER
+    e
+CONSTRAINTS
+    x in {1} => x in {2};
+"""
+
+
+def test_a_repeated_object_declaration_is_located_at_the_second():
+    spec = _spec(_ONE_EVENT_RULE.replace("    int x;\n", "    int x;\n    int x;\n"))
+    assert [d.render() for d in validate_spec(spec)] == [
+        "rule.crysl:4:5: error: duplicate object declaration 'x'",
+    ]
+
+
+def test_an_aggregate_of_an_undeclared_event_is_located_at_the_aggregate():
+    spec = _spec(_ONE_EVENT_RULE.replace("    e : f(x);\n", "    e : f(x);\n    A := e | g;\n")
+                 .replace("ORDER\n    e\n", "ORDER\n    A\n"))
+    assert [d.render() for d in validate_spec(spec)] == [
+        "rule.crysl:6:5: error: aggregate 'A' references undeclared event 'g'",
+    ]
+
+
+def test_an_implication_with_an_implication_side_is_located_at_the_constraint():
+    # The parser cannot nest implications; a rule built in code can.
+    spec = _spec(_ONE_EVENT_RULE)
+    [implication] = spec.constraints
+    nested = implication.replace(rhs=implication)
+    assert [d.render() for d in validate_spec(spec.replace(constraints=(nested,)))] == [
+        "rule.crysl:9:5: error: implication sides must be plain memberships",
+    ]
+
+
+def test_an_empty_literal_set_is_located_at_its_membership():
+    # The parser rejects ``{}``; a rule built in code can hold it.
+    spec = _spec(_ONE_EVENT_RULE)
+    empty = spec.constraints[0].lhs.replace(values=LiteralSet(frozenset()))
+    assert [d.render() for d in validate_spec(spec.replace(constraints=(empty,)))] == [
+        "rule.crysl:9:5: error: literal set must not be empty",
+    ]

@@ -743,3 +743,33 @@ def test_a_load_target_that_loops_dangles_or_is_a_fifo_is_a_missing_path(tmp_pat
     assert [d.render() for d in result.diagnostics] == [
         f"{tmp_path}/c.conf:{line}:3: error: missing path: '{tmp_path}/rules/{name}'"
         for line, name in ((4, "loop1.mcsl"), (5, "dangling.mcsl"), (6, "pipe.mcsl"))]
+
+
+def test_an_unknown_remove_op_is_located_at_the_op():
+    with pytest.raises(ParseError) as err:
+        ref("SPEC M REFINES a.B {\n    remove order;\n}\n")
+    assert err.value.diagnostic.render() == "r.ref:2:5: error: unknown op keyword 'remove order'"
+
+
+def test_parse_refinement_refuses_a_source_of_another_language():
+    with pytest.raises(ValueError) as err:
+        parse_refinement(SourceFile.for_text("SPEC a.B\n", "crysl", "a.crysl"))
+    assert err.value.args == ("a.crysl", "expected a .ref source, got crysl")
+
+
+def test_a_second_configuration_in_a_file_is_located_at_its_keyword():
+    with pytest.raises(ParseError) as err:
+        conf("config a {\n  src = s;\n  out = o;\n}\nconfig b {\n}\n", "c.conf")
+    assert err.value.diagnostic.render() == (
+        "c.conf:5:1: error: multiple configurations per file are not supported"
+    )
+
+
+def test_an_abstract_return_binding_may_name_a_declared_type_parameter_method():
+    rule = ("ABSTRACT SPEC a.B<T>\nOBJECTS\n    <T> r;\nEVENTS\n    e : r = <{}>();\n"
+            "ORDER\n    e\n")
+    [event] = mcsl(rule.format("T")).events
+    assert (event.return_binding, event.method_name) == ("r", "<T>")
+    with pytest.raises(ParseError) as err:
+        mcsl(rule.format("U"))
+    assert err.value.diagnostic.render() == "rule.mcsl:5:13: error: type parameter 'U' is not declared"

@@ -531,3 +531,30 @@ def test_generated_rules_are_concrete_and_valid(corpus_dir):
             text = pretty_print(spec)
             assert "$" not in text, name
             assert "<" not in text, name
+
+
+_AGGREGATE_RULE = """\
+SPEC a.B
+OBJECTS
+    int x;
+EVENTS
+    e : f(x);
+    A := e;
+ORDER
+    A
+CONSTRAINTS
+    x in {1};
+"""
+
+
+@pytest.mark.parametrize("op, message", [
+    ("add event g : h() to Nope;", "unknown aggregate 'Nope'"),
+    ("remove event e;", "removing 'e' would empty aggregate 'A'"),
+    ("remove constraint x in {9};", "no matching constraint to remove"),
+])
+def test_a_refinement_op_that_cannot_apply_is_located_at_the_op(op, message):
+    base = mcsl(_AGGREGATE_RULE, "a.mcsl")
+    [refinement] = refs(f"SPEC M REFINES a.B {{\n    {op}\n}}\n", "m.ref")
+    with pytest.raises(RefinementError) as err:
+        apply_refinement(base, refinement)
+    assert err.value.diagnostic.render() == f"m.ref:2:5: error: {message}"

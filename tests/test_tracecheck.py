@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,10 @@ from cryslkit import (
 )
 from cryslkit.diagnostics import Loc
 from cryslkit.model import Atom, CrySLSpec, LiteralSet, Membership, Plus, Star
-from cryslkit.tracecheck import VIOLATION_KINDS, Ref, UNKNOWN, Violation, _decode
+from cryslkit.tracecheck import VIOLATION_KINDS, Ref, UNKNOWN, Violation, _ObjectRun, _decode
 
 import oracles
-from conftest import MESSAGEDIGEST_RULE
+from conftest import MESSAGEDIGEST_RULE, cyclic_garbage
 
 MD = "java.security.MessageDigest"
 
@@ -734,6 +735,35 @@ def test_check_peak_memory_per_object(android_trace):
     assert peak / len(objects) < PEAK_BYTES_PER_OBJECT, peak / len(objects)
 
 
+def test_runs_and_stores_are_freed_before_the_findings_are_sorted(android_trace, corpus_dir):
+    """The sort's key tuples take the memory of the runs, not memory on top
+    of it: at each ``sorted``/``sort`` that ``check_trace`` calls, count the
+    runs alive, but for the last one, which its loop variable still names,
+    and see which of its stores hold anything."""
+    rules, _ = android_trace
+    events, _ = parse_trace_lines(replicated_trace(corpus_dir, 1))
+    body = inspect.unwrap(check_trace).__code__
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code is body and arg.__name__ in ("sorted", "sort"):
+            stores = [frame.f_locals[name] for name in ("predicates", "pending_requires", "messages")]
+            last = frame.f_locals.get("run")
+            runs = [o for o in gc.get_objects() if type(o) is _ObjectRun and o is not last]
+            seen.append((arg.__name__, len(runs), [len(store) > 0 for store in stores]))
+
+    sys.setprofile(profile)
+    try:
+        result = check_trace(rules, events)
+    finally:
+        sys.setprofile(None)
+    assert len(result.violations) == 43
+    assert seen == [("sorted", 0, [False, False, False]),  # the events, by seq
+                    ("sorted", RULED_OBJECTS_PER_REPLICA - 1, [True, True, True]),  # incomplete
+                    ("sort", 0, [False, False, False])]  # the findings
+    assert issubclass(_ObjectRun, list) and not hasattr(_ObjectRun(), "__dict__")
+
+
 # ---------------------------------------------------------------------------
 # The cyclic garbage collector is paused while a trace is parsed and checked
 # ---------------------------------------------------------------------------
@@ -931,6 +961,43 @@ def test_a_warning_writes_its_object_id_on_one_line(digest_rules):
     assert warning.message.startswith("seq 1: md\r\n1: cannot decide 'algorithm in {")
     assert "\n" not in warning.render()
     assert ": seq 1: md\\r\\n1: cannot decide 'algorithm in {" in warning.render()
+
+
+@pytest.mark.parametrize("violations", [
+    [],
+    [Violation("order", "o", 1, MD, "m"), Violation("zz\n", "p\u00e9", None, "a.\"B\"", "x"),
+     Violation("order", "q", 2, MD, "m")],
+])
+def test_json_report_head_is_laid_out_as_json_dumps_with_indent_2(violations):
+    by_kind = dict.fromkeys(VIOLATION_KINDS, 0) | Counter(v.kind for v in violations)
+    head = json.dumps({
+        "total": len(violations),
+        "by_kind": dict(sorted(by_kind.items())),
+        "by_rule": dict(sorted(Counter(v.rule_class for v in violations).items())),
+    }, indent=2)
+    assert report(violations, "json").startswith(head[:-2] + ',\n  "violations": [')
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_report_leaves_no_cyclic_garbage(digest_rules, fmt):
+    violations = check_trace(digest_rules, digest_trace("MD5") + digest_trace(
+        "SHA-256", obj="md2", finish=False, start=10)).violations
+    assert len(violations) == 2
+    assert cyclic_garbage(lambda: report(violations, fmt)) == []
+    assert cyclic_garbage(lambda: report([], fmt)) == []
+
+
+def test_report_refuses_an_unknown_format():
+    with pytest.raises(ValueError) as err:
+        report([], "xml")
+    assert err.value.args == ("unknown report format 'xml'",)
+
+
+def test_compile_rules_refuses_two_rules_for_one_class():
+    spec = parse_crysl(SourceFile.for_text(MESSAGEDIGEST_RULE, "crysl"))
+    with pytest.raises(ValueError) as err:
+        compile_rules([spec, spec])
+    assert err.value.args == (f"duplicate rule for class '{MD}'",)
 
 
 @pytest.mark.parametrize("count", [255, 256, 257, 513])
