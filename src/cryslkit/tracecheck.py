@@ -40,18 +40,20 @@ during the call is on again afterwards.
 What a check holds in memory: the events, which share one object per
 distinct trace value (one ``str`` per distinct name, id and string literal,
 one :class:`Ref` per distinct reference id and one tuple per distinct
-argument list, for the length of one :func:`parse_trace_lines` call); per
-object, one run, in a dict per rule keyed by object id: a single ``list``
-subclass, copied from the rule's ``blank``, whose items are the value bound
-in each slot and then the signature last judged per constraint (the value
-itself for a constraint on one variable), and whose three ``__slots__`` hold
-its automaton state and two flags; and one message per distinct finding,
-shared by every violation that repeats it. The runs, the predicate store,
-the pending REQUIRES and the message table are cleared as soon as the last
-finding is made, before the findings are sorted, so the sort's key tuples
-reuse their memory. :func:`load_trace` reads its file line by line, never
-the whole text, and :func:`report` builds no string per violation that
-outlives its slice.
+argument list without a reference, for the length of one
+:func:`parse_trace_lines` call; a list with a reference is a tuple of its
+own, since hashing a :class:`Ref` runs in Python and few such lists
+repeat); per object, one run, in a dict per rule keyed by object id: a
+single ``list`` subclass, copied from the rule's ``blank``, whose items are
+the value bound in each slot and then the signature last judged per
+constraint (the value itself for a constraint on one variable), and whose
+three ``__slots__`` hold its automaton state and two flags; and one message
+per distinct finding, shared by every violation that repeats it. The runs,
+the predicate store, the pending REQUIRES and the message table are cleared
+as soon as the last finding is made, before the findings are sorted, so the
+sort's key tuples reuse their memory. :func:`load_trace` reads its file line
+by line, never the whole text, and :func:`report` builds no string per
+violation that outlives its slice.
 """
 
 from __future__ import annotations
@@ -134,6 +136,15 @@ def _wrong_type(field_name: str, expected: str, value) -> ValueError:
 # The fields every trace line has, in the order their errors are reported.
 _REQUIRED_FIELDS = (("seq", int, "an integer"), ("object_id", str, "a string"),
                     ("class_name", str, "a string"), ("method_name", str, "a string"))
+_required_values = itemgetter(*(name for name, _, _ in _REQUIRED_FIELDS))
+
+
+def _bad_argument(value) -> ValueError:
+    """The error for an argument that is no string, integer or reference,
+    naming the value as JSON spells it (ASCII only, as on stderr)."""
+    if type(value) is bool:
+        return ValueError("boolean arguments are not part of the trace format")
+    return ValueError(f"unsupported argument value {json.dumps(value)}")
 
 
 _scan = json.JSONDecoder().scan_once
@@ -194,7 +205,10 @@ def parse_trace_lines(
     A trace repeats its class and method names, object ids and literals on
     line after line, so the events share them: the call returns one ``str``
     per distinct string value, one :class:`Ref` per distinct reference id and
-    one tuple per distinct argument list.
+    one tuple per distinct argument list that holds no reference. An argument
+    list with a reference is built per line: most objects are passed only a
+    few times, so such a list rarely repeats, and sharing it would hash its
+    :class:`Ref` records, which runs in Python.
     """
     events: list[TraceEvent] = []
     diags: list[Diagnostic] = []
@@ -203,18 +217,6 @@ def parse_trace_lines(
     refs: dict[str, Ref] = {}
     arg_tuples: dict[tuple, tuple] = {}
     share = strings.setdefault
-
-    def parse_ref(raw) -> Ref:
-        """An argument that is neither a string nor an integer: a reference."""
-        if isinstance(raw, bool):
-            raise ValueError("boolean arguments are not part of the trace format")
-        if isinstance(raw, dict) and set(raw) == {"ref"} and isinstance(raw["ref"], str):
-            ref = refs.get(raw["ref"])
-            if ref is None:
-                ref_id = share(raw["ref"], raw["ref"])
-                ref = refs[ref_id] = Ref(ref_id)
-            return ref
-        raise ValueError(f"unsupported argument value {raw!r}")
 
     for line_no, line in enumerate(lines, start=1):
         text = line.strip(_JSON_WHITESPACE)
@@ -229,8 +231,10 @@ def parse_trace_lines(
             if type(record) is not dict:
                 raise ValueError("trace line must be a JSON object")
             # Exact type tests: JSON true is a bool, which int() would accept.
-            seq, object_id = record.get("seq"), record.get("object_id")
-            class_name, method_name = record.get("class_name"), record.get("method_name")
+            try:
+                seq, object_id, class_name, method_name = _required_values(record)
+            except KeyError:  # the loop below names the first missing field
+                seq = None
             if not (type(seq) is int and type(object_id) is str and type(class_name) is str
                     and type(method_name) is str):
                 for name, kind, expected in _REQUIRED_FIELDS:
@@ -244,10 +248,26 @@ def parse_trace_lines(
                 if type(return_id) is not str:
                     raise _wrong_type("return_id", "a string or null", return_id)
                 return_id = share(return_id, return_id)
-            if args:  # a plain string or integer goes through no nested function
-                args = tuple([(share(a, a) if a != "?" else UNKNOWN) if type(a) is str
-                              else a if type(a) is int else parse_ref(a) for a in args])
-                args = arg_tuples.setdefault(args, args)
+            if args:
+                values = []
+                has_ref = False
+                for a in args:
+                    if type(a) is str:
+                        values.append(share(a, a) if a != "?" else UNKNOWN)
+                    elif type(a) is int:
+                        values.append(a)
+                    elif type(a) is dict and len(a) == 1 and type(ref_id := a.get("ref")) is str:
+                        ref = refs.get(ref_id)
+                        if ref is None:
+                            ref_id = share(ref_id, ref_id)
+                            ref = refs[ref_id] = Ref(ref_id)
+                        values.append(ref)
+                        has_ref = True
+                    else:
+                        raise _bad_argument(a)
+                args = tuple(values)
+                if not has_ref:  # hashing a Ref runs in Python; few reference lists repeat
+                    args = arg_tuples.setdefault(args, args)
             else:
                 args = ()
             event = TraceEvent(seq, share(object_id, object_id), share(class_name, class_name),

@@ -454,6 +454,50 @@ def test_the_first_bad_required_field_is_reported():
     assert [d.message for d in diags] == ["malformed trace line: 'object_id'"]
 
 
+def _trace_line(args: str, seq: str = "1") -> str:
+    """One trace line with the JSON texts ``seq`` and ``args`` spliced in."""
+    return (f'{{"seq": {seq}, "object_id": "o", "class_name": "{MD}", "method_name": "m", '
+            f'"args": [{args}]}}')
+
+
+@pytest.mark.parametrize(
+    "args, outcome",
+    [
+        ('{"ref": 5}', 'unsupported argument value {"ref": 5}'),
+        ('{"ref": "k", "x": 1}', 'unsupported argument value {"ref": "k", "x": 1}'),
+        ("{}", "unsupported argument value {}"),
+        ('{"REF": "k"}', 'unsupported argument value {"REF": "k"}'),
+        ("null", "unsupported argument value null"),
+        ("[1]", "unsupported argument value [1]"),
+        ('{"ref": "k"}, true', "boolean arguments are not part of the trace format"),
+        ("1.5", "unsupported argument value 1.5"),
+        ("1e2", "unsupported argument value 100.0"),
+        ("Infinity", "unsupported argument value Infinity"),
+        ("NaN", "unsupported argument value NaN"),
+        # Accepted: the last of repeated keys counts, and -0 is the integer 0.
+        ('{"ref": "j", "ref": "k"}', (Ref("k"),)),
+        ("-0", (0,)),
+    ],
+)
+def test_argument_values_are_read_or_named_as_json(args, outcome):
+    events, diags = parse_trace_lines([_trace_line(args)], "t.jsonl")
+    if isinstance(outcome, tuple):
+        assert not diags and [e.args for e in events] == [outcome]
+    else:
+        assert events == []
+        assert [d.render() for d in diags] == [f"t.jsonl:1:1: error: malformed trace line: {outcome}"]
+
+
+def test_integers_past_the_digit_limit_are_malformed_lines():
+    digits = "9" * 4301  # one past sys.get_int_max_str_digits() by default
+    lines = [_trace_line("1"), _trace_line("", seq=digits), _trace_line(digits, seq="3")]
+    events, diags = parse_trace_lines(lines, "t.jsonl")
+    assert [e.seq for e in events] == [1]
+    assert len(diags) == 2
+    for line_no, diag in zip((2, 3), diags):
+        assert diag.render().startswith(f"t.jsonl:{line_no}:1: error: malformed trace line: ")
+
+
 def test_null_return_id_and_missing_args_are_accepted():
     line = json.dumps({"seq": 1, "object_id": "o", "class_name": MD, "method_name": "digest",
                        "return_id": None})
@@ -695,7 +739,7 @@ def test_equal_trace_values_are_one_object(android_trace):
     first, second = events[:replica_size], events[replica_size:2 * replica_size]
     assert all(a.class_name is b.class_name and a.method_name is b.method_name
                for a, b in zip(first, second))
-    strings, refs = {}, {}
+    strings, refs, arg_lists = {}, {}, {}
     for event in events:
         values = [event.object_id, event.class_name, event.method_name, event.return_id]
         for value in values + list(event.args):
@@ -703,7 +747,10 @@ def test_equal_trace_values_are_one_object(android_trace):
                 assert refs.setdefault(value, value) is value
             elif isinstance(value, str):
                 assert strings.setdefault(value, value) is value
+        if not any(isinstance(value, Ref) for value in event.args):
+            assert arg_lists.setdefault(event.args, event.args) is event.args
     assert len(refs) > 100 and any(v.id is strings.get(v.id) for v in refs)
+    assert len(arg_lists) > 10 and any(len(args) > 1 for args in arg_lists)
 
 
 def test_parse_and_check_peak_memory_per_event(android_trace):
