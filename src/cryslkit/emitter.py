@@ -47,7 +47,6 @@ MANIFEST = ".cryslkit-manifest.json"
 _PREC_ALT = 0
 _PREC_SEQ = 1
 _PREC_POST = 2
-_PREC_ATOM = 3
 
 
 def render_literal(value) -> str:

@@ -56,14 +56,14 @@ class RefinementError(LocatedError):
 
 class SpecRegistry:
     """Everything a build loaded, keyed by name, in load order; ``invalid``
-    names the specs whose validation reported errors."""
+    maps each spec whose validation reported errors to those errors."""
 
     __slots__ = ("specs", "refinements", "invalid")
 
     def __init__(self) -> None:
         self.specs: dict[str, CrySLSpec] = {}
         self.refinements: dict[str, RefinementSpec] = {}
-        self.invalid: set[str] = set()
+        self.invalid: dict[str, frozenset[Diagnostic]] = {}
 
 
 class BuildStats(Record):
@@ -143,7 +143,7 @@ def load(config, parsed: dict | None = None) -> tuple[SpecRegistry, list[Diagnos
                 if directive.kind == "spec":
                     problems = validate_spec(item)
                     if problems:
-                        registry.invalid.add(item.name)
+                        registry.invalid[item.name] = frozenset(problems)
                     diags.extend(problems)
 
     return registry, diags
@@ -295,8 +295,9 @@ def resolve(registry: SpecRegistry) -> BuildResult:
     Refinements run in load order, each against the pristine base; rules
     never targeted by a refinement pass through unchanged when they have no
     variation points and are an error otherwise. Every rule a refinement
-    generates is validated before it enters the result; an untargeted rule
-    enters it only if ``load`` found it valid.
+    generates is validated before it enters the result, leaving out the errors
+    ``load`` reported for its base; an untargeted rule enters it only if
+    ``load`` found it valid.
     """
     diags: list[Diagnostic] = []
     generated: list[tuple[str, CrySLSpec]] = []
@@ -339,7 +340,7 @@ def resolve(registry: SpecRegistry) -> BuildResult:
             continue
         rule_diags = validate_spec(spec)
         if rule_diags:
-            diags.extend(rule_diags)
+            diags.extend(d for d in rule_diags if d not in registry.invalid.get(base_key, ()))
             diags.append(
                 error_at(refinement.loc, f"refinement '{refinement.name}' produced an invalid rule")
             )

@@ -62,7 +62,7 @@ import functools
 import gc
 import json
 from json.encoder import encode_basestring, encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -307,7 +307,7 @@ def load_trace(path: str | Path) -> tuple[list[TraceEvent], list[Diagnostic]]:
 class _EventPlan(Record):
     """What a matched event does to its object's run, worked out once."""
 
-    decl: EventDecl
+    label: str  # the declaration's label, as the automaton steps on it
     params: tuple[tuple[int, int], ...]  # (argument position, slot) per VarRef
     return_slot: int | None  # slot of the return binding, if one is declared
     constraints: tuple[int, ...]  # indices of constraints on a parameter or return variable
@@ -385,7 +385,7 @@ def _compile_rule(spec: CrySLSpec) -> CompiledRule:
         named = [(position, param.name) for position, param in enumerate(decl.params)
                  if isinstance(param, VarRef)]
         dispatch[key] = _EventPlan(
-            decl, tuple((position, slots[name]) for position, name in named),
+            decl.label, tuple((position, slots[name]) for position, name in named),
             slots.get(decl.return_binding),
             reached({name for _, name in named} | {decl.return_binding}),
         )
@@ -477,14 +477,15 @@ def _identities(run: _ObjectRun, slots: tuple[int | None, ...]) -> tuple:
 
 
 @_collector_paused
-def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> CheckResult:
+def check_trace(rules: dict[str, CompiledRule], trace: Iterable[TraceEvent]) -> CheckResult:
     """Check one trace against the compiled rules.
 
     An event matches by class name, then by method name and arity; wildcard
     parameters match anything, and when declarations share a method name and
     arity the first one declared matches. Events of a class with no rule are
     ignored; an undeclared method on a ruled class breaks the call order.
-    Events are evaluated in ``seq`` order. Per object the rule's automaton
+    Events are evaluated in one pass over ``trace``, as given; a ``seq`` that
+    does not increase is a ``ValueError``. Per object the rule's automaton
     tracks call order (the first break is reported, the object then stays in
     the sink); a constraint is judged whenever all its variables are bound
     to a combination of values not seen before; only the constraints on a
@@ -496,17 +497,16 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
     A constraint or REQUIRES predicate that an unknown value leaves
     undecided is a warning located at it, in the file that declares it (a
     refinement's file for a node that a refinement added); its message names
-    the event's ``seq`` and object id.
+    the event's ``seq`` and object id. Findings are sorted by ``seq``, the
+    ``incomplete`` ones last, then by object id, kind and rule class.
     """
     violations: list[Violation] = []
     warnings: list[Diagnostic] = []
     predicates: set[tuple[str, tuple]] = set()
     # Per rule class, the rule and its runs keyed by object id.
     tables = {class_name: (rule, {}) for class_name, rule in rules.items()}
-    # (object, rule, predicate, keys, completion seq): argument identities
-    # are fixed at completion, but the store lookup happens once the whole
-    # trace has been seen, so reordering events of unrelated objects cannot
-    # flip the outcome.
+    # (object, rule, predicate, keys, completion seq), looked up in the store
+    # once the whole trace has been seen (see above).
     pending_requires: list[tuple[str, CompiledRule, PredicateRef, tuple, int]] = []
     # (rule class, constraint index, signature) -> message: one text per
     # distinct finding, however many objects make it.
@@ -561,7 +561,11 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
                     continue
                 pending_requires.append((object_id, rule, pred, keys, seq))
 
-    for event in sorted(trace, key=attrgetter("seq")):
+    last_seq = None
+    for event in trace:
+        if last_seq is not None and event.seq <= last_seq:
+            raise ValueError(f"seq {event.seq} does not increase (previous was {last_seq})")
+        seq = last_seq = event.seq
         table = tables.get(event.class_name)
         if table is None:
             continue
@@ -578,7 +582,7 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
         if plan is None:
             if run.state is not None:
                 run.state = None
-                found("order", object_id, rule, event.seq,
+                found("order", object_id, rule, seq,
                       f"{event.method_name}() is not a declared event")
             continue
         for position, slot in plan.params:
@@ -588,30 +592,26 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
         # Without a return id the return binding keeps its earlier value, so
         # the constraints only it reaches are skipped by their signature.
         if plan.constraints:
-            check_constraints(rule, run, object_id, event.seq, plan.constraints)
+            check_constraints(rule, run, object_id, seq, plan.constraints)
         if run.state is None:
             continue
-        state = run.state = rule.automaton.step(run.state, plan.decl.label)
+        state = run.state = rule.automaton.step(run.state, plan.label)
         if state is None:
-            found("order", object_id, rule, event.seq,
+            found("order", object_id, rule, seq,
                   f"{event.method_name}() breaks the declared call order")
         elif state in rule.automaton.accepting:
-            complete(rule, run, object_id, event.seq)
+            complete(rule, run, object_id, seq)
 
     for object_id, rule, pred, keys, seq in pending_requires:
         if (pred.name, keys) not in predicates:
             found("missing-predicate", object_id, rule, seq,
                   f"requires {pred.name}[{', '.join(pred.args)}] but no rule established it")
 
-    incomplete = sorted(
-        (object_id, class_name)
-        for class_name, (rule, runs) in tables.items()
-        for object_id, run in runs.items()
-        if run.state is not None and run.state not in rule.automaton.accepting
-    )
-    for object_id, class_name in incomplete:
-        found("incomplete", object_id, rules[class_name], None,
-              "object discarded before completing the declared protocol")
+    for rule, runs in tables.values():
+        for object_id, run in runs.items():
+            if run.state is not None and run.state not in rule.automaton.accepting:
+                found("incomplete", object_id, rule, None,
+                      "object discarded before completing the declared protocol")
 
     # Nothing below reads the runs or the stores: freed now, their memory
     # takes the sort's keys.
@@ -620,7 +620,7 @@ def check_trace(rules: dict[str, CompiledRule], trace: list[TraceEvent]) -> Chec
     predicates.clear()
     pending_requires.clear()
     messages.clear()
-    violations.sort(key=lambda v: (v.seq is None, v.seq or 0, v.object_id, v.kind))
+    violations.sort(key=lambda v: (v.seq is None, v.seq or 0, v.object_id, v.kind, v.rule_class))
     return CheckResult(violations=violations, warnings=warnings)
 
 

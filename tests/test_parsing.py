@@ -91,6 +91,14 @@ def test_empty_file_reports_missing_spec_header():
     assert "missing SPEC header" in str(err.value)
 
 
+@pytest.mark.parametrize("text, where", [("ABSTRACT foo SPEC a.B", "1:10"), ("ABSTRACT", "1:1")])
+def test_missing_spec_header_after_abstract_points_at_the_next_token(text, where):
+    # At the token after ABSTRACT, or at the start when nothing follows it.
+    with pytest.raises(ParseError) as err:
+        mcsl(text, "t.mcsl")
+    assert str(err.value) == f"t.mcsl:{where}: error: missing SPEC header"
+
+
 def test_lightweight_digest_rule_shape():
     spec = crysl(SHA256_DIGEST_RULE)
     assert spec.class_name == "SHA256Digest"

@@ -510,6 +510,36 @@ def test_a_load_target_file_must_have_the_suffix_of_its_kind(tmp_path):
     ]
 
 
+def test_a_refinement_of_an_invalid_base_reports_only_its_own_errors_again(tmp_path):
+    # load reports the base's duplicate declaration; each refinement of it
+    # inherits that error and reports only what it adds.
+    (tmp_path / "base.mcsl").write_text(
+        "SPEC java.security.MessageDigest\nOBJECTS\n    java.lang.String alg;\n"
+        "    java.lang.String alg;\nEVENTS\n    g : getInstance(alg);\nORDER\n    g\n"
+        "CONSTRAINTS\n    alg in {\"SHA-256\"};\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "md.ref").write_text(
+        'SPEC Md REFINES java.security.MessageDigest {\n    add constraint alg in {"MD5"};\n}\n'
+        'SPEC Md2 REFINES java.security.MessageDigest {\n    add constraint nope in {"x"};\n}\n',
+        encoding="utf-8",
+    )
+    config = _config(
+        "config x {\n  src = .;\n  out = out/;\n  load spec base.mcsl;\n"
+        "  load refinement md.ref;\n}",
+        tmp_path / "x.conf",
+    )
+    result = run_build(config)
+    base, ref = tmp_path / "base.mcsl", tmp_path / "md.ref"
+    assert [d.render() for d in result.diagnostics] == [
+        f"{base}:4:5: error: duplicate object declaration 'alg'",
+        f"{ref}:1:1: error: refinement 'Md' produced an invalid rule",
+        f"{ref}:5:20: error: constraint references undeclared variable 'nope'",
+        f"{ref}:4:1: error: refinement 'Md2' produced an invalid rule",
+    ]
+    assert result.generated == []
+
+
 def test_whole_build_runs_clean_on_bundled_standards(corpus_dir):
     for name in ("fips", "bsi", "ecrypt"):
         config = parse_config(SourceFile.from_path(corpus_dir / "standards" / f"{name}.conf"))
