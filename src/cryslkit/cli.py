@@ -127,7 +127,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         path = Path(raw)
         if not path.exists():
             return _path_error(path, "no such file or directory")
-        files.extend(rule_files(path, RULE_SUFFIXES))
+        listed = rule_files(path, RULE_SUFFIXES)
+        if listed is None:  # a FIFO or device, neither a file nor a directory
+            return _path_error(path, "not a directory")
+        files += listed
     specs, diags = _read_rules(files)
 
     _print_diagnostics(diags)
@@ -145,9 +148,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .tracecheck import check_trace, compile_rules, load_trace, report
 
     rules_dir = Path(args.rules)
-    if not rules_dir.is_dir():
+    files = rule_files(rules_dir, (".crysl",)) if rules_dir.is_dir() else None
+    if files is None:
         return _path_error(rules_dir, "not a directory")
-    specs, diags = _read_rules(rule_files(rules_dir, (".crysl",)))
+    specs, diags = _read_rules(files)
     _print_diagnostics(diags)
     if has_errors(diags):
         return 1

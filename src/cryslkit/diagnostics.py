@@ -87,18 +87,26 @@ _NOWHERE = Loc("<rule>", 1, 1)
 
 
 # Each C0 control character as a JSON string writes it: "\n", "\u001c", ...
-_C0_ESCAPES = {code: f"\\u{code:04x}" for code in range(0x20)} | {
-    0x08: "\\b", 0x09: "\\t", 0x0A: "\\n", 0x0C: "\\f", 0x0D: "\\r"}
+_C0_ESCAPES = {chr(code): f"\\u{code:04x}" for code in range(0x20)} | {
+    "\b": "\\b", "\t": "\\t", "\n": "\\n", "\f": "\\f", "\r": "\\r"}
+
+
+def _escape(char: str) -> str:
+    """A character that is not printable as an escape: a C0 control character
+    as a JSON string writes it, any other as ``\\uXXXX`` or ``\\UXXXXXXXX``."""
+    code = ord(char)
+    return _C0_ESCAPES.get(char) or (f"\\u{code:04x}" if code <= 0xFFFF else f"\\U{code:08x}")
 
 
 def _one_line(text: str) -> str:
     """``text`` on one line and in UTF-8, as a diagnostic or a table cell
-    prints it: each C0 control character, line breaks among them, written as
-    a JSON string writes it (``\\n``, ``\\u001c``), and each lone surrogate,
-    which UTF-8 cannot encode, as that escape (``\\ud800``); printable text as it is."""
+    prints it: each character that ``str.isprintable`` rejects written as an
+    escape (``\\n``, ``\\u001c``, ``\\u202e``, ``\\ud800``), so no line break,
+    control, format character or lone surrogate gets through; printable text
+    as it is."""
     if text.isprintable():
         return text
-    return text.translate(_C0_ESCAPES).encode("utf-8", "backslashreplace").decode("utf-8")
+    return "".join(char if char.isprintable() else _escape(char) for char in text)
 
 
 class Diagnostic(Record):

@@ -10,6 +10,7 @@ emitter's canonical formatting.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -77,6 +78,12 @@ def count_lines(paths: Iterable[str | Path]) -> tuple[LineStats, list[Diagnostic
     return _line_stats(documents), diags
 
 
+def _same_place(diag: Diagnostic) -> Diagnostic:
+    """``diag`` with its path resolved, so that two spellings of one file's
+    path compare equal."""
+    return diag.replace(path=os.path.realpath(diag.path))
+
+
 def savings_ratio(meta_total: int, generated_total: int) -> float:
     if generated_total == 0:
         return float("-inf")
@@ -97,7 +104,8 @@ def savings(
     load is parsed once.
 
     The diagnostics are those of :func:`count_lines`; a failing build adds
-    its own and an error at its configuration, and there is no report.
+    those it does not share with them and an error at its configuration, and
+    there is no report.
     """
     meta, diags = count_lines(meta_paths)
 
@@ -108,7 +116,10 @@ def savings(
     for config in configs:
         result = run_build(config, parsed)
         if has_errors(result.diagnostics):
-            diags += result.diagnostics
+            # A file that count_lines could not decode fails the build too:
+            # report it once, however the two spell its path.
+            counted = set(map(_same_place, diags))
+            diags += [d for d in result.diagnostics if _same_place(d) not in counted]
             diags.append(error_at(config.loc, f"configuration '{config.name}' failed to build"))
             return None, diags
         for _, spec in result.generated:

@@ -18,7 +18,7 @@ comments before it are dropped on the way. Its repeats are possessive, so
 functions walk the token list by index and return the index after what they
 parsed. The pairs ``:=``, ``=>`` and ``[]`` are two tokens that must be
 adjacent in the text. A ``.conf`` path is the one context-sensitive token: it
-runs to whitespace, ``;``, ``{`` or ``}``, so it can take in a ``//``. A
+runs to whitespace, ``;``, ``{``, ``}`` or a NUL, so it can take in a ``//``. A
 configuration is therefore tokenised as the walker reads it, and reading goes
 on from the end of each path.
 
@@ -111,7 +111,7 @@ _CONFIG_TOKEN_RE = re.compile(
 )
 _WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _SECTION_END = RESERVED_WORDS | {""}
-_PATH_RE = re.compile(r"[^\s;{}]+")
+_PATH_RE = re.compile(r"[^\s;{}\0]+")
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _UNDECODABLE_RE = re.compile("[\udc80-\udcff]")  # a byte escaped by "surrogateescape"
 
@@ -156,15 +156,17 @@ class SourceFile(Record):
 
 def read_source(path: str) -> SourceFile:
     """Read the file at ``path``, a path in normal form, as a
-    :class:`SourceFile`: one binary read, a strict UTF-8 decode and the
-    newline translation of a text-mode read (``\\r\\n`` and a lone ``\\r``
-    become ``\\n``)."""
+    :class:`SourceFile`: one binary read, a strict UTF-8 decode that skips a
+    leading byte-order mark and the newline translation of a text-mode read
+    (``\\r\\n`` and a lone ``\\r`` become ``\\n``)."""
     suffix = _suffix(path[path.rfind("/") + 1:])
     language = LANGUAGE_BY_EXTENSION.get(suffix)
     if language is None:
         raise ValueError(path, f"unknown rule-file extension '{suffix}'")
     with open(path, "rb", buffering=0) as file:
         data = file.read()
+    if data.startswith(b"\xef\xbb\xbf"):  # a UTF-8 byte-order mark, skipped
+        data = data[3:]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -199,23 +201,22 @@ def file_mode(path: str) -> int:
     return 0
 
 
-def rule_files(path: str | Path, suffixes: tuple[str, ...]) -> list[str]:
+def rule_files(path: str | Path, suffixes: tuple[str, ...]) -> list[str] | None:
     """A file itself, or the files with one of ``suffixes`` in a directory and
-    its direct subdirectories, sorted; each a path string in normal form."""
-    path = str(Path(path))
-    if S_ISREG(file_mode(path)):
+    its direct subdirectories, sorted; each a path string in normal form.
+    None for a path that is neither, symlinks followed: a missing path, a
+    dangling or looping symlink, a FIFO. The path is stat-ed once, each
+    directory is listed once, and only a symlink's entry costs a stat."""
+    path = str(path if isinstance(path, Path) else Path(path))  # a Path is in normal form
+    mode = file_mode(path)
+    if S_ISREG(mode):
         return [path]
-    return directory_rule_files(path, suffixes)
-
-
-def directory_rule_files(directory: str, suffixes: tuple[str, ...]) -> list[str]:
-    """The files with one of ``suffixes`` in ``directory``, a path in normal
-    form, and in its direct subdirectories, sorted. Each directory is listed
-    once, and only a symlink's entry costs a stat."""
+    if not S_ISDIR(mode):
+        return None
     files: list[str] = []
     subdirectories = []
-    prefix = "" if directory == "." else os.path.join(directory, "")
-    with os.scandir(directory) as entries:
+    prefix = "" if path == "." else os.path.join(path, "")
+    with os.scandir(path) as entries:
         for entry in entries:
             is_file, is_dir = _entry_kind(entry)
             if is_file and _suffix(entry.name) in suffixes:
@@ -715,7 +716,8 @@ def parse_refinement(source: SourceFile) -> list[RefinementSpec]:
 
 def _config_path(w: _ConfigTokens, i: int) -> tuple[str, int]:
     """The path that starts at token ``i``: any text up to whitespace, ';',
-    '{' or '}', so it may end inside a token."""
+    '{', '}' or a NUL, which no file system takes in a name, so it may end
+    inside a token."""
     match = _PATH_RE.match(w.text, w.at[i])
     if not match:
         w.fail(i, "expected path")

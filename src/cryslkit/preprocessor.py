@@ -16,7 +16,6 @@ may bind the same parameter of one template, producing one rule copy each.
 from __future__ import annotations
 
 from pathlib import Path
-from stat import S_ISDIR, S_ISREG
 
 from .diagnostics import Diagnostic, Loc, LocatedError, Record, error_at
 from .model import (
@@ -42,11 +41,10 @@ from .model import (
 from .parsing import (
     RULE_SUFFIXES,
     ParseError,
-    directory_rule_files,
-    file_mode,
     parse_refinement,
     read_rule,
     read_source,
+    rule_files,
 )
 
 
@@ -102,19 +100,14 @@ def load(config, parsed: dict | None = None) -> tuple[SpecRegistry, list[Diagnos
     for directive in config.loads:
         target = src_root / directive.path
         suffixes = RULE_SUFFIXES if directive.kind == "spec" else (".ref",)
-        target_path = str(target)
-        mode = file_mode(target_path)
-        if S_ISREG(mode):
-            if target.suffix not in suffixes:
-                diags.append(
-                    error_at(directive.loc, f"'{directive.path}' is not a {directive.kind} file")
-                )
-                continue
-            files = [target_path]
-        elif S_ISDIR(mode):
-            files = directory_rule_files(target_path, suffixes)
-        else:
+        files = rule_files(target, suffixes)
+        if files is None:
             diags.append(error_at(directive.loc, f"missing path: '{target}'"))
+            continue
+        if files == [str(target)] and target.suffix not in suffixes:  # a named file
+            diags.append(
+                error_at(directive.loc, f"'{directive.path}' is not a {directive.kind} file")
+            )
             continue
 
         table = registry.specs if directive.kind == "spec" else registry.refinements

@@ -201,6 +201,7 @@ def parse_trace_lines(
     other character there makes the line malformed, as ``json.loads`` has it.
     A byte that is not UTF-8 arrives as the code point ``surrogateescape``
     gives it (``load_trace`` reads that way); a line holding one is malformed.
+    A byte-order mark (U+FEFF) that starts the first line is skipped.
 
     A trace repeats its class and method names, object ids and literals on
     line after line, so the events share them: the call returns one ``str``
@@ -224,6 +225,10 @@ def parse_trace_lines(
             continue
         try:
             if not text.isascii():
+                if line_no == 1 and line[0] == "\ufeff":  # a byte-order mark, skipped
+                    text = line[1:].strip(_JSON_WHITESPACE)
+                    if not text:
+                        continue
                 bad_byte = undecodable_byte(text)
                 if bad_byte is not None:
                     raise ValueError(bad_byte[1])

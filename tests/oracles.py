@@ -609,15 +609,16 @@ def reference_report(violations: list[Violation]) -> str:
 
 
 def reference_read_source(path: str | Path) -> SourceFile:
-    """``SourceFile.from_path`` as it was before the one binary read."""
+    """``SourceFile.from_path`` as it was before the one binary read, with a
+    leading byte-order mark skipped, as the ``utf-8-sig`` codec skips it."""
     path = Path(path)
     language = LANGUAGE_BY_EXTENSION.get(path.suffix)
     if language is None:
         raise ValueError(str(path), f"unknown rule-file extension '{path.suffix}'")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
-        text = path.read_text(encoding="utf-8", errors="surrogateescape")
+        text = path.read_text(encoding="utf-8-sig", errors="surrogateescape")
         at, message = undecodable_byte(text)
         line_start = text.rfind("\n", 0, at)
         raise ParseError(

@@ -1,7 +1,8 @@
 """The parsers as they were before the token walker: a character scanner
 that matches a compiled regex at an offset for each token.
 
-Kept verbatim as a reference. ``test_parsing`` requires the token-walking
+Kept verbatim as a reference, but for one later change to the grammar: a
+path stops at a NUL. ``test_parsing`` requires the token-walking
 parsers in ``cryslkit.parsing`` to give the same AST, with every location, or
 the same ``ParseError`` message and location, on every input.
 """
@@ -57,7 +58,7 @@ RESERVED_WORDS = frozenset(SECTION_KEYWORDS) | {"SPEC", "ABSTRACT"}
 _TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
-_PATH_RE = re.compile(r"[^\s;{}]+")
+_PATH_RE = re.compile(r"[^\s;{}\0]+")  # a NUL ends a path, as in the grammar
 # An element is one character other than a quote, backslash or newline, or a
 # backslash and the character after it. Elements are one character wide and
 # start differently, so a failed match takes linear time and cannot backtrack

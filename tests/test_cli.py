@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from cryslkit.cli import main
 from cryslkit.emitter import MANIFEST
 from cryslkit.parsing import ParseError, SourceFile, parse_config, parse_crysl
-from cryslkit import tracecheck
+from cryslkit import parsing, tracecheck
 from cryslkit.tracecheck import TraceEvent, check_trace, compile_rules, load_trace
 
 from conftest import REPO_ROOT, wide_rule_text
@@ -77,6 +77,17 @@ def test_build_reports_errors_with_exit_1(tmp_path, capsys):
     code, out, err = run_cli(capsys, "build", str(conf))
     assert code == 1
     assert "unbound $Hole" in err
+
+
+@pytest.mark.parametrize("argv", [["build"], ["build", "--dry-run"], ["build", "--json"]])
+def test_build_refuses_a_nul_in_a_configuration_path_at_it(corpus_copy, capsys, argv):
+    conf = corpus_copy / "bouncycastle" / "digests.conf"
+    conf.write_text(conf.read_text(encoding="utf-8").replace("_generated/digests", "a\0b"),
+                    encoding="utf-8")
+    line = conf.read_text(encoding="utf-8").split("\n").index("    out = a\0b;") + 1
+    assert run_cli(capsys, *argv, str(conf)) == (
+        1, "", f"{conf}:{line}:12: error: expected ';', found '\\u0000'\n")
+    assert not (corpus_copy / "bouncycastle" / "a").exists()
 
 
 @pytest.mark.parametrize("out, blocker", [("_generated/digests", "_generated/digests"),
@@ -489,7 +500,11 @@ def test_validate_missing_path_exits_2(capsys):
     assert err == "does-not-exist.crysl:1:1: error: no such file or directory\n"
 
 
-@pytest.mark.parametrize("stray, written", [("\f", "\\f"), ("\x1c", "\\u001c")])
+@pytest.mark.parametrize("stray, written", [
+    ("\f", "\\f"), ("\x1c", "\\u001c"), ("\u202e", "\\u202e"), ("\u200b", "\\u200b"),
+    ("\ufeff", "\\ufeff"), ("\x85", "\\u0085"), ("\u2028", "\\u2028"), ("\x7f", "\\u007f"),
+    ("\x9b", "\\u009b"), ("\U000e0001", "\\U000e0001"),
+])
 def test_validate_writes_a_stray_control_character_on_one_line(tmp_path, capsys, stray, written):
     rule = tmp_path / "B.crysl"
     rule.write_text(f"SPEC a.B\n{stray} OBJECTS\n", encoding="utf-8")
@@ -540,6 +555,16 @@ def test_check_table_format_is_default(fips_rules_dir, corpus_copy, capsys):
     )
     assert code == 1
     assert out.splitlines()[0].startswith("KIND")
+
+
+def test_check_skips_a_byte_order_mark_that_starts_a_trace(fips_rules_dir, corpus_copy, capsys):
+    source = corpus_copy / "traces" / "standards" / "md5_digest.jsonl"
+    expected = run_cli(capsys, "check", "--rules", str(fips_rules_dir), "--trace", str(source),
+                       "--format", "json")
+    assert expected[0] == 1 and json.loads(expected[1])["by_kind"]["constraint"] == 1
+    source.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    assert run_cli(capsys, "check", "--rules", str(fips_rules_dir), "--trace", str(source),
+                   "--format", "json") == expected
 
 
 def test_check_reports_a_trace_line_that_is_not_utf8_and_goes_on(
@@ -811,6 +836,41 @@ def test_metrics_names_an_unreadable_meta_file_and_exits_1(corpus_copy, capsys, 
     assert err == f"{locked}:1:1: error: Permission denied\n"
 
 
+@pytest.mark.parametrize("meta", [".", "{}"])
+def test_metrics_reports_a_loaded_file_that_is_not_utf8_once(corpus_copy, capsys, monkeypatch,
+                                                             meta):
+    # Both the line count and the build that loads the file read it, the
+    # count by the --meta spelling of its path; the build fails, so no
+    # report is printed.
+    meta = meta.format(corpus_copy / "standards")
+    monkeypatch.chdir(corpus_copy / "standards")
+    with open("base/messagedigest.mcsl", "ab") as rule:
+        rule.write(b"\xe9")
+    code, out, err = run_cli(capsys, "metrics", "--meta", meta,
+                             "--configs", "bsi.conf", "ecrypt.conf", "fips.conf")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"{Path(meta, 'base', 'messagedigest.mcsl')}:22:1: error: byte 0xe9 is not valid UTF-8",
+        "bsi/messagedigest.ref:2:1: error: base spec not found: 'java.security.MessageDigest'",
+        "bsi.conf:1:1: error: configuration 'bsi' failed to build",
+    ]
+
+
+def test_metrics_stops_at_a_loaded_file_it_cannot_read_with_exit_2(corpus_copy, capsys,
+                                                                    monkeypatch):
+    monkeypatch.chdir(corpus_copy / "standards")
+    read_source = parsing.read_source
+
+    def refuse_base(path):
+        if path == "base/messagedigest.mcsl":
+            raise PermissionError(13, "Permission denied", path)
+        return read_source(path)
+
+    monkeypatch.setattr(parsing, "read_source", refuse_base)
+    code, out, err = run_cli(capsys, "metrics", "--meta", ".", "--configs", "fips.conf")
+    assert (code, out, err) == (2, "", "base/messagedigest.mcsl:1:1: error: Permission denied\n")
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -1044,11 +1104,12 @@ STDERR_FORMS = _stderr_forms()
 
 
 def stray_stderr_lines(err: str) -> list[str]:
-    """The lines of ``err`` that match no documented stderr form, or more
-    than one."""
+    """The lines of ``err`` that hold a character ``str.isprintable`` rejects,
+    or that match no documented stderr form, or more than one."""
     assert err == "" or err.endswith("\n")
     return [line for line in err.split("\n")[:-1]
-            if sum(form.fullmatch(line) is not None for form in STDERR_FORMS) != 1]
+            if not line.isprintable()
+            or sum(form.fullmatch(line) is not None for form in STDERR_FORMS) != 1]
 
 
 def test_each_documented_stderr_form_takes_its_own_lines():
@@ -1064,10 +1125,15 @@ FUZZ_COMMANDS = (
     ("metrics", "--meta", "{root}", "--configs", "{root}/fips.conf", "--json"),
     ("fsm", "--rule", "{root}/rules/MessageDigest.crysl", "--dot"),
 )
+# Characters that str.isprintable() rejects and a terminal or str.splitlines
+# may act on: a bidi override, zero-width and format characters, NEL, the line
+# separator, DEL and the C1 control sequence introducer.
+INVISIBLE_CHARACTERS = ("\u202e", "\u200b", "\ufeff", "\x85", "\u2028", "\x7f", "\x9b")
 FUZZ_TOKENS = [
     b"", b"$", b"<T>", b"{", b"}", b"(", b")", b"*", b"|", b";", b",", b"=>", b"_", b"\n",
     b'"', b"\xff", b"\xc3", b"9" * 4400, b"SPEC", b"ORDER", b"REFINES", b"define", b"load",
-    b"{\"seq\": 0}", b"[", b"]", b"null", b"-1", b"1e999",
+    b"{\"seq\": 0}", b"[", b"]", b"null", b"-1", b"1e999", b"\x00",
+    *map(str.encode, INVISIBLE_CHARACTERS),
 ]
 _mutations = st.lists(
     st.tuples(st.sampled_from(sorted(FUZZ_SEEDS)), st.integers(0, 10 ** 6), st.integers(0, 12),
@@ -1161,7 +1227,7 @@ def test_cli_main_answers_any_argv_shape_with_an_exit_code(commands):
 
 
 _any_text = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
-    ["\ud800", "\udce9", "\n", "\x00", "\u2028", "é", ""])
+    ["\ud800", "\udce9", "\n", "\x00", "é", "", *INVISIBLE_CHARACTERS])
 _check_records = st.fixed_dictionaries({
     "object_id": st.sampled_from(["md1"]) | _any_text,
     "class_name": st.sampled_from(["java.security.MessageDigest"]) | _any_text,
@@ -1177,6 +1243,8 @@ _check_records = st.fixed_dictionaries({
            "method_name": "getInstance", "args": ["?"]},
           {"object_id": "md\n1", "class_name": "java.security.MessageDigest",
            "method_name": "a\rb", "args": []}])
+@example([{"object_id": "md\u2028\u202e1", "class_name": "java.security.MessageDigest",
+           "method_name": "getInstance", "args": ["\x85"]}])
 def test_cli_check_prints_every_trace_in_both_formats(records):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -1200,4 +1268,6 @@ def test_cli_check_prints_every_trace_in_both_formats(records):
             assert err.getvalue().count("\n") == len(diags) + len(result.warnings), fmt
             assert stray_stderr_lines(err.getvalue()) == [], fmt
             if fmt == "table":  # a header, one row per finding and the total
-                assert out.getvalue().count("\n") == len(result.violations) + 2
+                rows = out.getvalue().split("\n")
+                assert len(rows) == len(result.violations) + 3 and rows.pop() == ""
+                assert all(row.isprintable() for row in rows), rows

@@ -104,6 +104,34 @@ def test_every_module_level_import_is_used(source):
     assert [name for name in bound if name not in used] == []
 
 
+_LISTING_CALLS = {"scandir", "listdir", "walk", "iterdir", "glob", "rglob"}
+
+
+def _listing_callers(node: ast.AST, owner: str):
+    """The name of the function around each directory-listing call under
+    ``node``; ``owner`` for a call in no function below it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
+            yield from _listing_callers(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and (getattr(child.func, "attr", None)
+                                            or getattr(child.func, "id", None)) in _LISTING_CALLS:
+            yield owner
+        yield from _listing_callers(child, owner)
+
+
+def test_only_rule_files_and_the_metrics_walk_list_a_directory():
+    # Rule files are collected one way: validate, check --rules and a
+    # configuration's load all list through parsing.rule_files. The walk of
+    # metrics --meta goes to any depth and skips "_" directories.
+    listers = {
+        f"{source.stem}.{owner}"
+        for source in SOURCES
+        for owner in _listing_callers(ast.parse(source.read_text(encoding="utf-8")), "<module>")
+    }
+    assert listers == {"parsing.rule_files", "cli._cmd_metrics"}
+
+
 def test_only_the_diagnostics_module_makes_a_diagnostic():
     # Every other module reports through error_at or warning_at, so every
     # reported place takes its file from a location.

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import re
 import tempfile
@@ -34,6 +36,7 @@ from cryslkit.model import (
 import oracles
 import reference_parsing
 from cryslkit import parsing
+from cryslkit.cli import main
 from cryslkit.parsing import LANGUAGE_BY_EXTENSION, RULE_SUFFIXES, rule_files
 from conftest import (
     ABSTRACT_FACTORY,
@@ -398,6 +401,22 @@ def test_only_a_relative_path_may_hold_a_parent_directory_component():
             "c.conf:1:18: error: parent-directory escape in path 'a/../b'")
 
 
+_NUL_FOUND = "expected ';', found '\\u0000'"
+
+
+@pytest.mark.parametrize("entries, at, message", [
+    (("src = a\0b;", "out = o;", "load spec a;"), "2:10", _NUL_FOUND),
+    (("src = s;", "out = a\0b;", "load spec a;"), "3:10", _NUL_FOUND),
+    (("src = s;", "out = o;", "load spec a\0b;"), "4:14", _NUL_FOUND),
+    (("src = s;", "out = \0;", "load spec a;"), "3:9", "expected path"),
+])
+def test_a_nul_in_a_configuration_path_is_refused_at_it(entries, at, message):
+    text = "config c {\n" + "".join(f"  {entry}\n" for entry in entries) + "}\n"
+    with pytest.raises(ParseError) as err:
+        conf(text)
+    assert err.value.diagnostic.render() == f"c.conf:{at}: error: {message}"
+
+
 def test_duplicate_config_name_is_rejected():
     with pytest.raises(ParseError) as err:
         conf(CONFIG_TEXT + CONFIG_TEXT)
@@ -616,6 +635,7 @@ CONSTRAINED_RULE = SMALL_RULE + "    e\nCONSTRAINTS\n    n in {{{}}};\n"
 @example(("config", CONFIG_TEXT.replace("samples/jca/base/", 'sam"ples/jca base/"')))
 @example(("config", CONFIG_TEXT.replace("samples/jca/base/", '"samples"')))
 @example(("config", CONFIG_TEXT.replace("samples/jca/base/", "a\fb")))
+@example(("config", CONFIG_TEXT.replace("samples/jca/base/", "a\0b")))
 @example(("crysl", SMALL_RULE + "    " + "(" * 101 + "e" + ")" * 101 + "\n"))
 @example(("refinement", "SPEC A REFINES B { replace order (e" + "*" * 100 + "); }"))
 def test_token_walker_parses_as_the_character_scanner_did(case):
@@ -694,6 +714,34 @@ def test_a_source_reads_as_read_text_reads_it(data):
                     == read_outcome(oracles.reference_read_source, path))
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("rule.crysl", MESSAGEDIGEST_RULE), ("rule.mcsl", ABSTRACT_MESSAGEDIGEST),
+    ("r.ref", DIGEST_FAMILY_REFINEMENTS),
+    ("c.conf", "config c {\n  src = s;\n  out = o;\n  load spec a;\n}\n"),
+], ids=["crysl", "mcsl", "ref", "conf"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(_BOM + text.encode())
+    source = SourceFile.from_path(path)
+    assert source.text == text
+    parse = SOURCE_PARSERS[source.language]
+    assert parse(source) == parse(SourceFile.for_text(text, source.language, source.path))
+    # Only the first mark is skipped: a second one is text.
+    path.write_bytes(_BOM + _BOM + text.encode())
+    assert SourceFile.from_path(path).text == "\ufeff" + text
+
+
+def test_a_byte_order_mark_takes_no_column_before_a_bad_byte(tmp_path):
+    path = tmp_path / "rule.mcsl"
+    path.write_bytes(_BOM + b"SPEC a.B\xe9\n")
+    with pytest.raises(ParseError) as err:
+        SourceFile.from_path(path)
+    assert err.value.diagnostic.render() == f"{path}:1:9: error: byte 0xe9 is not valid UTF-8"
+
+
 def test_from_path_puts_outside_input_in_normal_form(tmp_path, monkeypatch):
     (tmp_path / "a").mkdir()
     (tmp_path / "a" / "b.mcsl").write_text("SPEC X\n", encoding="utf-8")
@@ -741,6 +789,36 @@ def test_rule_files_lists_as_pathlib_listed(tmp_path, monkeypatch, suffixes):
         expected = [str(p) for p in oracles.reference_rule_files(Path(spelling), suffixes)]
         assert rule_files(spelling, suffixes) == expected, spelling
     assert rule_files("rules", suffixes)
+
+
+def test_rule_files_answers_none_for_what_is_neither_a_file_nor_a_directory(tmp_path,
+                                                                          monkeypatch):
+    make_awkward_tree(tmp_path / "rules")
+    monkeypatch.chdir(tmp_path / "rules")
+    for name in ("missing.mcsl", "dangling.mcsl", "loop1.mcsl", "pipe.mcsl", "sub/gone",
+                 "sub/l1.crysl", "a.mcsl/below"):
+        assert rule_files(name, RULE_SUFFIXES) is None, name
+
+
+def test_validate_and_a_directory_load_read_the_same_files_in_the_same_order(tmp_path,
+                                                                             monkeypatch):
+    make_awkward_tree(tmp_path / "rules")
+    monkeypatch.chdir(tmp_path)
+    read_source = parsing.read_source
+    reads: list[str] = []
+
+    def record(path):
+        reads.append(path)
+        return read_source(path)
+
+    config = conf("config c {\n  src = rules;\n  out = out;\n  load spec .;\n}\n")
+    monkeypatch.setattr(parsing, "read_source", record)
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["validate", "rules"]) == 1
+    validated, reads[:] = reads[:], []
+    run_build(config)
+    assert reads == validated == rule_files("rules", RULE_SUFFIXES)
+    assert len(validated) == 6
 
 
 def test_a_load_target_that_loops_dangles_or_is_a_fifo_is_a_missing_path(tmp_path):

@@ -615,14 +615,19 @@ _around = st.text(st.sampled_from(" \t\r\n\x0b\x0c\x1c\x85\u2028\u3000\ufeff\ud8
 
 @settings(max_examples=300, deadline=None)
 @given(_around, _event_records, _around, st.booleans())
+@example("\ufeff", {"seq": 1, "object_id": "o", "class_name": "C", "method_name": "m"}, "", True)
+@example("\ufeff \t", {"seq": 1, "object_id": "o", "class_name": "C", "method_name": "é"}, "",
+         False)
 def test_a_line_is_an_event_exactly_when_json_accepts_it(before, record, after, ascii_only):
     line = before + json.dumps(record, ensure_ascii=ascii_only) + after
-    try:
-        accepted = json.loads(line) == record
-    except ValueError:
-        accepted = False
-    events, diags = parse_trace_lines([line], "t.jsonl")
-    assert len(events) == accepted and len(diags) == (not accepted)
+    # A byte-order mark is skipped where it starts the trace, and only there.
+    for lines, text in (([line], line.removeprefix("\ufeff")), (["", line], line)):
+        try:
+            accepted = json.loads(text) == record
+        except ValueError:
+            accepted = False
+        events, diags = parse_trace_lines(lines, "t.jsonl")
+        assert len(events) == accepted and len(diags) == (not accepted), lines
 
 
 def _outcome(decode, text):
