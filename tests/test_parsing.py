@@ -725,10 +725,7 @@ _BOM = b"\xef\xbb\xbf"
 def test_a_leading_byte_order_mark_is_skipped(tmp_path, name, text):
     path = tmp_path / name
     path.write_bytes(_BOM + text.encode())
-    source = SourceFile.from_path(path)
-    assert source.text == text
-    parse = SOURCE_PARSERS[source.language]
-    assert parse(source) == parse(SourceFile.for_text(text, source.language, source.path))
+    assert SourceFile.from_path(path).text == text
     # Only the first mark is skipped: a second one is text.
     path.write_bytes(_BOM + _BOM + text.encode())
     assert SourceFile.from_path(path).text == "\ufeff" + text
