@@ -34,6 +34,13 @@ def _path_error(path: str | Path, message: str) -> int:
     return 2
 
 
+def _not_listed(path: Path, problem: str) -> int:
+    """Report a path the command could not list, at 1:1: missing, or else
+    of the wrong kind (``problem``); exit code 2. Only this error path
+    stats the path a second time."""
+    return _path_error(path, problem if path.exists() else "no such file or directory")
+
+
 def _is_file(path: Path) -> bool:
     """True for a path to read, a pipe or device as much as a regular file;
     for a missing path or a directory, say so on stderr."""
@@ -125,11 +132,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     files: list[str] = []
     for raw in args.paths:
         path = Path(raw)
-        if not path.exists():
-            return _path_error(path, "no such file or directory")
         listed = rule_files(path, RULE_SUFFIXES)
-        if listed is None:  # a FIFO or device, neither a file nor a directory
-            return _path_error(path, "not a directory")
+        if listed is None:
+            return _not_listed(path, "not a file or directory")
         files += listed
     specs, diags = _read_rules(files)
 
@@ -150,7 +155,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rules_dir = Path(args.rules)
     files = rule_files(rules_dir, (".crysl",)) if rules_dir.is_dir() else None
     if files is None:
-        return _path_error(rules_dir, "not a directory")
+        return _not_listed(rules_dir, "not a directory")
     specs, diags = _read_rules(files)
     _print_diagnostics(diags)
     if has_errors(diags):
@@ -177,7 +182,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     meta_dir = Path(args.meta)
     if not meta_dir.is_dir():
-        return _path_error(meta_dir, "not a directory")
+        return _not_listed(meta_dir, "not a directory")
     # Directories with a leading underscore (build output by convention) do
     # not count as hand-written sources.
     meta_paths = sorted(

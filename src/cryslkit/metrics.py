@@ -38,8 +38,11 @@ class SavingsReport(Record):
 
 
 def normalize_lines(text: str) -> list[str]:
+    """The normalized lines of a text whose lines end at ``\\n``, as the
+    parsers' do (``str.splitlines`` would also break at U+2028, a form feed
+    and others that the parsers read as part of a line)."""
     kept = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         stripped = line.strip()
         if not stripped or stripped.startswith("//"):
             continue

@@ -147,15 +147,11 @@ def load(config, parsed: dict | None = None) -> tuple[SpecRegistry, list[Diagnos
 # ---------------------------------------------------------------------------
 
 
-def _apply_type_binding(
-    spec: CrySLSpec, param: str, fqn: str, renames_header: bool
-) -> CrySLSpec:
-    """Substitute one type parameter everywhere it can occur.
+def _apply_type_binding(spec: CrySLSpec, param: str, fqn: str) -> CrySLSpec:
+    """Substitute one type parameter in object types and method names.
 
     Object types take the fully qualified name; method-name positions take
     the simple name (a constructor event carries the class's simple name).
-    When the binding covers the template's first parameter the SPEC header
-    switches to the fully qualified bound class.
     """
     placeholder = f"<{param}>"
     short = simple_name(fqn)
@@ -165,16 +161,7 @@ def _apply_type_binding(
     events = tuple(
         e.replace(method_name=e.method_name.replace(placeholder, short)) for e in spec.events
     )
-    if renames_header:
-        class_name = fqn
-    else:
-        class_name = spec.class_name.replace(placeholder, fqn)
-    return spec.replace(
-        class_name=class_name,
-        objects=objects,
-        events=events,
-        type_params=tuple(p for p in spec.type_params if p != param),
-    )
+    return spec.replace(objects=objects, events=events)
 
 
 def _resolve_meta_vars(spec: CrySLSpec, env: dict[str, LiteralSet]) -> CrySLSpec:
@@ -195,11 +182,13 @@ def apply_refinement(
 ) -> CrySLSpec:
     """Apply one refinement to a copy of its base rule.
 
-    Operations run in listed order; the result is renamed after the
-    refinement and may still carry unresolved variation points (the caller
-    decides whether that is an error). ``already_bound`` carries
-    meta-variable names bound for this base by earlier refinements in the
-    same build; re-defining one of them is a conflict.
+    Operations run in listed order. The result keeps the base's class name,
+    or takes the first type argument when the base is a template; only its
+    output file is named after the refinement. It may still carry
+    unresolved variation points (the caller decides whether that is an
+    error). ``already_bound`` carries meta-variable names bound for this
+    base by earlier refinements in the same build; re-defining one of them
+    is a conflict.
     """
     def fail(loc: Loc | None, message: str):
         raise RefinementError(loc or refinement.loc, message)
@@ -215,9 +204,10 @@ def apply_refinement(
         )
 
     spec = base
-    header_param = base.type_params[0] if base.type_params else None
     for param, fqn in zip(base.type_params, refinement.type_args):
-        spec = _apply_type_binding(spec, param, fqn, param == header_param)
+        spec = _apply_type_binding(spec, param, fqn)
+    if base.type_params:  # the SPEC header takes the first type argument
+        spec = spec.replace(class_name=refinement.type_args[0], type_params=())
 
     env: dict[str, LiteralSet] = {}
     for op in refinement.ops:

@@ -500,6 +500,35 @@ def test_validate_missing_path_exits_2(capsys):
     assert err == "does-not-exist.crysl:1:1: error: no such file or directory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--rules", "{}", "--trace", os.devnull),
+    ("metrics", "--meta", "{}", "--configs", "x.conf"),
+])
+def test_a_missing_directory_argument_is_no_such_file_or_directory(tmp_path, capsys, argv):
+    missing = tmp_path / "nope"
+    code, out, err = run_cli(capsys, *(a.format(missing) for a in argv))
+    assert (code, out, err) == (2, "", f"{missing}:1:1: error: no such file or directory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--rules", "{}", "--trace", os.devnull),
+    ("metrics", "--meta", "{}", "--configs", "x.conf"),
+])
+def test_an_existing_file_given_as_a_directory_is_not_a_directory(tmp_path, capsys, argv):
+    plain = tmp_path / "a.crysl"
+    plain.write_text("", encoding="utf-8")
+    code, out, err = run_cli(capsys, *(a.format(plain) for a in argv))
+    assert (code, out, err) == (2, "", f"{plain}:1:1: error: not a directory\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_validate_on_a_named_pipe_is_not_a_file_or_directory(tmp_path, capsys):
+    pipe = tmp_path / "rules.fifo"
+    os.mkfifo(pipe)
+    code, out, err = run_cli(capsys, "validate", str(pipe))
+    assert (code, out, err) == (2, "", f"{pipe}:1:1: error: not a file or directory\n")
+
+
 @pytest.mark.parametrize("stray, written", [
     ("\f", "\\f"), ("\x1c", "\\u001c"), ("\u202e", "\\u202e"), ("\u200b", "\\u200b"),
     ("\ufeff", "\\ufeff"), ("\x85", "\\u0085"), ("\u2028", "\\u2028"), ("\x7f", "\\u007f"),
@@ -871,6 +900,30 @@ def test_metrics_stops_at_a_loaded_file_it_cannot_read_with_exit_2(corpus_copy, 
     assert (code, out, err) == (2, "", "base/messagedigest.mcsl:1:1: error: Permission denied\n")
 
 
+@pytest.mark.parametrize("path, old, new", [
+    ("base/messagedigest.mcsl", "ENSURES\n",
+     "// note\u2028this tail is part of the comment\nENSURES\n"),
+    ("fips/messagedigest.ref", '"SHAKE256"', '"SHAKE\u2028256"'),
+])
+def test_metrics_counts_a_line_separator_as_part_of_its_line(corpus_copy, capsys, monkeypatch,
+                                                            path, old, new):
+    # The parsers end a line only at \n, so U+2028 in a comment or a string
+    # literal splits no line, in the rules nor in the rule built from them;
+    # the build that reads each file succeeds.
+    monkeypatch.chdir(corpus_copy / "standards")
+    argv = ("metrics", "--meta", ".", "--configs", "fips.conf", "--json")
+    _, expected, _ = run_cli(capsys, *argv)
+    source = Path(path)
+    text = source.read_text(encoding="utf-8")
+    source.write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    before, after = json.loads(expected), json.loads(out)
+    for part in ("meta", "generated"):
+        assert after[part]["total_lines"] == before[part]["total_lines"], part
+    assert after["savings_ratio"] == before["savings_ratio"]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -968,6 +1021,16 @@ def test_fsm_reports_deep_order_nesting(tmp_path, capsys):
     assert out == ""
     # The 101st parenthesis, after four spaces of indentation.
     assert err == f"{rule}:7:105: error: ORDER nests parentheses deeper than 100 levels\n"
+
+
+def test_fsm_refuses_a_rule_that_fails_validation(tmp_path, capsys, monkeypatch):
+    (tmp_path / "bad.crysl").write_text(
+        "SPEC X\nOBJECTS\n    int a;\nEVENTS\n    e : go(a);\n    e : stop();\nORDER\n    e\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "fsm", "--rule", "bad.crysl")
+    assert (code, out, err) == (1, "", "bad.crysl:6:5: error: duplicate label 'e'\n")
 
 
 def test_fsm_rule_that_is_a_directory_exits_2(tmp_path, capsys):

@@ -132,6 +132,19 @@ def test_only_rule_files_and_the_metrics_walk_list_a_directory():
     assert listers == {"parsing.rule_files", "cli._cmd_metrics"}
 
 
+def test_no_module_splits_lines_with_splitlines():
+    # A line ends at \n once read_source or the trace reader has translated
+    # \r\n and \r; str.splitlines would also break at U+2028, a form feed
+    # and others, which the parsers read as part of a line.
+    calls = [
+        f"{source.name}:{node.lineno}"
+        for source in SOURCES
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "splitlines"
+    ]
+    assert calls == []
+
+
 def test_only_the_diagnostics_module_makes_a_diagnostic():
     # Every other module reports through error_at or warning_at, so every
     # reported place takes its file from a location.

@@ -717,6 +717,12 @@ def test_a_source_reads_as_read_text_reads_it(data):
 _BOM = b"\xef\xbb\xbf"
 
 
+def test_source_text_takes_only_a_known_language_tag():
+    with pytest.raises(ValueError) as raised:
+        SourceFile.for_text("SPEC X", "cobol")
+    assert raised.value.args == ("unknown language tag 'cobol'",)
+
+
 @pytest.mark.parametrize("name, text", [
     ("rule.crysl", MESSAGEDIGEST_RULE), ("rule.mcsl", ABSTRACT_MESSAGEDIGEST),
     ("r.ref", DIGEST_FAMILY_REFINEMENTS),
@@ -793,7 +799,7 @@ def test_rule_files_answers_none_for_what_is_neither_a_file_nor_a_directory(tmp_
     make_awkward_tree(tmp_path / "rules")
     monkeypatch.chdir(tmp_path / "rules")
     for name in ("missing.mcsl", "dangling.mcsl", "loop1.mcsl", "pipe.mcsl", "sub/gone",
-                 "sub/l1.crysl", "a.mcsl/below"):
+                 "sub/l1.crysl", "a.mcsl/below", "a\0b"):
         assert rule_files(name, RULE_SUFFIXES) is None, name
 
 

@@ -17,7 +17,15 @@ from cryslkit import (
     run_build,
 )
 from cryslkit.diagnostics import Loc, Record, error_at, has_errors
-from cryslkit.model import LiteralSet, Membership, validate_spec, variation_points
+from cryslkit.model import (
+    EventDecl,
+    LiteralSet,
+    Membership,
+    ObjectDecl,
+    VarRef,
+    validate_spec,
+    variation_points,
+)
 from cryslkit.preprocessor import RefinementError, SpecRegistry
 
 import oracles
@@ -105,6 +113,45 @@ ORDER
     refined = apply_refinement(base, refinement)
     assert refined.class_name == "org.bouncycastle.crypto.digests.SHA256Digest"
     assert refined.events[0].method_name == "SHA256Digest"
+
+
+def test_a_two_parameter_template_binds_each_parameter_and_takes_the_first_as_header():
+    base = mcsl(
+        """\
+ABSTRACT SPEC Pair<K, V>
+OBJECTS
+    <K> key;
+    <V>[] values;
+    <V>[][] grid;
+    int n;
+EVENTS
+    k : <K>();
+    v : <V>(n);
+    g : got = <V>(key);
+    p : put(key, values);
+ORDER
+    k, v, g, p
+"""
+    )
+    refinement = refs("SPEC KeyValue REFINES Pair<a.b.Key, c.d.Value>;")[0]
+    refined = apply_refinement(base, refinement)
+    assert refined == base.replace(
+        class_name="a.b.Key",
+        objects=(
+            ObjectDecl("a.b.Key", "key"),
+            ObjectDecl("c.d.Value[]", "values"),
+            ObjectDecl("c.d.Value[][]", "grid"),
+            ObjectDecl("int", "n"),
+        ),
+        events=(
+            EventDecl("k", None, "Key", ()),
+            EventDecl("v", None, "Value", (VarRef("n"),)),
+            EventDecl("g", "got", "Value", (VarRef("key"),)),
+            EventDecl("p", None, "put", (VarRef("key"), VarRef("values"))),
+        ),
+        type_params=(),
+    )
+    assert "<" not in pretty_print(refined)
 
 
 def test_rebinding_within_one_refinement_is_a_conflict():

@@ -439,6 +439,13 @@ def test_trace_line_round_trip():
     assert events[0].return_id == "o1"
 
 
+def test_a_first_line_of_only_a_byte_order_mark_and_spaces_is_skipped():
+    record = {"seq": 1, "object_id": "o", "class_name": MD, "method_name": "digest"}
+    events, diags = parse_trace_lines(["\ufeff  \t", json.dumps(record)], "t.jsonl")
+    assert [e.seq for e in events] == [1]
+    assert diags == []
+
+
 def test_malformed_line_is_reported_and_skipped():
     lines = ["not json", json.dumps({
         "seq": 1, "object_id": "o", "class_name": MD, "method_name": "digest", "args": [],
