@@ -11,11 +11,12 @@ set bits of the subset and that mask, and ORs in the epsilon-closure that
 each one's move reaches, computed once per labelled NFA state and cached as
 a mask. Each DFA state keeps one row, a dict from label to the transition
 built for it. ``compile_order`` explores the whole DFA with that same step,
-breadth-first over the sorted alphabet, for ``fsm`` and DOT output; it stops
-at ``MAX_DFA_STATES``. The DFA keeps an implicit error sink: a missing
-transition means the protocol is broken at that event. No minimization is
-performed; in an explored DFA, state numbering is breadth-first from the
-initial state, which keeps DOT output stable and explainable.
+breadth-first over the sorted labels that each state's subset moves on, for
+``fsm`` and DOT output; it stops at ``MAX_DFA_STATES``. The DFA keeps an
+implicit error sink: a missing transition means the protocol is broken at
+that event. No minimization is performed; in an explored DFA, state
+numbering is breadth-first from the initial state, which keeps DOT output
+stable and explainable.
 
 Every Thompson NFA state can reach the final state, so every subset state,
 whenever it is built, can still reach acceptance: the first missing
@@ -54,44 +55,57 @@ class Nfa(Record):
 
 def build_nfa(order: OrderExpr, aggregates: Iterable[AggregateDecl] = ()) -> Nfa:
     """The Thompson NFA of ``order``, each aggregate atom compiled as its events' alternation."""
-    table = {agg.name: agg.alternatives for agg in aggregates}
-    eps: list[list[int]] = []
-    moves: list[dict[str, list[int]]] = []
+    thompson = _Thompson({agg.name: agg.alternatives for agg in aggregates})
+    start, accept = thompson.fragment(order)
+    return Nfa(start, accept, thompson.eps, thompson.moves)
 
-    def new_state() -> int:
-        eps.append([])
-        moves.append({})
-        return len(eps) - 1
 
-    def atom(label: str) -> tuple[int, int]:
-        s, e = new_state(), new_state()
-        moves[s][label] = [e]
+class _Thompson:
+    """The states of a Thompson NFA, made one fragment at a time. A method,
+    unlike a recursive closure, leaves no cycle for the collector to free."""
+
+    __slots__ = ("table", "eps", "moves")
+
+    def __init__(self, table: dict[str, tuple[str, ...]]):
+        self.table = table
+        self.eps: list[list[int]] = []
+        self.moves: list[dict[str, list[int]]] = []
+
+    def new_state(self) -> int:
+        self.eps.append([])
+        self.moves.append({})
+        return len(self.eps) - 1
+
+    def atom(self, label: str) -> tuple[int, int]:
+        s, e = self.new_state(), self.new_state()
+        self.moves[s][label] = [e]
         return s, e
 
-    def alternation(parts, compile_part) -> tuple[int, int]:
-        s, e = new_state(), new_state()
+    def alternation(self, parts, compile_part) -> tuple[int, int]:
+        s, e = self.new_state(), self.new_state()
         for part in parts:
             ps, pe = compile_part(part)
-            eps[s].append(ps)
-            eps[pe].append(e)
+            self.eps[s].append(ps)
+            self.eps[pe].append(e)
         return s, e
 
-    def fragment(node: OrderExpr) -> tuple[int, int]:
+    def fragment(self, node: OrderExpr) -> tuple[int, int]:
+        eps = self.eps
         if isinstance(node, Atom):
-            labels = table.get(node.label, (node.label,))
-            return atom(labels[0]) if len(labels) == 1 else alternation(labels, atom)
+            labels = self.table.get(node.label, (node.label,))
+            return self.atom(labels[0]) if len(labels) == 1 else self.alternation(labels, self.atom)
         if isinstance(node, Seq):
-            first_s, prev_e = fragment(node.parts[0])
+            first_s, prev_e = self.fragment(node.parts[0])
             for part in node.parts[1:]:
-                s, e = fragment(part)
+                s, e = self.fragment(part)
                 eps[prev_e].append(s)
                 prev_e = e
             return first_s, prev_e
         if isinstance(node, Alt):
-            return alternation(node.parts, fragment)
+            return self.alternation(node.parts, self.fragment)
         # ``?``, ``*``, ``+``: a way around the child unless ``+``, back into it unless ``?``.
-        s, e = new_state(), new_state()
-        cs, ce = fragment(node.child)
+        s, e = self.new_state(), self.new_state()
+        cs, ce = self.fragment(node.child)
         eps[s].append(cs)
         if not isinstance(node, Plus):
             eps[s].append(e)
@@ -99,9 +113,6 @@ def build_nfa(order: OrderExpr, aggregates: Iterable[AggregateDecl] = ()) -> Nfa
             eps[ce].append(cs)
         eps[ce].append(e)
         return s, e
-
-    start, accept = fragment(order)
-    return Nfa(start, accept, eps, moves)
 
 
 # Largest DFA that ``compile_order`` explores before giving up.
@@ -199,10 +210,17 @@ def compile_order(
     have been built.
     """
     automaton = lazy_automaton(order, aggregates)
-    alphabet = sorted(automaton.alphabet)
+    moves = automaton.nfa.moves
     state = 0
     while state < automaton.state_count:
-        for label in alphabet:
+        # Only a label that some NFA state of the subset moves on leaves the
+        # error sink, so only those are stepped, in sorted order as before.
+        members, labels = automaton.subsets[state], set()
+        while members:
+            bit = members & -members
+            members ^= bit
+            labels.update(moves[bit.bit_length() - 1])
+        for label in sorted(labels):
             automaton.step(state, label)
         if automaton.state_count > MAX_DFA_STATES:
             raise StateLimitError(f"the DFA has more than {MAX_DFA_STATES} states")

@@ -18,9 +18,10 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from stat import S_ISDIR, S_ISREG
 
 from .diagnostics import Diagnostic, Loc, Severity, _one_line, error_at, has_errors
-from .parsing import ParseError
+from .parsing import ParseError, file_mode
 
 
 def _print_diagnostics(diags: list[Diagnostic]) -> None:
@@ -34,20 +35,27 @@ def _path_error(path: str | Path, message: str) -> int:
     return 2
 
 
-def _not_listed(path: Path, problem: str) -> int:
-    """Report a path the command could not list, at 1:1: missing, or else
-    of the wrong kind (``problem``); exit code 2. Only this error path
-    stats the path a second time."""
-    return _path_error(path, problem if path.exists() else "no such file or directory")
+# The wording for each kind of path, symlinks followed, that an argument
+# refuses, by what the argument takes; a kind not listed is accepted. A FIFO
+# or a device ("other") reads as a file. A missing path is refused by all.
+_REFUSALS = {
+    "file": {"directory": "is a directory, expected a file"},
+    "directory": {"file": "not a directory", "other": "not a directory"},
+    "file or directory": {"other": "not a file or directory"},
+}
 
 
-def _is_file(path: Path) -> bool:
-    """True for a path to read, a pipe or device as much as a regular file;
-    for a missing path or a directory, say so on stderr."""
-    if path.exists() and not path.is_dir():
-        return True
-    _path_error(path, "is a directory, expected a file" if path.is_dir() else "no such file")
-    return False
+def _checked(path: Path, takes: str) -> Path:
+    """``path``, if it is of a kind that an argument which ``takes`` a
+    "file", a "directory" or a "file or directory" accepts; else the
+    ``ValueError(path, message)`` that ``main`` reports at it with exit
+    code 2. The path is stat-ed once."""
+    mode = file_mode(str(path))
+    kind = "directory" if S_ISDIR(mode) else "file" if S_ISREG(mode) else "other"
+    problem = _REFUSALS[takes].get(kind) if mode else "no such file or directory"
+    if problem:
+        raise ValueError(str(path), problem)
+    return path
 
 
 def _blocking_path(directory: Path) -> Path | None:
@@ -84,7 +92,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     from .parsing import SourceFile, parse_config
     from .preprocessor import run_build
 
-    config_path = Path(args.config)
+    config_path = _checked(Path(args.config), "file")
     config = parse_config(SourceFile.from_path(config_path))
     result = run_build(config)
     _print_diagnostics(result.diagnostics)
@@ -133,8 +141,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for raw in args.paths:
         path = Path(raw)
         listed = rule_files(path, RULE_SUFFIXES)
-        if listed is None:
-            return _not_listed(path, "not a file or directory")
+        if listed is None:  # refused: only now stat-ed again, to say why
+            _checked(path, "file or directory")
+            return _path_error(path, "not a file or directory")  # it changed in between
         files += listed
     specs, diags = _read_rules(files)
 
@@ -153,9 +162,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .tracecheck import check_trace, compile_rules, load_trace, report
 
     rules_dir = Path(args.rules)
-    files = rule_files(rules_dir, (".crysl",)) if rules_dir.is_dir() else None
-    if files is None:
-        return _not_listed(rules_dir, "not a directory")
+    files = rule_files(rules_dir, (".crysl",))
+    if files is None or files == [str(rules_dir)]:  # refused: stat-ed again to say why
+        _checked(rules_dir, "directory")
+        return _path_error(rules_dir, "not a directory")  # it changed in between
     specs, diags = _read_rules(files)
     _print_diagnostics(diags)
     if has_errors(diags):
@@ -163,10 +173,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not specs:
         return _path_error(rules_dir, "no .crysl rules found")
 
-    trace_path = Path(args.trace)
-    if not _is_file(trace_path):
-        return 2
-    trace, trace_diags = load_trace(trace_path)
+    trace, trace_diags = load_trace(_checked(Path(args.trace), "file"))
     _print_diagnostics(trace_diags)
 
     result = check_trace(compile_rules(specs), trace)
@@ -180,9 +187,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from .metrics import curve_as_csv, report_as_dict, savings
     from .parsing import LANGUAGE_BY_EXTENSION, SourceFile, parse_config
 
-    meta_dir = Path(args.meta)
-    if not meta_dir.is_dir():
-        return _not_listed(meta_dir, "not a directory")
+    meta_dir = _checked(Path(args.meta), "directory")
+    configs = [parse_config(SourceFile.from_path(_checked(Path(raw), "file")))
+               for raw in args.configs]
     # Directories with a leading underscore (build output by convention) do
     # not count as hand-written sources.
     meta_paths = sorted(
@@ -190,7 +197,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         if p.is_file() and p.suffix in LANGUAGE_BY_EXTENSION
         and not any(part.startswith("_") for part in p.relative_to(meta_dir).parts)
     )
-    configs = [parse_config(SourceFile.from_path(raw)) for raw in args.configs]
 
     result, diags = savings(meta_paths, configs)
     _print_diagnostics(diags)
@@ -225,10 +231,7 @@ def _cmd_fsm(args: argparse.Namespace) -> int:
     from .model import validate_spec
     from .parsing import SourceFile, parse_crysl
 
-    path = Path(args.rule)
-    if not _is_file(path):
-        return 2
-    spec = parse_crysl(SourceFile.from_path(path))
+    spec = parse_crysl(SourceFile.from_path(_checked(Path(args.rule), "file")))
     diags = validate_spec(spec)
     _print_diagnostics(diags)
     if has_errors(diags):
@@ -302,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         _print_diagnostics([exc.diagnostic])
         return 1
     except (OSError, ValueError) as exc:
-        # An OSError names its file; parsing raises ValueError(path, message).
+        # An OSError names its file; parsing and _checked raise ValueError(path, message).
         path, message = ((exc.filename, exc.strerror) if isinstance(exc, OSError)
                          else exc.args if len(exc.args) == 2 else (None, None))
         return _path_error("<cryslkit>" if path is None else str(path), str(message or exc))

@@ -303,14 +303,31 @@ class _Tokens:
 
 
 class _Read(list):
-    """A token list that asks ``read`` for more tokens when indexed past its end."""
+    """Token texts read from ``matches`` only when indexed past their end;
+    ``offsets`` holds each one's offset."""
 
-    __slots__ = ("read",)
+    __slots__ = ("matches", "offsets")
 
     def __getitem__(self, i: int):
         while i >= len(self):
-            self.read()
+            match = next(self.matches)
+            self.append(match.group(2))
+            self.offsets.append(match.start(2))
         return list.__getitem__(self, i)
+
+
+class _Offsets:
+    """The offsets of a :class:`_Read`'s tokens, read as far as asked for.
+    The tokens do not refer back to this view, so the two make no cycle."""
+
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: _Read):
+        self.tokens = tokens
+
+    def __getitem__(self, i: int) -> int:
+        self.tokens[i]  # reads the tokens up to i
+        return self.tokens.offsets[i]
 
 
 class _ConfigTokens(_Tokens):
@@ -320,23 +337,19 @@ class _ConfigTokens(_Tokens):
     text inside a path after its first token is never tokenised, so no
     character is tokenised twice."""
 
-    __slots__ = ("_matches",)
+    __slots__ = ()
 
     def __init__(self, source: SourceFile):
         self.text, self.path = source.text, source.path
-        self.t, self.at = _Read(), _Read()
-        self.t.read = self.at.read = self._read
+        self.t = _Read()
+        self.t.offsets = []
+        self.at = _Offsets(self.t)
         self._line_starts = _line_starts(source.text)
         self.resume(0)
 
-    def _read(self) -> None:
-        match = next(self._matches)
-        self.t.append(match.group(2))
-        self.at.append(match.start(2))
-
     def resume(self, end: int) -> None:
         """Read the next token from offset ``end`` on."""
-        self._matches = _CONFIG_TOKEN_RE.finditer(self.text, end)
+        self.t.matches = _CONFIG_TOKEN_RE.finditer(self.text, end)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ may bind the same parameter of one template, producing one rule copy each.
 from __future__ import annotations
 
 from pathlib import Path
+from stat import S_ISDIR
 
 from .diagnostics import Diagnostic, Loc, LocatedError, Record, error_at
 from .model import (
@@ -41,6 +42,7 @@ from .model import (
 from .parsing import (
     RULE_SUFFIXES,
     ParseError,
+    file_mode,
     parse_refinement,
     read_rule,
     read_source,
@@ -93,7 +95,7 @@ def load(config, parsed: dict | None = None) -> tuple[SpecRegistry, list[Diagnos
     registry = SpecRegistry()
     diags: list[Diagnostic] = []
 
-    if not src_root.is_dir():
+    if not S_ISDIR(file_mode(str(src_root))):
         diags.append(error_at(config.loc, f"missing path: src '{src_root}' is not a directory"))
         return registry, diags
 
@@ -165,14 +167,15 @@ def _apply_type_binding(spec: CrySLSpec, param: str, fqn: str) -> CrySLSpec:
 
 
 def _resolve_meta_vars(spec: CrySLSpec, env: dict[str, LiteralSet]) -> CrySLSpec:
-    def resolve_constraint(c: ConstraintExpr) -> ConstraintExpr:
-        if isinstance(c, Implication):
-            return c.replace(lhs=resolve_constraint(c.lhs), rhs=resolve_constraint(c.rhs))
-        if isinstance(c.values, MetaVarRef) and c.values.name in env:
-            return c.replace(values=env[c.values.name])
-        return c
+    return spec.replace(constraints=tuple(_resolve_constraint(c, env) for c in spec.constraints))
 
-    return spec.replace(constraints=tuple(resolve_constraint(c) for c in spec.constraints))
+
+def _resolve_constraint(c: ConstraintExpr, env: dict[str, LiteralSet]) -> ConstraintExpr:
+    if isinstance(c, Implication):
+        return c.replace(lhs=_resolve_constraint(c.lhs, env), rhs=_resolve_constraint(c.rhs, env))
+    if isinstance(c.values, MetaVarRef) and c.values.name in env:
+        return c.replace(values=env[c.values.name])
+    return c
 
 
 def apply_refinement(

@@ -21,6 +21,7 @@ from cryslkit.automaton import (
     MAX_DFA_STATES,
     Nfa,
     StateLimitError,
+    TypestateAutomaton,
 )
 from cryslkit.model import AggregateDecl, Alt, Atom, Opt, Plus, Seq, Star, order_atoms
 from cryslkit.tracecheck import TraceEvent
@@ -316,6 +317,25 @@ def test_exploring_a_wide_rule_keeps_its_subsets_small():
         tracemalloc.stop()
     assert automaton.state_count == 2 ** 13 + 1
     assert peak <= 4 * 2 ** 20
+
+
+def test_exploring_a_chain_steps_each_state_only_on_labels_that_move_it(monkeypatch):
+    calls = []
+    step = TypestateAutomaton.step
+
+    def counting_step(self, state, label):
+        calls.append(label)
+        return step(self, state, label)
+
+    monkeypatch.setattr(TypestateAutomaton, "step", counting_step)
+
+    def steps(n):
+        calls.clear()
+        assert compile_order(Seq(tuple(Atom(f"e{i}") for i in range(n)))).state_count == n + 1
+        return len(calls)
+
+    # Stepping every state over the whole alphabet grows as n squared: 4x.
+    assert steps(500) <= 2.2 * steps(250)
 
 
 def test_exploration_stops_past_the_state_limit():

@@ -22,7 +22,7 @@ from cryslkit.parsing import ParseError, SourceFile, parse_config, parse_crysl
 from cryslkit import parsing, tracecheck
 from cryslkit.tracecheck import TraceEvent, check_trace, compile_rules, load_trace
 
-from conftest import REPO_ROOT, wide_rule_text
+from conftest import MESSAGEDIGEST_RULE, REPO_ROOT, wide_rule_text
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +180,12 @@ def test_build_locates_an_output_name_collision_at_the_colliding_spec(tmp_path, 
     assert code == 1
     assert err.splitlines()[0] == (f"{cipher}:3:1: error: output file 'Cipher.crysl' "
                                    "already produced by refinement 'Cipher'")
+    # Only the refinement's rule is written, the class it refines unchanged.
+    out_dir = tmp_path / "out"
+    assert out == f"{out_dir / 'Cipher.crysl'}\n"
+    assert (out_dir / "Cipher.crysl").read_bytes() == (
+        b"SPEC X\n\nOBJECTS\n    int a;\n\nEVENTS\n    e : go(a);\n\nORDER\n    e\n")
+    assert json.loads((out_dir / MANIFEST).read_bytes()) == ["Cipher.crysl"]
 
 
 def test_build_never_lists_or_writes_a_spec_that_failed_validation(tmp_path, capsys, monkeypatch):
@@ -529,6 +535,95 @@ def test_validate_on_a_named_pipe_is_not_a_file_or_directory(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"{pipe}:1:1: error: not a file or directory\n")
 
 
+# Each path argument, by what it takes, in a command line that is otherwise
+# valid: "{}" is the path under test, "{rules}" a directory of one rule.
+PATH_ARGUMENTS = {
+    "build CONFIG": ("file", ["build", "{}"]),
+    "validate PATHS": ("file or directory", ["validate", "{}"]),
+    "check --rules": ("directory", ["check", "--rules", "{}", "--trace", os.devnull]),
+    "check --trace": ("file", ["check", "--rules", "{rules}", "--trace", "{}"]),
+    "metrics --meta": ("directory", ["metrics", "--meta", "{}", "--configs", "{rules}"]),
+    "metrics --configs": ("file", ["metrics", "--meta", "{rules}", "--configs", "{}"]),
+    "fsm --rule": ("file", ["fsm", "--rule", "{}"]),
+}
+# The one wording for each kind of path, symlinks followed, that an argument
+# refuses (docs/formats.md, "Standard error"); None where it is accepted.
+NOWHERE = dict.fromkeys(("file", "directory", "file or directory"), "no such file or directory")
+PATH_REFUSALS = {
+    "missing": NOWHERE,
+    "dangling symlink": NOWHERE,
+    "directory": {"file": "is a directory, expected a file", "directory": None,
+                  "file or directory": None},
+    "regular file": {"file": None, "directory": "not a directory", "file or directory": None},
+    "FIFO": {"file": None, "directory": "not a directory",
+             "file or directory": "not a file or directory"},
+}
+
+
+@pytest.mark.parametrize("argument, kind", [
+    (argument, kind) for argument in PATH_ARGUMENTS for kind in PATH_REFUSALS
+    # An accepted FIFO is read as a trace: test_check_reads_a_trace_from_a_named_pipe.
+    if (argument, kind) != ("check --trace", "FIFO")
+])
+def test_each_path_argument_refuses_each_kind_of_path_in_one_wording(tmp_path, capsys,
+                                                                      argument, kind):
+    if kind == "FIFO" and not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    (rules / "MessageDigest.crysl").write_text(MESSAGEDIGEST_RULE, encoding="utf-8")
+    # No reader takes the extension ".x", so a path that the check accepts is
+    # refused by its reader before it is opened, in a wording of its own.
+    path = tmp_path / "path.x"
+    if kind == "dangling symlink":
+        path.symlink_to(tmp_path / "nowhere")
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "regular file":
+        path.write_text("", encoding="utf-8")
+    elif kind == "FIFO":
+        os.mkfifo(path)
+    takes, argv = PATH_ARGUMENTS[argument]
+    code, out, err = run_cli(capsys, *(a.format(path, rules=rules) for a in argv))
+    refusal = PATH_REFUSALS[kind][takes]
+    if refusal is not None:
+        assert (code, out, err) == (2, "", f"{path}:1:1: error: {refusal}\n")
+    else:
+        refusals = {wording for wordings in PATH_REFUSALS.values() for wording in wordings.values()}
+        assert not {f"{path}:1:1: error: {wording}" for wording in refusals} & set(err.split("\n"))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "base", "bsi", "../bouncycastle/base/digest.mcsl"], 0),
+    (["check", "--rules", "_generated/fips", "--trace", "../traces/standards/md5_digest.jsonl"], 1),
+    (["fsm", "--rule", "_generated/fips/MessageDigest.crysl"], 0),
+    (["build", "fips.conf"], 0),
+    (["metrics", "--meta", ".", "--configs", "bsi.conf", "fips.conf"], 0),
+], ids=["validate", "check", "fsm", "build", "metrics"])
+def test_each_named_path_is_stat_ed_once_on_the_success_path(corpus_copy, capsys, monkeypatch,
+                                                             argv, code):
+    monkeypatch.chdir(corpus_copy / "standards")
+    assert main(["build", "fips.conf"]) == 0  # for check and fsm
+    stat, rglob, stats = os.stat, Path.rglob, []
+
+    def counting_stat(path, *args, **kwargs):
+        stats.append(os.fspath(path))
+        return stat(path, *args, **kwargs)
+
+    def walk(self, pattern):
+        # The metrics --meta walk: pathlib stats its root again and every file
+        # under it, and the builds after it stat what a configuration names.
+        stats.append(None)
+        return rglob(self, pattern)
+
+    monkeypatch.setattr(os, "stat", counting_stat)
+    monkeypatch.setattr(Path, "rglob", walk)
+    assert main(argv) == code
+    checked = stats[:stats.index(None)] if None in stats else stats
+    named = [str(Path(arg)) for arg in argv[1:] if not arg.startswith("--")]
+    assert {path: checked.count(path) for path in named} == dict.fromkeys(named, 1)
+
+
 @pytest.mark.parametrize("stray, written", [
     ("\f", "\\f"), ("\x1c", "\\u001c"), ("\u202e", "\\u202e"), ("\u200b", "\\u200b"),
     ("\ufeff", "\\ufeff"), ("\x85", "\\u0085"), ("\u2028", "\\u2028"), ("\x7f", "\\u007f"),
@@ -728,7 +823,7 @@ def test_check_trace_that_is_missing_exits_2(fips_rules_dir, tmp_path, capsys):
     missing = tmp_path / "absent.jsonl"
     code, out, err = run_cli(capsys, "check", "--rules", str(fips_rules_dir),
                              "--trace", str(missing))
-    assert (code, out, err) == (2, "", f"{missing}:1:1: error: no such file\n")
+    assert (code, out, err) == (2, "", f"{missing}:1:1: error: no such file or directory\n")
 
 
 def test_check_reads_dev_null_as_a_trace_without_events(fips_rules_dir, capsys):

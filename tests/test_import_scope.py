@@ -105,31 +105,51 @@ def test_every_module_level_import_is_used(source):
 
 
 _LISTING_CALLS = {"scandir", "listdir", "walk", "iterdir", "glob", "rglob"}
+_KIND_CALLS = {"exists", "is_dir", "is_file", "lexists", "isdir", "isfile", "os.stat"}
 
 
-def _listing_callers(node: ast.AST, owner: str):
-    """The name of the function around each directory-listing call under
-    ``node``; ``owner`` for a call in no function below it."""
+def _call_name(func: ast.expr) -> str | None:
+    """A called method's or function's name; ``os.stat`` in full."""
+    if isinstance(func, ast.Attribute):
+        return "os.stat" if ast.unparse(func) == "os.stat" else func.attr
+    return getattr(func, "id", None)
+
+
+def _callers(node: ast.AST, owner: str, names: set[str]):
+    """The name of the function around each call under ``node`` of one of
+    ``names``; ``owner`` for a call in no function below it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
-            yield from _listing_callers(child, child.name)
+            yield from _callers(child, child.name, names)
             continue
-        if isinstance(child, ast.Call) and (getattr(child.func, "attr", None)
-                                            or getattr(child.func, "id", None)) in _LISTING_CALLS:
+        if isinstance(child, ast.Call) and _call_name(child.func) in names:
             yield owner
-        yield from _listing_callers(child, owner)
+        yield from _callers(child, owner, names)
+
+
+def _modules_calling(names: set[str]) -> set[str]:
+    return {
+        f"{source.stem}.{owner}"
+        for source in SOURCES
+        for owner in _callers(ast.parse(source.read_text(encoding="utf-8")), "<module>", names)
+    }
 
 
 def test_only_rule_files_and_the_metrics_walk_list_a_directory():
     # Rule files are collected one way: validate, check --rules and a
     # configuration's load all list through parsing.rule_files. The walk of
     # metrics --meta goes to any depth and skips "_" directories.
-    listers = {
-        f"{source.stem}.{owner}"
-        for source in SOURCES
-        for owner in _listing_callers(ast.parse(source.read_text(encoding="utf-8")), "<module>")
+    assert _modules_calling(_LISTING_CALLS) == {"parsing.rule_files", "cli._cmd_metrics"}
+
+
+def test_only_the_path_checks_ask_what_kind_a_path_is():
+    # A path's kind is asked one way: parsing.file_mode stats it once, and
+    # rule_files, load and the command line's path check all decide by it.
+    # The output root's ancestors are looked up with lexists, so that a
+    # dangling symlink blocks; the metrics --meta walk asks of each file.
+    assert _modules_calling(_KIND_CALLS) == {
+        "parsing.file_mode", "parsing._entry_kind", "cli._blocking_path", "cli._cmd_metrics",
     }
-    assert listers == {"parsing.rule_files", "cli._cmd_metrics"}
 
 
 def test_no_module_splits_lines_with_splitlines():

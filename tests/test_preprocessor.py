@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cryslkit import (
     SourceFile,
     apply_refinement,
+    compile_rules,
     load,
     parse_abstract,
     parse_config,
@@ -18,10 +19,13 @@ from cryslkit import (
 )
 from cryslkit.diagnostics import Loc, Record, error_at, has_errors
 from cryslkit.model import (
+    Atom,
     EventDecl,
     LiteralSet,
     Membership,
     ObjectDecl,
+    Plus,
+    Seq,
     VarRef,
     validate_spec,
     variation_points,
@@ -35,6 +39,7 @@ from conftest import (
     ABSTRACT_MESSAGEDIGEST,
     DIGEST_FAMILY_REFINEMENTS,
     PROVIDER_REFINEMENTS,
+    cyclic_garbage,
 )
 
 BC_ALGS = frozenset(
@@ -219,6 +224,7 @@ def test_remove_and_replace_ops():
     refined = apply_refinement(base, refinement)
     assert [e.label for e in refined.events] == ["g1", "u1", "d1"]
     assert refined.aggregates[0].alternatives == ("g1",)
+    assert refined.order == Seq((Atom("g1"), Plus(Atom("u1")), Atom("d1")))
 
 
 @pytest.mark.parametrize(
@@ -470,6 +476,18 @@ def test_load_counts_corpus_files(corpus_dir):
         "Cipher", "KeyGenerator", "Mac", "MessageDigest", "SecureRandom",
         "Signature", "KeyStore", "SSLContext",
     ]
+
+
+def test_parsing_building_and_compiling_a_configuration_leave_no_cyclic_garbage(corpus_dir):
+    # Reference counting alone frees what each stage drops: no token list
+    # that refers to its reader, and no recursive closure, is left behind.
+    source = SourceFile.from_path(corpus_dir / "jca-android" / "bsi25plus.conf")
+    assert cyclic_garbage(lambda: parse_config(source)) == []
+    config = parse_config(source)
+    assert cyclic_garbage(lambda: run_build(config)) == []
+    specs = [spec for _, spec in run_build(config).generated]
+    assert len(specs) == 8
+    assert cyclic_garbage(lambda: compile_rules(specs)) == []
 
 
 def test_loading_same_refinement_directory_twice_is_duplicate_error(tmp_path):
