@@ -21,7 +21,7 @@ from pathlib import Path
 from stat import S_ISDIR, S_ISREG
 
 from .diagnostics import Diagnostic, Loc, Severity, _one_line, error_at, has_errors
-from .parsing import ParseError, file_mode
+from .parsing import LANGUAGE_BY_EXTENSION, ParseError, _entry_kind, _suffix, file_mode
 
 
 def _print_diagnostics(diags: list[Diagnostic]) -> None:
@@ -67,6 +67,31 @@ def _blocking_path(directory: Path) -> Path | None:
     return None
 
 
+def _meta_sources(root: str) -> list[str]:
+    """The rule-language files under ``root``, a path in normal form, at any
+    depth, sorted as paths are, part by part. A name with a leading
+    underscore (build output by convention) is skipped with all below it; a
+    symlinked file counts, a symlinked directory is not entered and one that
+    cannot be listed is skipped. Only a symlink's entry costs a stat."""
+    files: list[str] = []
+    directories = [root]
+    while directories:
+        directory = directories.pop()
+        try:
+            with os.scandir(directory) as listing:
+                entries = [entry for entry in listing if not entry.name.startswith("_")]
+        except PermissionError:
+            continue
+        prefix = "" if directory == "." else os.path.join(directory, "")
+        for entry in entries:
+            is_file, is_dir = _entry_kind(entry)
+            if is_file and _suffix(entry.name) in LANGUAGE_BY_EXTENSION:
+                files.append(prefix + entry.name)
+            elif is_dir and not entry.is_symlink():
+                directories.append(prefix + entry.name)
+    return sorted(files, key=lambda path: path.split(os.sep))
+
+
 def _read_rules(files: list[str]) -> tuple[list, list[Diagnostic]]:
     """Parse and validate each rule file, then the set; a file that fails to
     parse is reported and left out."""
@@ -88,7 +113,7 @@ def _read_rules(files: list[str]) -> tuple[list, list[Diagnostic]]:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    from .emitter import emit
+    from .emitter import emit, json_text
     from .parsing import SourceFile, parse_config
     from .preprocessor import run_build
 
@@ -113,8 +138,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     diagnostics = result.diagnostics + emitted
 
     if args.json:
-        import json
-
         payload = {
             "config": config.name,
             "out": str(out_root),
@@ -124,7 +147,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "errors": sum(d.severity is Severity.ERROR for d in diagnostics),
             "warnings": sum(d.severity is Severity.WARNING for d in diagnostics),
         }
-        print(json.dumps(payload, indent=2))
+        print("".join(json_text(payload)))
     else:
         for path in written:
             print(path)
@@ -184,21 +207,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .emitter import json_text
     from .metrics import curve_as_csv, report_as_dict, savings
-    from .parsing import LANGUAGE_BY_EXTENSION, SourceFile, parse_config
+    from .parsing import SourceFile, parse_config
 
     meta_dir = _checked(Path(args.meta), "directory")
     configs = [parse_config(SourceFile.from_path(_checked(Path(raw), "file")))
                for raw in args.configs]
-    # Directories with a leading underscore (build output by convention) do
-    # not count as hand-written sources.
-    meta_paths = sorted(
-        p for p in meta_dir.rglob("*")
-        if p.is_file() and p.suffix in LANGUAGE_BY_EXTENSION
-        and not any(part.startswith("_") for part in p.relative_to(meta_dir).parts)
-    )
-
-    result, diags = savings(meta_paths, configs)
+    result, diags = savings(_meta_sources(str(meta_dir)), configs)
     _print_diagnostics(diags)
     if result is None:
         return 1
@@ -211,9 +227,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     payload = report_as_dict(result)
     if args.json:
-        import json
-
-        print(json.dumps(payload, indent=2))
+        print("".join(json_text(payload)))
     else:
         print(f"meta:      {result.meta.total_lines} lines in {result.meta.files} files "
               f"({result.meta.duplicate_lines} duplicates)")

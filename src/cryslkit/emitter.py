@@ -181,19 +181,39 @@ def _replace(root: Path, name: str, data: bytes) -> None:
         raise
 
 
-def _put(root: Path, name: str, data: bytes) -> None:
-    """Make file ``name`` in ``root`` hold ``data``, leaving it untouched if
-    it already does."""
-    if not _holds(os.path.join(root, name), data):
-        _replace(root, name, data)
+def json_text(value, _newline: str = "\n"):
+    """Yield the text of ``value`` as ``json.dumps(value, indent=2)`` lays it
+    out: dicts with ``str`` keys in their own order, lists, tuples, strings
+    escaped to ASCII by the C escaper, ints, finite floats, bools and None."""
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif isinstance(value, (dict, list, tuple)):
+        keyed = isinstance(value, dict)
+        opening, closing = "{}" if keyed else "[]"
+        inner, separator = _newline + "  ", opening
+        for item in value.items() if keyed else value:
+            head = separator + inner
+            if keyed:
+                head += encode_basestring_ascii(item[0]) + ": "
+                item = item[1]
+            if isinstance(item, str):  # inline: a generator per string costs more than its text
+                yield head + encode_basestring_ascii(item)
+            else:
+                yield head
+                yield from json_text(item, inner)
+            separator = ","
+        yield _newline + closing if value else opening + closing
+    elif value is None or isinstance(value, bool):
+        yield "null" if value is None else "true" if value else "false"
+    else:  # int.__repr__ raises TypeError for what is not a JSON value
+        yield (float.__repr__ if isinstance(value, float) else int.__repr__)(value)
 
 
-def _manifest(names: list[str]) -> bytes:
-    """``json.dumps(names, indent=2)`` and a line break, as bytes, without
-    that encoder's Python code, which leaves a reference cycle per call."""
-    if not names:
-        return b"[]\n"
-    return ("[\n  " + ",\n  ".join(map(encode_basestring_ascii, names)) + "\n]\n").encode("ascii")
+def _put_manifest(root: Path, names: list[str]) -> None:
+    """Make the manifest in ``root`` list ``names``, unless it already does."""
+    data = ("".join(json_text(names)) + "\n").encode("ascii")
+    if not _holds(os.path.join(root, MANIFEST), data):
+        _replace(root, MANIFEST, data)
 
 
 def _previous_outputs(manifest: Path, diagnostics: list[Diagnostic] | None) -> list[str]:
@@ -257,8 +277,8 @@ def emit(result, out: str | Path, diagnostics: list[Diagnostic] | None = None) -
     changed = [(name, data) for name, data in rendered
                if not _holds(os.path.join(root, name), data)]
     if changed:  # list what a write may leave behind before it is made
-        _put(root, MANIFEST, _manifest(
-            names + stale + [_temporary(name) for name, _ in changed] + [_temporary(MANIFEST)]))
+        _put_manifest(root, names + stale + [_temporary(name) for name, _ in changed]
+                      + [_temporary(MANIFEST)])
     for file_name, data in changed:
         _replace(root, file_name, data)
     for file_name in stale:
@@ -266,5 +286,5 @@ def emit(result, out: str | Path, diagnostics: list[Diagnostic] | None = None) -
             os.unlink(root / file_name)
         except (FileNotFoundError, IsADirectoryError):
             pass  # gone already, or a directory made since
-    _put(root, MANIFEST, _manifest(names))
+    _put_manifest(root, names)
     return [root / file_name for file_name, _ in rendered]

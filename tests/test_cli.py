@@ -19,10 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 from cryslkit.cli import main
 from cryslkit.emitter import MANIFEST
 from cryslkit.parsing import ParseError, SourceFile, parse_config, parse_crysl
-from cryslkit import parsing, tracecheck
+from cryslkit import cli, metrics, parsing, tracecheck
 from cryslkit.tracecheck import TraceEvent, check_trace, compile_rules, load_trace
 
-from conftest import MESSAGEDIGEST_RULE, REPO_ROOT, wide_rule_text
+from conftest import MESSAGEDIGEST_RULE, REPO_ROOT, cyclic_garbage, wide_rule_text
 
 
 def run_cli(capsys, *argv):
@@ -604,24 +604,37 @@ def test_each_named_path_is_stat_ed_once_on_the_success_path(corpus_copy, capsys
                                                              argv, code):
     monkeypatch.chdir(corpus_copy / "standards")
     assert main(["build", "fips.conf"]) == 0  # for check and fsm
-    stat, rglob, stats = os.stat, Path.rglob, []
+    stat, run_build, stats = os.stat, metrics.run_build, []
 
     def counting_stat(path, *args, **kwargs):
         stats.append(os.fspath(path))
         return stat(path, *args, **kwargs)
 
-    def walk(self, pattern):
-        # The metrics --meta walk: pathlib stats its root again and every file
-        # under it, and the builds after it stat what a configuration names.
+    def build(*args):
+        # The builds after the metrics --meta walk stat each configuration's
+        # src root, "." here, as a build does.
         stats.append(None)
-        return rglob(self, pattern)
+        return run_build(*args)
 
     monkeypatch.setattr(os, "stat", counting_stat)
-    monkeypatch.setattr(Path, "rglob", walk)
+    monkeypatch.setattr(metrics, "run_build", build)
     assert main(argv) == code
     checked = stats[:stats.index(None)] if None in stats else stats
     named = [str(Path(arg)) for arg in argv[1:] if not arg.startswith("--")]
     assert {path: checked.count(path) for path in named} == dict.fromkeys(named, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "fips.conf"],
+    ["metrics", "--meta", ".", "--configs", "fips.conf"],
+], ids=["build", "metrics"])
+def test_json_output_leaves_no_more_cyclic_garbage_than_text(corpus_copy, capsys, monkeypatch,
+                                                              argv):
+    monkeypatch.chdir(corpus_copy / "standards")
+    assert main(argv) == main(argv + ["--json"]) == 0  # the first run of each writes or imports
+    text = cyclic_garbage(lambda: main(argv))
+    as_json = cyclic_garbage(lambda: main(argv + ["--json"]))
+    assert len(as_json) <= len(text)
 
 
 @pytest.mark.parametrize("stray, written", [
@@ -877,6 +890,36 @@ def test_metrics_json_output(corpus_copy, capsys):
     assert payload["meta"]["total_lines"] < payload["generated"]["total_lines"]
     code, out, _ = run_cli(capsys, "metrics", "--meta", str(root), "--configs", *configs)
     assert code == 0 and out.endswith("\nbreakeven: configuration 2\n")
+
+
+def _rglob_meta_sources(root: Path) -> list[str]:
+    """The --meta walk as pathlib's rglob makes it, the reference."""
+    return [str(p) for p in sorted(
+        p for p in root.rglob("*")
+        if p.is_file() and p.suffix in parsing.LANGUAGE_BY_EXTENSION
+        and not any(part.startswith("_") for part in p.relative_to(root).parts)
+    )]
+
+
+@pytest.mark.parametrize("root", ["tree", "."])
+def test_the_meta_walk_finds_what_rglob_finds_in_its_order(tmp_path, monkeypatch, root):
+    tree = tmp_path / "tree"
+    for name in ("a/b.crysl", "a-c.crysl", "a/d/e.mcsl", "a/.hidden.ref", "z.conf", "x.txt",
+                 "_x.crysl", "_out/f.crysl", "a/_g/h.crysl", "outside/i.crysl", "a b/j.ref"):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text("", encoding="utf-8")
+    (tree / "linked.crysl").symlink_to(tree / "a" / "b.crysl")  # a symlinked file counts
+    (tree / "linked").symlink_to(tree / "outside", target_is_directory=True)  # not entered
+    (tree / "dangling.crysl").symlink_to(tree / "missing.crysl")
+    (tree / "loop.crysl").symlink_to(tree / "loop.crysl")
+    os.mkfifo(tree / "pipe.crysl")
+    monkeypatch.chdir(tree if root == "." else tmp_path)
+    expected = [("" if root == "." else "tree/") + path for path in (
+        "a/.hidden.ref", "a/b.crysl", "a/d/e.mcsl", "a b/j.ref", "a-c.crysl",  # by parts, not text
+        "linked.crysl", "outside/i.crysl", "z.conf",
+    )]
+    assert _rglob_meta_sources(Path(root)) == expected
+    assert cli._meta_sources(root) == expected
 
 
 def test_metrics_csv_curve(corpus_copy, capsys, tmp_path):

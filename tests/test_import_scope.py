@@ -139,17 +139,36 @@ def test_only_rule_files_and_the_metrics_walk_list_a_directory():
     # Rule files are collected one way: validate, check --rules and a
     # configuration's load all list through parsing.rule_files. The walk of
     # metrics --meta goes to any depth and skips "_" directories.
-    assert _modules_calling(_LISTING_CALLS) == {"parsing.rule_files", "cli._cmd_metrics"}
+    assert _modules_calling(_LISTING_CALLS) == {"parsing.rule_files", "cli._meta_sources"}
 
 
 def test_only_the_path_checks_ask_what_kind_a_path_is():
     # A path's kind is asked one way: parsing.file_mode stats it once, and
     # rule_files, load and the command line's path check all decide by it.
     # The output root's ancestors are looked up with lexists, so that a
-    # dangling symlink blocks; the metrics --meta walk asks of each file.
+    # dangling symlink blocks. Directory walks decide by parsing._entry_kind.
     assert _modules_calling(_KIND_CALLS) == {
-        "parsing.file_mode", "parsing._entry_kind", "cli._blocking_path", "cli._cmd_metrics",
+        "parsing.file_mode", "parsing._entry_kind", "cli._blocking_path",
     }
+
+
+def test_json_is_laid_out_by_the_one_writer():
+    # Every JSON output goes through emitter.json_text: no module asks
+    # json.dumps for an indented layout, and the command line imports no json.
+    indented = [
+        f"{source.name}:{node.lineno}"
+        for source in SOURCES
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _call_name(node.func) == "dumps"
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    cli_tree = ast.parse((REPO_ROOT / "src" / "cryslkit" / "cli.py").read_text(encoding="utf-8"))
+    cli_json_imports = [
+        node.lineno for node in ast.walk(cli_tree)
+        if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "json" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "json"
+    ]
+    assert (indented, cli_json_imports) == ([], [])
 
 
 def test_no_module_splits_lines_with_splitlines():

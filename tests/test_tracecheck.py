@@ -938,17 +938,14 @@ def test_parse_and_check_leave_no_cyclic_garbage(android_trace, corpus_dir):
         [event],
         dict(event, seq=1004, object_id="caf\udce9"),
     )] + ["not json"]
-    gc.collect()
-    flags, saved = gc.get_debug(), len(gc.garbage)
-    gc.set_debug(flags | gc.DEBUG_SAVEALL)
-    try:
+    checked = []
+
+    def parse_and_check():
         events, diags = parse_trace_lines(lines, "t.jsonl")
-        result = check_trace(rules, events)
-        gc.collect()
-        garbage = gc.garbage[saved:]
-    finally:
-        gc.set_debug(flags)
-        del gc.garbage[saved:]
+        checked.extend((check_trace(rules, events), diags))
+
+    garbage = cyclic_garbage(parse_and_check)
+    result, diags = checked
     assert {v.kind for v in result.violations} == set(VIOLATION_KINDS)
     assert [w.message for w in result.warnings if "md_unknown" in w.message] == [
         "seq 1000: md_unknown: cannot decide "
